@@ -85,7 +85,11 @@ def _load_init(spec: str, g: Graph) -> Configuration:
         return Configuration.all_null(g)
     if spec == "random" or spec.startswith("random:"):
         _, _, seed = spec.partition(":")
-        return random_configuration(g, int(seed) if seed else 0)
+        try:
+            seed_value = int(seed) if seed else 0
+        except ValueError:
+            raise UsageError(f"bad random init seed in {spec!r}") from None
+        return random_configuration(g, seed_value)
     return parse_configuration(_read(spec), g)
 
 
@@ -144,10 +148,14 @@ def cmd_run(args) -> int:
 
 def _graph_from_spec(entry: dict) -> tuple[str, Graph]:
     if "file" in entry:
+        if not isinstance(entry["file"], str):
+            raise UsageError("graph entry 'file' must be a string")
         return entry["file"], _load_graph(entry["file"])
     kind = entry.get("kind")
     if kind is None:
         raise UsageError("graph entry needs 'file' or 'kind'")
+    if not isinstance(kind, str):
+        raise UsageError("graph entry 'kind' must be a string")
     n = entry.get("n")
     m = entry.get("m")
     seed = entry.get("seed", 0)
@@ -165,6 +173,8 @@ def cmd_experiment(args) -> int:
         spec = json.loads(_read(args.spec))
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad experiment spec: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise UsageError("experiment spec must be a JSON object")
     graphs = spec.get("graphs") or []
     policies = spec.get("policies") or []
     seeds = spec.get("seeds") or [0]
@@ -174,6 +184,14 @@ def cmd_experiment(args) -> int:
         raise UsageError("experiment spec needs a nonempty 'graphs' list")
     if not policies:
         raise UsageError("experiment spec needs a nonempty 'policies' list")
+    for key, items, kind, what in (("graphs", graphs, dict, "objects"),
+                                   ("policies", policies, str, "strings"),
+                                   ("seeds", seeds, int, "integers"),
+                                   ("inits", inits, str, "strings")):
+        if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
+            raise UsageError(f"experiment spec '{key}' must be a list of {what}")
+    if max_steps is not None and not isinstance(max_steps, int):
+        raise UsageError("experiment spec 'max_steps' must be an integer")
 
     loaded = [_graph_from_spec(entry) for entry in graphs]
     rows = []

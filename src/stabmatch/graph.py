@@ -26,12 +26,14 @@ class Graph:
 
     ``adjacency`` maps each node to its neighbors sorted ascending, which
     keeps every downstream iteration deterministic. ``ident`` maps nodes to
-    identifier values; it defaults to the identity assignment.
+    identifier values; it defaults to the identity assignment. The edge
+    count is computed once, at construction.
     """
 
     nodes: tuple[int, ...]
     adjacency: dict[int, tuple[int, ...]]
     ident: dict[int, int] = field(default_factory=dict)
+    _m: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
         if not self.nodes:
@@ -51,6 +53,9 @@ class Graph:
                     raise ValueError(f"edge endpoint {v} not a node")
                 if u not in self.adjacency[v]:
                     raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        object.__setattr__(
+            self, "_m", sum(len(v) for v in self.adjacency.values()) // 2
+        )
 
     @staticmethod
     def from_edges(nodes, edges, ident=None) -> "Graph":
@@ -72,7 +77,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
+        return self._m
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -88,9 +93,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, ())
-
-    def id_of(self, i: int) -> int:
-        return self.ident[i]
 
     def is_connected(self) -> bool:
         seen = {self.nodes[0]}

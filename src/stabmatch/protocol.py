@@ -94,14 +94,22 @@ class Configuration:
         return ProcessState(self.p[k], self.m[k])
 
     def with_writes(self, writes: Mapping[int, ProcessState]) -> "Configuration":
-        """New configuration with the given per-node states replaced."""
+        """New configuration with the given per-node states replaced.
+
+        The result has the same node tuple, so it shares this configuration's
+        node index instead of building its own; what remains O(n) is the copy
+        of the two state tuples.
+        """
+        index = self._index
         p = list(self.p)
         m = list(self.m)
         for i, st in writes.items():
-            k = self._index[i]
+            k = index[i]
             p[k] = st.p
             m[k] = st.m
-        return Configuration(self.nodes, tuple(p), tuple(m))
+        derived = object.__new__(Configuration)
+        derived.__dict__.update(nodes=self.nodes, p=tuple(p), m=tuple(m), _index=index)
+        return derived
 
     @staticmethod
     def from_states(g: Graph, states: Mapping[int, ProcessState]) -> "Configuration":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -103,11 +104,92 @@ def make_state(policy: DaemonPolicy, g: Graph) -> SchedulerState:
     return SchedulerState(g, random.Random(policy.seed), victim)
 
 
+def _strategy_key(g: Graph, strategy: Optional[str]):
+    """Sort key under which a heuristic strategy's preferred node comes first.
+
+    The trailing node key reproduces how ``min``/``max`` over node-sorted
+    candidates break identifier ties: the smallest node key wins.
+    """
+    ident = g.ident
+    if strategy == "max_id":
+        return lambda i: (-ident[i], i)
+    if strategy == "max_degree":
+        adjacency = g.adjacency
+        return lambda i: (-len(adjacency[i]), ident[i], i)
+    if strategy is None:
+        return None
+    return lambda i: (ident[i], i)  # min_id, and starve_one's sequential pick
+
+
+class EnabledSet:
+    """The enabled processes, kept in the orders the daemons pick from.
+
+    ``nodes`` is sorted by node key; for a heuristic strategy ``ranked``
+    holds the strategy's sort keys in ascending order, so its preferred node
+    is ``ranked[0][-1]``. ``update`` keeps both orders from a step's dirty
+    processes, by bisection when few change, so the execution loop does not
+    re-sort the whole set before every pick.
+    """
+
+    def __init__(self, g: Graph, strategy: Optional[str], nodes: Iterable[int] = ()):
+        self.strategy = strategy
+        self._members = set(nodes)
+        self.nodes = sorted(self._members)
+        self._key = _strategy_key(g, strategy)
+        self.ranked = [] if self._key is None else sorted(map(self._key, self.nodes))
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __contains__(self, i) -> bool:
+        return i in self._members
+
+    def __iter__(self):
+        return iter(self.nodes)
+
+    def update(self, added: Iterable[int], removed: Iterable[int]) -> None:
+        """Apply one step's re-evaluation: ``added`` are the dirty processes
+        now enabled, ``removed`` those now disabled, whether or not their
+        membership changed."""
+        members = self._members
+        added = [i for i in added if i not in members]
+        removed = [i for i in removed if i in members]
+        members.update(added)
+        members.difference_update(removed)
+        key = self._key
+        if 8 * (len(added) + len(removed)) > len(members):
+            # a step that changes much of the set (a concurrent daemon's):
+            # one sort is cheaper than many bisected inserts
+            self.nodes = sorted(members)
+            if key is not None:
+                self.ranked = sorted(map(key, self.nodes))
+            return
+        nodes, ranked = self.nodes, self.ranked
+        for i in removed:
+            del nodes[bisect_left(nodes, i)]
+            if key is not None:
+                del ranked[bisect_left(ranked, key(i))]
+        for i in added:
+            insort(nodes, i)
+            if key is not None:
+                insort(ranked, key(i))
+
+
 def select(
     policy: DaemonPolicy, enabled: Iterable[int], history: SchedulerState
 ) -> frozenset[int]:
-    """Choose the nonempty subset of enabled processes that fires next."""
-    candidates = sorted(enabled)
+    """Choose the nonempty subset of enabled processes that fires next.
+
+    ``run`` passes its EnabledSet, whose node order and strategy order are
+    maintained incrementally, so a sequential or min/max pick reads the
+    front of a sorted list instead of sorting and scanning every candidate;
+    any other iterable is sorted here first. Random kinds draw in node-key
+    order: ``rng.choice`` over the sorted candidates, or one ``rng.random()``
+    per candidate.
+    """
+    if not isinstance(enabled, EnabledSet) or enabled.strategy != policy.strategy:
+        enabled = EnabledSet(history.graph, policy.strategy, enabled)
+    candidates = enabled.nodes
     if not candidates:
         raise ValueError("select requires a nonempty enabled set")
     g = history.graph
@@ -128,20 +210,57 @@ def select(
         )
         chosen.add(oldest)
         return frozenset(chosen)
-    # adversarial heuristics
-    strategy = policy.strategy
-    if strategy == "min_id":
-        picks = [min(candidates, key=lambda i: g.ident[i])]
-    elif strategy == "max_id":
-        picks = [max(candidates, key=lambda i: g.ident[i])]
-    elif strategy == "max_degree":
-        top = max(len(g.adjacency[i]) for i in candidates)
-        picks = [i for i in candidates if len(g.adjacency[i]) == top]
-    else:  # starve_one
-        picks = [i for i in candidates if i != history.victim] or [history.victim]
-    if policy.kind == "sequential_adversarial_heuristic":
-        picks = [min(picks, key=lambda i: g.ident[i])]
-    return frozenset(picks)
+    # adversarial heuristics; the sequential kind fires the single most
+    # preferred node, the smallest identifier among the strategy's picks
+    ranked = enabled.ranked
+    sequential = policy.kind == "sequential_adversarial_heuristic"
+    if policy.strategy == "starve_one":
+        victim = history.victim
+        if sequential:
+            pick = ranked[0][-1]
+            if pick == victim and len(ranked) > 1:
+                pick = ranked[1][-1]
+            return frozenset((pick,))
+        return frozenset(i for i in candidates if i != victim) or frozenset((victim,))
+    if policy.strategy == "max_degree" and not sequential:
+        top = ranked[0][0]
+        picks = []
+        for key in ranked:
+            if key[0] != top:
+                break
+            picks.append(key[-1])
+        return frozenset(picks)
+    return frozenset((ranked[0][-1],))
+
+
+class Rounds:
+    """Round accounting straight from the definition.
+
+    A round closes at the earliest step after which every process eligible
+    at the round's first configuration has moved or had its guard disabled.
+    ``owed`` holds the processes the current round still waits for; since
+    only a process that moved or neighbors a mover can change enabledness,
+    each step updates it from that dirty set alone.
+    """
+
+    def __init__(self, enabled: Iterable[int]):
+        self.index = 1
+        self.owed = set(enabled)
+
+    def close_step(self, moved, disabled, enabled) -> bool:
+        """Account one step, given its movers, the dirty processes it
+        disabled and the enabled set after it; True when it closed the
+        current round. A new round opens only while some process is still
+        enabled."""
+        owed = self.owed
+        owed.difference_update(moved)
+        owed.difference_update(disabled)
+        if owed:
+            return False
+        if enabled:
+            self.index += 1
+            self.owed = set(enabled)
+        return True
 
 
 @dataclass(frozen=True)
@@ -349,50 +468,48 @@ def run(
     max_steps: Optional[int] = None,
     semantics: RuleSemantics = STANDARD,
 ) -> Trace:
-    """Iterate select/apply until no process is enabled or the cap is hit."""
+    """Iterate select/apply until no process is enabled or the cap is hit.
+
+    After each step only the dirty processes (the movers and their
+    neighbors) are re-evaluated, since no other guard reads a changed
+    state. From them the loop updates, in place, the enabled set with its
+    daemon orders, the pending-since map the fair daemon reads, and the
+    round accounting, so a step costs time in proportion to the processes
+    it touches plus the copy of the configuration's state tuples.
+    """
     if max_steps is None:
         max_steps = default_step_cap(g)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     state = make_state(policy, g)
     c = c0
-    enabled = {
-        i: r
-        for i in g.nodes
-        if (r := enabled_rule(c, g, i, semantics)) is not None
-    }
-    state.pending_since = {i: 0 for i in enabled}
-    owed = set(enabled)
-    round_index = 1
+    enabled = EnabledSet(
+        g, policy.strategy,
+        (i for i in g.nodes if enabled_rule(c, g, i, semantics) is not None),
+    )
+    pending = state.pending_since
+    pending.update((i, 0) for i in enabled)
+    rounds = Rounds(enabled)
     records = []
     while enabled and len(records) < max_steps:
-        chosen = select(policy, enabled.keys(), state)
+        chosen = select(policy, enabled, state)
         c2, moves = apply_step(c, g, chosen, semantics)
+        records.append(StepRecord(len(records), moves, rounds.index))
+        state.step_index += 1
         moved = {mv.node for mv in moves}
         dirty = set(moved)
         for i in moved:
             dirty.update(g.adjacency[i])
+        on, off = [], []
         for i in dirty:
-            r = enabled_rule(c2, g, i, semantics)
-            if r is None:
-                enabled.pop(i, None)
-            else:
-                enabled[i] = r
-        records.append(StepRecord(len(records), moves, round_index))
-        owed -= moved
-        owed = {i for i in owed if i in enabled}
-        if not owed and enabled:
-            round_index += 1
-            owed = set(enabled)
-        state.step_index += 1
-        pending = {}
-        for i in enabled:
-            prev = state.pending_since.get(i)
-            if prev is not None and i not in moved:
-                pending[i] = prev
-            else:
+            (off if enabled_rule(c2, g, i, semantics) is None else on).append(i)
+        enabled.update(on, off)
+        for i in off:
+            pending.pop(i, None)
+        for i in on:
+            if i in moved or i not in pending:
                 pending[i] = state.step_index
-        state.pending_since = pending
+        rounds.close_step(moved, off, enabled)
         c = c2
     return Trace(
         graph=g,
@@ -422,26 +539,19 @@ def trace_from_schedule(
     enabled = {
         i for i in g.nodes if enabled_rule(c, g, i, semantics) is not None
     }
-    owed = set(enabled)
-    round_index = 1
+    rounds = Rounds(enabled)
     records = []
     for chosen, choices in schedule:
         c2, moves = apply_step(c, g, chosen, semantics, marriage_choices=choices)
+        records.append(StepRecord(len(records), moves, rounds.index))
         moved = {mv.node for mv in moves}
         dirty = set(moved)
         for i in moved:
             dirty.update(g.adjacency[i])
-        for i in dirty:
-            if enabled_rule(c2, g, i, semantics) is None:
-                enabled.discard(i)
-            else:
-                enabled.add(i)
-        records.append(StepRecord(len(records), moves, round_index))
-        owed -= moved
-        owed &= enabled
-        if not owed and enabled:
-            round_index += 1
-            owed = set(enabled)
+        off = [i for i in dirty if enabled_rule(c2, g, i, semantics) is None]
+        enabled.difference_update(off)
+        enabled.update(dirty.difference(off))
+        rounds.close_step(moved, off, enabled)
         c = c2
     return Trace(
         graph=g,
@@ -470,26 +580,19 @@ def count_rounds(
     enabled = {
         i for i in g.nodes if enabled_rule(c, g, i, semantics) is not None
     }
-    owed = set(enabled)
-    round_index = 1
+    rounds = Rounds(enabled)
     annotations = []
     for record in trace.records:
         c = replay_step(c, g, record.moves, semantics)
+        annotations.append(rounds.index)
         moved = {mv.node for mv in record.moves}
         dirty = set(moved)
         for i in moved:
             dirty.update(g.adjacency[i])
-        for i in dirty:
-            if enabled_rule(c, g, i, semantics) is None:
-                enabled.discard(i)
-            else:
-                enabled.add(i)
-        annotations.append(round_index)
-        owed -= moved
-        owed &= enabled
-        if not owed and enabled:
-            round_index += 1
-            owed = set(enabled)
+        off = [i for i in dirty if enabled_rule(c, g, i, semantics) is None]
+        enabled.difference_update(off)
+        enabled.update(dirty.difference(off))
+        rounds.close_step(moved, off, enabled)
     return (annotations[-1] if annotations else 0), annotations
 
 
@@ -559,6 +662,8 @@ def parse_trace(text: str) -> Trace:
             obj = json.loads(line)
         except json.JSONDecodeError:
             raise TraceFormatError(f"line {lineno}: invalid record") from None
+        if not isinstance(obj, dict):
+            raise TraceFormatError(f"line {lineno}: record is not a JSON object")
         kind = obj.get("type")
         if kind == "header":
             if header is not None:
@@ -578,6 +683,10 @@ def parse_trace(text: str) -> Trace:
                             f"line {lineno}: unknown rule {rule_name!r}"
                         ) from None
                     target = entry[2] if len(entry) > 2 else None
+                    if not isinstance(node, int) or not isinstance(target, (int, type(None))):
+                        raise TraceFormatError(
+                            f"line {lineno}: move node and target must be integers"
+                        )
                     moves.append(Move(node, rule, target))
                 records.append(
                     StepRecord(obj["index"], tuple(moves), obj["round_index"])
@@ -594,6 +703,10 @@ def parse_trace(text: str) -> Trace:
             raise TraceFormatError(f"line {lineno}: unknown record type")
     if header is None or footer is None:
         raise TraceFormatError("trace needs a header and a footer")
+    for record, key in ((header, "graph"), (header, "init"), (header, "policy"),
+                        (footer, "final")):
+        if key in record and not isinstance(record[key], str):
+            raise TraceFormatError(f"trace field {key!r} must be a string")
     try:
         g = read_graph(header["graph"])
         initial = parse_configuration(header["init"], g)

@@ -31,6 +31,7 @@ from .protocol import (
     pr_married,
 )
 from .scheduler import (
+    Rounds,
     Trace,
     TraceFormatError,
     apply_realized,
@@ -102,18 +103,16 @@ def check_maximal(
     return None
 
 
-def _married_pairs(c: Configuration, g: Graph) -> set[tuple[int, int]]:
-    return set(extract_matching(c, g))
-
-
-def _active_set(c: Configuration, g: Graph) -> frozenset[int]:
-    """Processes that are neither married nor dead."""
-    married = {u for e in _married_pairs(c, g) for u in e}
+def _active_set(
+    c: Configuration, g: Graph, married_pairs: Iterable[tuple[int, int]]
+) -> frozenset[int]:
+    """Processes that are neither married nor dead, given c's married pairs."""
+    married = {u for e in married_pairs for u in e}
     active = set()
-    for i in g.nodes:
+    for i, p in zip(c.nodes, c.p):
         if i in married:
             continue
-        if c.p_of(i) is None and all(j in married for j in g.adjacency[i]):
+        if p is None and all(j in married for j in g.adjacency[i]):
             continue
         active.add(i)
     return frozenset(active)
@@ -217,6 +216,13 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     Raises CorruptTraceError when the records do not reproduce the recorded
     final configuration, stability flag or round annotation. Check verdicts
     carry the first counterexample step and a configuration snapshot.
+
+    Per step, the replay re-evaluates only the dirty processes (the movers
+    and their neighbors) and updates from them the enabled set, each
+    process's guards and the round accounting; married pairs are indexed by
+    node, so only the movers' pairs are checked for separation. The active
+    set is computed at round boundaries only when the policy makes
+    active_component_shrink applicable.
     """
     g = trace.graph
     n, m = g.n, g.m
@@ -235,13 +241,16 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 snapshot=c.to_text(),
             )
     enabled = {i for i, r in rules_of.items() if r}
-    owed = set(enabled)
-    round_index = 1
-    married = _married_pairs(c, g)
+    round_state = Rounds(enabled)
+    policy_kind = trace.policy.split(":", 1)[0]
+    round_applicable = policy_kind in ROUND_BOUND_POLICIES
+    # the married pairs, and each married process's pair
+    married = set(extract_matching(c, g))
+    pair_of = {u: pair for pair in married for u in pair}
     update_counts: Counter = Counter()
     edge_step_counts: Counter = Counter()
     edge_third_step: dict[tuple[int, int], int] = {}
-    boundary_actives = [_active_set(c, g)]
+    boundary_actives = [_active_set(c, g, married)] if round_applicable else []
     boundary_steps = [0]
     total_moves = 0
 
@@ -279,19 +288,28 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         c2 = apply_realized(c, g, realized)
         moved = {mv.node for mv in realized}
 
-        for pair in [e for e in married if e[0] in moved or e[1] in moved]:
-            u, v = pair
-            if not (c2.p_of(u) == v and c2.p_of(v) == u):
-                fails.hit(
-                    "marriage_persistence", record.index,
-                    f"married pair ({u}, {v}) separated",
-                    snapshot=c.to_text(),
-                )
-                married.discard(pair)
+        touched = {pair_of[i] for i in moved if i in pair_of}
+        separated = [
+            (u, v) for u, v in touched if not (c2.p_of(u) == v and c2.p_of(v) == u)
+        ]
+        if len(separated) > 1:
+            # report them in the married set's order, as a scan of it would
+            broken = set(separated)
+            separated = [pair for pair in married if pair in broken]
+        for u, v in separated:
+            fails.hit(
+                "marriage_persistence", record.index,
+                f"married pair ({u}, {v}) separated",
+                snapshot=c.to_text(),
+            )
+            married.discard((u, v))
+            del pair_of[u], pair_of[v]
         for i in moved:
             j = c2.p_of(i)
             if j is not None and c2.p_of(j) == i:
-                married.add((min(i, j), max(i, j)))
+                pair = (min(i, j), max(i, j))
+                married.add(pair)
+                pair_of[i] = pair_of[j] = pair
 
         step_edges = set()
         for mv in realized:
@@ -319,6 +337,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         dirty = set(moved)
         for i in moved:
             dirty.update(g.adjacency[i])
+        disabled = []
         for i in dirty:
             rules = enabled_rules(c2, g, i, semantics)
             rules_of[i] = rules
@@ -333,20 +352,16 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 enabled.add(i)
             else:
                 enabled.discard(i)
+                disabled.append(i)
 
-        if record.round_index != round_index:
+        if record.round_index != round_state.index:
             raise CorruptTraceError(
                 f"corrupt trace: step {record.index} recorded round "
-                f"{record.round_index}, recomputed {round_index}"
+                f"{record.round_index}, recomputed {round_state.index}"
             )
-        owed -= moved
-        owed &= enabled
-        if not owed:
-            boundary_actives.append(_active_set(c2, g))
+        if round_state.close_step(moved, disabled, enabled) and round_applicable:
+            boundary_actives.append(_active_set(c2, g, married))
             boundary_steps.append(record.index + 1)
-            if enabled:
-                round_index += 1
-                owed = set(enabled)
         c = c2
 
     if c != trace.final:
@@ -425,8 +440,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         )
     settle("step_bound", measured={"steps": trace.steps, "bound": step_bound})
 
-    policy_kind = trace.policy.split(":", 1)[0]
-    round_applicable = policy_kind in ROUND_BOUND_POLICIES
     if round_applicable and rounds > round_bound:
         fails.hit(
             "round_bound", None,

@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's fast paths: maximality is decided by
 trying every superset, rounds are recomputed with a full eligibility scan at
-every configuration, and the five predicates are transcribed literally. If
+every configuration, the five predicates are transcribed literally, and the
+reference daemon sorts the enabled set and rebuilds its pending and owed
+bookkeeping from scratch on every step. If
 an oracle and the implementation ever disagree, the test fails and one of
 them is wrong.
 """
@@ -10,9 +12,17 @@ them is wrong.
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import dataclass, field
 
 from stabmatch.protocol import Configuration, enabled_rule
-from stabmatch.scheduler import Trace, replay_step
+from stabmatch.scheduler import (
+    StepRecord,
+    Trace,
+    apply_step,
+    default_step_cap,
+    replay_step,
+)
 
 
 def nodes_within_two_hops(g, u):
@@ -160,3 +170,112 @@ def starvation_streaks(trace: Trace):
                 worst[i] = max(worst[i], streak[i])
         c = replay_step(c, g, record.moves)
     return worst
+
+
+@dataclass
+class ReferenceSchedulerState:
+    graph: object
+    rng: random.Random
+    victim: int
+    pending_since: dict = field(default_factory=dict)
+    step_index: int = 0
+
+
+def reference_select(policy, enabled, history):
+    """The daemon's choice, sorting and scanning every candidate each call."""
+    candidates = sorted(enabled)
+    if not candidates:
+        raise ValueError("select requires a nonempty enabled set")
+    g = history.graph
+    if policy.kind == "sequential_random":
+        return frozenset((history.rng.choice(candidates),))
+    if policy.kind == "synchronous":
+        return frozenset(candidates)
+    if policy.kind == "distributed_random":
+        while True:
+            chosen = [i for i in candidates if history.rng.random() < 0.5]
+            if chosen:
+                return frozenset(chosen)
+    if policy.kind == "distributed_fair":
+        chosen = {i for i in candidates if history.rng.random() < 0.5}
+        oldest = min(
+            candidates,
+            key=lambda i: (history.pending_since.get(i, 0), g.ident[i]),
+        )
+        chosen.add(oldest)
+        return frozenset(chosen)
+    # adversarial heuristics
+    strategy = policy.strategy
+    if strategy == "min_id":
+        picks = [min(candidates, key=lambda i: g.ident[i])]
+    elif strategy == "max_id":
+        picks = [max(candidates, key=lambda i: g.ident[i])]
+    elif strategy == "max_degree":
+        top = max(len(g.adjacency[i]) for i in candidates)
+        picks = [i for i in candidates if len(g.adjacency[i]) == top]
+    else:  # starve_one
+        picks = [i for i in candidates if i != history.victim] or [history.victim]
+    if policy.kind == "sequential_adversarial_heuristic":
+        picks = [min(picks, key=lambda i: g.ident[i])]
+    return frozenset(picks)
+
+
+def reference_run(g, c0, policy, max_steps=None, semantics=None):
+    """The execution loop with the pending and owed sets rebuilt over the
+    whole enabled set after every step."""
+    from stabmatch.protocol import STANDARD
+
+    semantics = semantics or STANDARD
+    if max_steps is None:
+        max_steps = default_step_cap(g)
+    victim = max(g.nodes, key=lambda i: g.ident[i])
+    state = ReferenceSchedulerState(g, random.Random(policy.seed), victim)
+    c = c0
+    enabled = {
+        i: r
+        for i in g.nodes
+        if (r := enabled_rule(c, g, i, semantics)) is not None
+    }
+    state.pending_since = {i: 0 for i in enabled}
+    owed = set(enabled)
+    round_index = 1
+    records = []
+    while enabled and len(records) < max_steps:
+        chosen = reference_select(policy, enabled.keys(), state)
+        c2, moves = apply_step(c, g, chosen, semantics)
+        moved = {mv.node for mv in moves}
+        dirty = set(moved)
+        for i in moved:
+            dirty.update(g.adjacency[i])
+        for i in dirty:
+            r = enabled_rule(c2, g, i, semantics)
+            if r is None:
+                enabled.pop(i, None)
+            else:
+                enabled[i] = r
+        records.append(StepRecord(len(records), moves, round_index))
+        owed -= moved
+        owed = {i for i in owed if i in enabled}
+        if not owed and enabled:
+            round_index += 1
+            owed = set(enabled)
+        state.step_index += 1
+        pending = {}
+        for i in enabled:
+            prev = state.pending_since.get(i)
+            if prev is not None and i not in moved:
+                pending[i] = prev
+            else:
+                pending[i] = state.step_index
+        state.pending_since = pending
+        c = c2
+    return Trace(
+        graph=g,
+        policy=policy.describe(),
+        seed=policy.seed,
+        initial=c0,
+        records=tuple(records),
+        final=c,
+        stable=not enabled,
+        max_steps=max_steps,
+    )

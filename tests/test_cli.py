@@ -89,6 +89,12 @@ class TestRun:
         err = capsys.readouterr().err
         assert "counterexample" in err
 
+    def test_non_integer_random_init_seed_is_usage_error(self, workdir, capsys):
+        main(["gen", "--kind", "path", "--n", "3", "--out", "p3.g"])
+        assert main(["run", "--graph", "p3.g", "--init", "random:x",
+                     "--policy", "synchronous"]) == EXIT_USAGE
+        assert "bad random init seed" in capsys.readouterr().err
+
     def test_bad_policy_is_usage_error(self, workdir, capsys):
         main(["gen", "--kind", "path", "--n", "2", "--out", "p2.g"])
         assert main(["run", "--graph", "p2.g", "--policy", "nonsense"]) == EXIT_USAGE
@@ -127,6 +133,22 @@ class TestExperiment:
         spec = self._spec(workdir, max_steps=1)
         assert main(["experiment", "--spec", spec, "--out", "s.txt"]) == EXIT_FAIL
         assert "audit=fail" in (workdir / "s.txt").read_text()
+
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"graphs": [5]}, "'graphs' must be a list of objects"),
+        ({"seeds": ["x"]}, "'seeds' must be a list of integers"),
+        ({"policies": "synchronous"}, "'policies' must be a list of strings"),
+        ({"graphs": [{"kind": 3, "n": 4}]}, "'kind' must be a string"),
+    ])
+    def test_mistyped_spec_field_is_usage_error(self, workdir, capsys, overrides, fragment):
+        spec = self._spec(workdir, **overrides)
+        assert main(["experiment", "--spec", spec]) == EXIT_USAGE
+        assert fragment in capsys.readouterr().err
+
+    def test_top_level_list_is_usage_error(self, workdir, capsys):
+        spec = _write(workdir / "spec.json", json.dumps([{"kind": "path", "n": 4}]))
+        assert main(["experiment", "--spec", spec]) == EXIT_USAGE
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_ten_seeds_three_policies_on_medium_gnm(self, workdir):
         spec = self._spec(
@@ -299,3 +321,32 @@ class TestVerify:
 
     def test_missing_file(self, workdir, capsys):
         assert main(["verify", "--trace", "nope.trace"]) == EXIT_USAGE
+
+    def _valid_lines(self, workdir, capsys):
+        main(["gen", "--kind", "path", "--n", "2", "--out", "p2.g"])
+        main(["run", "--graph", "p2.g", "--policy", "sequential_random",
+              "--seed", "1", "--trace-out", "p2.trace"])
+        capsys.readouterr()
+        return [json.loads(ln) for ln in (workdir / "p2.trace").read_text().splitlines()]
+
+    def _verify_lines(self, workdir, records):
+        text = "\n".join(json.dumps(r) for r in records) + "\n"
+        return main(["verify", "--trace", _write(workdir / "bad.trace", text)])
+
+    def test_non_string_header_graph_is_usage_error(self, workdir, capsys):
+        records = self._valid_lines(workdir, capsys)
+        records[0]["graph"] = 2
+        assert self._verify_lines(workdir, records) == EXIT_USAGE
+        assert "'graph' must be a string" in capsys.readouterr().err
+
+    def test_array_record_is_usage_error(self, workdir, capsys):
+        records = self._valid_lines(workdir, capsys)
+        records[1] = [records[1]]
+        assert self._verify_lines(workdir, records) == EXIT_USAGE
+        assert "line 2: record is not a JSON object" in capsys.readouterr().err
+
+    def test_list_move_node_is_usage_error(self, workdir, capsys):
+        records = self._valid_lines(workdir, capsys)
+        records[1]["moves"][0][0] = [0]
+        assert self._verify_lines(workdir, records) == EXIT_USAGE
+        assert "line 2: move node and target must be integers" in capsys.readouterr().err

@@ -219,6 +219,16 @@ class TestNormalize:
             assert isinstance(c.m_of(i), bool)
 
 
+class TestWithWrites:
+    def test_derived_configuration_shares_the_node_index(self, p3):
+        c = Configuration.all_null(p3)
+        c2 = c.with_writes({1: ProcessState(2, True)})
+        assert c2._index is c._index
+        fresh = Configuration(c2.nodes, c2.p, c2.m)
+        assert c2 == fresh and hash(c2) == hash(fresh)
+        assert c2.state(1) == ProcessState(2, True) and c.state(1) == ProcessState(None, False)
+
+
 class TestConfigurationText:
     def test_roundtrip(self, two_suitors):
         g, c0 = two_suitors

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from stabmatch.graph import Graph, generate
 from stabmatch.protocol import Configuration, ProcessState, Rule
 from stabmatch.scheduler import (
+    HEURISTIC_STRATEGIES,
     DaemonPolicy,
+    EnabledSet,
     Move,
     SchedulerState,
     Trace,
@@ -112,6 +114,42 @@ class TestSelect:
         policy = DaemonPolicy("synchronous")
         with pytest.raises(ValueError, match="nonempty"):
             select(policy, set(), self._state(policy, p3))
+
+
+class TestEnabledSet:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        strategy=st.sampled_from((None,) + HEURISTIC_STRATEGIES),
+        initial=st.sets(st.integers(0, 59)),
+        batches=st.lists(
+            st.tuples(st.sets(st.integers(0, 59), max_size=8),
+                      st.sets(st.integers(0, 59), max_size=8)),
+            max_size=30,
+        ),
+    )
+    def test_orders_match_a_full_sort_after_every_update(self, strategy, initial, batches):
+        # small batches on a large set take the bisection path, large
+        # batches on a small set the re-sort path
+        g = generate("random_gnm", 60, 150, 4)
+        g = Graph(g.nodes, g.adjacency, {u: u % 7 for u in g.nodes})
+        fresh = EnabledSet(g, strategy, initial)
+        members = set(initial)
+        for added, removed in batches:
+            removed = removed - added
+            fresh.update(added, removed)
+            members = (members | added) - removed
+            reference = EnabledSet(g, strategy, members)
+            assert fresh.nodes == reference.nodes == sorted(members)
+            assert fresh.ranked == reference.ranked
+            assert len(fresh) == len(members)
+            assert all(i in fresh for i in members)
+
+    def test_heuristic_order_breaks_identifier_ties_by_node_key(self):
+        g = Graph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)],
+                             ident={0: 5, 1: 2, 2: 9, 3: 2})
+        assert EnabledSet(g, "min_id", [0, 1, 3]).ranked[0][-1] == 1
+        assert EnabledSet(g, "max_id", [0, 1, 2]).ranked[0][-1] == 2
+        assert EnabledSet(g, "max_degree", [0, 1, 2, 3]).ranked[0][-1] == 1
 
 
 class TestApplyStep:

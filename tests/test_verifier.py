@@ -219,6 +219,24 @@ class TestForgedTraces:
         assert check.verdict == "fail"
         assert check.counterexample_step == 3
 
+    @pytest.mark.parametrize("movers, reported", [
+        ((4, 11, 22, 37), (10, 11)),
+        ((2, 30), (2, 3)),
+        ((0, 8, 17, 25, 39), (0, 1)),
+        ((12, 20, 33), (12, 13)),
+    ])
+    def test_several_divorces_in_one_step_report_a_fixed_pair(self, movers, reported):
+        # twenty married pairs (2k, 2k + 1); one forged step breaks several.
+        # The reported pair is the first separated one in the married set's
+        # iteration order, pinned to what the full-scan audit reported.
+        nodes = range(40)
+        g = Graph.from_edges(nodes, [(2 * k, 2 * k + 1) for k in range(20)])
+        c0 = Configuration.from_states(g, {i: ProcessState(i ^ 1, True) for i in nodes})
+        forged = forge_trace(g, c0, [tuple(Move(i, Rule.ABANDONMENT) for i in movers)])
+        check = audit_trace(forged).checks["marriage_persistence"]
+        assert check.counterexample_step == 0
+        assert check.detail == f"married pair {reported} separated"
+
     def test_seduce_abandon_churn_fails_edge_move_limit(self, p2):
         churn = [
             (Move(0, Rule.SEDUCTION),),
