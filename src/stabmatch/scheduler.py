@@ -131,7 +131,7 @@ class EnabledSet:
     re-sort the whole set before every pick.
     """
 
-    def __init__(self, g: Graph, strategy: Optional[str], nodes: Iterable[int] = ()):
+    def __init__(self, g: Graph, strategy: Optional[str], nodes: Iterable[int]):
         self.strategy = strategy
         self._members = set(nodes)
         self.nodes = sorted(self._members)
@@ -140,9 +140,6 @@ class EnabledSet:
 
     def __len__(self) -> int:
         return len(self._members)
-
-    def __contains__(self, i) -> bool:
-        return i in self._members
 
     def __iter__(self):
         return iter(self.nodes)
@@ -683,7 +680,9 @@ def parse_trace(text: str) -> Trace:
                             f"line {lineno}: unknown rule {rule_name!r}"
                         ) from None
                     target = entry[2] if len(entry) > 2 else None
-                    if not isinstance(node, int) or not isinstance(target, (int, type(None))):
+                    if not isinstance(node, int) or not (
+                        target is None or isinstance(target, int)
+                    ):
                         raise TraceFormatError(
                             f"line {lineno}: move node and target must be integers"
                         )
