@@ -25,15 +25,12 @@ from .scheduler import (
     SchedulerState,
     StepRecord,
     Trace,
-    TraceCounters,
     TraceFormatError,
     apply_step,
-    count_rounds,
     default_step_cap,
     parse_trace,
     run,
     select,
-    trace_counters,
     trace_from_schedule,
     write_trace,
 )

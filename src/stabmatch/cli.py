@@ -32,7 +32,9 @@ from .scheduler import (
     apply_step,
     parse_trace,
     replay_step,
+    round_bound,
     run,
+    step_bound,
     trace_counters,
     trace_from_schedule,
     write_trace,
@@ -91,6 +93,13 @@ def _load_init(spec: str, g: Graph) -> Configuration:
             raise UsageError(f"bad random init seed in {spec!r}") from None
         return random_configuration(g, seed_value)
     return parse_configuration(_read(spec), g)
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
 
 
 def cmd_gen(args) -> int:
@@ -190,15 +199,13 @@ def cmd_experiment(args) -> int:
                                    ("inits", inits, str, "strings")):
         if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
             raise UsageError(f"experiment spec '{key}' must be a list of {what}")
-    if max_steps is not None and not isinstance(max_steps, int):
-        raise UsageError("experiment spec 'max_steps' must be an integer")
+    if max_steps is not None and (type(max_steps) is not int or max_steps < 1):
+        raise UsageError("experiment spec 'max_steps' must be a positive integer")
 
     loaded = [_graph_from_spec(entry) for entry in graphs]
     rows = []
     failures = 0
     for label, g in loaded:
-        step_bound = 3 * g.n + 2 * g.m
-        round_bound = 2 * g.n + 1
         cell_steps = []
         cell_rounds = []
         for policy_spec in policies:
@@ -225,8 +232,8 @@ def cmd_experiment(args) -> int:
         rows.append(
             f"aggregate graph={label} runs={len(cell_steps)} "
             f"max_steps={max(cell_steps)} mean_steps={statistics.mean(cell_steps):.2f} "
-            f"step_bound={step_bound} max_rounds={max(cell_rounds)} "
-            f"round_bound={round_bound}"
+            f"step_bound={step_bound(g)} max_rounds={max(cell_rounds)} "
+            f"round_bound={round_bound(g)}"
         )
     verdict = "pass" if failures == 0 else "fail"
     total = sum(1 for r in rows if not r.startswith("aggregate"))
@@ -451,7 +458,7 @@ def build_parser() -> _Parser:
                    + ", ".join(POLICY_KINDS) + "; strategies: "
                    + ", ".join(HEURISTIC_STRATEGIES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=None,
+    p.add_argument("--max-steps", type=positive_int, default=None,
                    help="step cap (default 3n+2m+1, one above the bound)")
     p.add_argument("--trace-out", default=None)
     p.add_argument("--report-out", default=None)
@@ -471,7 +478,7 @@ def build_parser() -> _Parser:
                    "random[:SEED], or a configuration file")
     p.add_argument("--branch-marriage", action="store_true",
                    help="also branch over every suitor choice")
-    p.add_argument("--budget", type=int, default=200_000,
+    p.add_argument("--budget", type=positive_int, default=200_000,
                    help="maximum distinct configurations to explore")
     p.add_argument("--witness-out", default=None,
                    help="write the worst schedule as a replayable trace")

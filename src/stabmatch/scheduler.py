@@ -7,6 +7,14 @@ decides the subset; six policy kinds cover the sequential, synchronous and
 distributed daemon models, in random, adversarial-heuristic and fair
 flavors. All randomness flows from the policy seed, so a (graph, initial
 configuration, policy) triple always reproduces the same trace bit for bit.
+
+Every replay of steps, whether ``run`` choosing them, ``trace_from_schedule``
+following a script or the audit checking a recorded trace, goes through one
+``Execution``. It owns the current configuration, the map from each enabled
+process to its guard result, the round index and the set of processes the
+current round still owes a move or a disabling. After a step it evaluates
+each dirty process (a mover or a mover's neighbor) exactly once and no
+other, and updates the map and the rounds from those results.
 """
 
 from __future__ import annotations
@@ -230,34 +238,61 @@ def select(
     return frozenset((ranked[0][-1],))
 
 
-class Rounds:
-    """Round accounting straight from the definition.
+class Execution:
+    """One execution replayed step by step, its guards kept current.
 
-    A round closes at the earliest step after which every process eligible
-    at the round's first configuration has moved or had its guard disabled.
-    ``owed`` holds the processes the current round still waits for; since
-    only a process that moved or neighbors a mover can change enabledness,
-    each step updates it from that dirty set alone.
+    ``enabled`` maps each enabled process to its ``guards`` result, which is
+    ``enabled_rule`` or, where every guard that holds is needed,
+    ``enabled_rules``. A round closes at the earliest step after which every
+    process eligible at the round's first configuration has moved or had its
+    guard disabled; ``owed`` holds those the current round still waits for.
     """
 
-    def __init__(self, enabled: Iterable[int]):
-        self.index = 1
-        self.owed = set(enabled)
+    def __init__(self, g: Graph, c0: Configuration, semantics: RuleSemantics, guards):
+        self.graph = g
+        self.semantics = semantics
+        self.guards = guards
+        self.config = c0
+        self.enabled = {}
+        for i in g.nodes:
+            result = guards(c0, g, i, semantics)
+            if result:
+                self.enabled[i] = result
+        self.round = 1
+        self.owed = set(self.enabled)
 
-    def close_step(self, moved, disabled, enabled) -> bool:
-        """Account one step, given its movers, the dirty processes it
-        disabled and the enabled set after it; True when it closed the
-        current round. A new round opens only while some process is still
-        enabled."""
+    def advance(self, c2: Configuration, moved: Iterable[int]):
+        """Move to ``c2``, the configuration after a step by ``moved``.
+
+        Only the movers and their neighbors read a changed state, so each of
+        them is re-evaluated once and no other. Returns the re-evaluated
+        processes now enabled, those now disabled, and whether the step
+        closed the current round; a new round opens only while some process
+        is still enabled.
+        """
+        g, guards, semantics = self.graph, self.guards, self.semantics
+        enabled = self.enabled
+        dirty = set(moved)
+        for i in moved:
+            dirty.update(g.adjacency[i])
+        on, off = [], []
+        for i in dirty:
+            result = guards(c2, g, i, semantics)
+            if result:
+                enabled[i] = result
+                on.append(i)
+            else:
+                enabled.pop(i, None)
+                off.append(i)
+        self.config = c2
         owed = self.owed
         owed.difference_update(moved)
-        owed.difference_update(disabled)
-        if owed:
-            return False
-        if enabled:
-            self.index += 1
+        owed.difference_update(off)
+        closed = not owed
+        if closed and enabled:
+            self.round += 1
             self.owed = set(enabled)
-        return True
+        return on, off, closed
 
 
 @dataclass(frozen=True)
@@ -452,10 +487,20 @@ def replay_step(
     return apply_realized(c, g, realize_moves(c, g, moves, semantics))
 
 
+def step_bound(g: Graph) -> int:
+    """The protocol's convergence bound in steps, 3n + 2m."""
+    return 3 * g.n + 2 * g.m
+
+
+def round_bound(g: Graph) -> int:
+    """The convergence bound in rounds under fair scheduling, 2n + 1."""
+    return 2 * g.n + 1
+
+
 def default_step_cap(g: Graph) -> int:
     """One more than the convergence bound, so hitting the cap is itself a
     bound violation."""
-    return 3 * g.n + 2 * g.m + 1
+    return step_bound(g) + 1
 
 
 def run(
@@ -467,54 +512,42 @@ def run(
 ) -> Trace:
     """Iterate select/apply until no process is enabled or the cap is hit.
 
-    After each step only the dirty processes (the movers and their
-    neighbors) are re-evaluated, since no other guard reads a changed
-    state. From them the loop updates, in place, the enabled set with its
-    daemon orders, the pending-since map the fair daemon reads, and the
-    round accounting, so a step costs time in proportion to the processes
-    it touches plus the copy of the configuration's state tuples.
+    The Execution re-evaluates the movers and their neighbors after each
+    step; from what it reports the loop updates, in place, the enabled set
+    with its daemon orders and the pending-since map the fair daemon reads,
+    so a step costs time in proportion to the processes it touches plus the
+    copy of the configuration's state tuples.
     """
     if max_steps is None:
         max_steps = default_step_cap(g)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     state = make_state(policy, g)
-    c = c0
-    enabled = EnabledSet(
-        g, policy.strategy,
-        (i for i in g.nodes if enabled_rule(c, g, i, semantics) is not None),
-    )
+    execution = Execution(g, c0, semantics, enabled_rule)
+    enabled = EnabledSet(g, policy.strategy, execution.enabled)
     pending = state.pending_since
     pending.update((i, 0) for i in enabled)
-    rounds = Rounds(enabled)
     records = []
     while enabled and len(records) < max_steps:
         chosen = select(policy, enabled, state)
-        c2, moves = apply_step(c, g, chosen, semantics)
-        records.append(StepRecord(len(records), moves, rounds.index))
+        c2, moves = apply_step(execution.config, g, chosen, semantics)
+        records.append(StepRecord(len(records), moves, execution.round))
         state.step_index += 1
         moved = {mv.node for mv in moves}
-        dirty = set(moved)
-        for i in moved:
-            dirty.update(g.adjacency[i])
-        on, off = [], []
-        for i in dirty:
-            (off if enabled_rule(c2, g, i, semantics) is None else on).append(i)
+        on, off, _ = execution.advance(c2, moved)
         enabled.update(on, off)
         for i in off:
             pending.pop(i, None)
         for i in on:
             if i in moved or i not in pending:
                 pending[i] = state.step_index
-        rounds.close_step(moved, off, enabled)
-        c = c2
     return Trace(
         graph=g,
         policy=policy.describe(),
         seed=policy.seed,
         initial=c0,
         records=tuple(records),
-        final=c,
+        final=execution.config,
         stable=not enabled,
         max_steps=max_steps,
     )
@@ -532,65 +565,24 @@ def trace_from_schedule(
     Every scheduled subset must be enabled when its turn comes; this is how
     search witnesses and interactive sessions become replayable artifacts.
     """
-    c = c0
-    enabled = {
-        i for i in g.nodes if enabled_rule(c, g, i, semantics) is not None
-    }
-    rounds = Rounds(enabled)
+    execution = Execution(g, c0, semantics, enabled_rule)
     records = []
     for chosen, choices in schedule:
-        c2, moves = apply_step(c, g, chosen, semantics, marriage_choices=choices)
-        records.append(StepRecord(len(records), moves, rounds.index))
-        moved = {mv.node for mv in moves}
-        dirty = set(moved)
-        for i in moved:
-            dirty.update(g.adjacency[i])
-        off = [i for i in dirty if enabled_rule(c2, g, i, semantics) is None]
-        enabled.difference_update(off)
-        enabled.update(dirty.difference(off))
-        rounds.close_step(moved, off, enabled)
-        c = c2
+        c2, moves = apply_step(
+            execution.config, g, chosen, semantics, marriage_choices=choices
+        )
+        records.append(StepRecord(len(records), moves, execution.round))
+        execution.advance(c2, [mv.node for mv in moves])
     return Trace(
         graph=g,
         policy=policy_desc,
         seed=0,
         initial=c0,
         records=tuple(records),
-        final=c,
-        stable=not enabled,
+        final=execution.config,
+        stable=not execution.enabled,
         max_steps=max(len(records), 1),
     )
-
-
-def count_rounds(
-    trace: Trace, semantics: RuleSemantics = STANDARD
-) -> tuple[int, list[int]]:
-    """Partition the step sequence into rounds, straight from the definition.
-
-    A round closes at the earliest step after which every process eligible at
-    the round's first configuration has moved or had its guard disabled at
-    some intermediate configuration. Recomputed from the configurations, not
-    from the recorded round annotations. Returns (rounds, per-step indices).
-    """
-    g = trace.graph
-    c = trace.initial
-    enabled = {
-        i for i in g.nodes if enabled_rule(c, g, i, semantics) is not None
-    }
-    rounds = Rounds(enabled)
-    annotations = []
-    for record in trace.records:
-        c = replay_step(c, g, record.moves, semantics)
-        annotations.append(rounds.index)
-        moved = {mv.node for mv in record.moves}
-        dirty = set(moved)
-        for i in moved:
-            dirty.update(g.adjacency[i])
-        off = [i for i in dirty if enabled_rule(c, g, i, semantics) is None]
-        enabled.difference_update(off)
-        enabled.update(dirty.difference(off))
-        rounds.close_step(moved, off, enabled)
-    return (annotations[-1] if annotations else 0), annotations
 
 
 def write_trace(trace: Trace) -> str:
@@ -680,16 +672,17 @@ def parse_trace(text: str) -> Trace:
                             f"line {lineno}: unknown rule {rule_name!r}"
                         ) from None
                     target = entry[2] if len(entry) > 2 else None
-                    if not isinstance(node, int) or not (
-                        target is None or isinstance(target, int)
-                    ):
+                    if type(node) is not int or type(target) not in (int, type(None)):
                         raise TraceFormatError(
                             f"line {lineno}: move node and target must be integers"
                         )
                     moves.append(Move(node, rule, target))
-                records.append(
-                    StepRecord(obj["index"], tuple(moves), obj["round_index"])
-                )
+                index, round_index = obj["index"], obj["round_index"]
+                if type(index) is not int or type(round_index) is not int:
+                    raise TraceFormatError(
+                        f"line {lineno}: step index and round_index must be integers"
+                    )
+                records.append(StepRecord(index, tuple(moves), round_index))
             except (KeyError, IndexError, TypeError) as exc:
                 raise TraceFormatError(
                     f"line {lineno}: incomplete step record"
@@ -702,16 +695,28 @@ def parse_trace(text: str) -> Trace:
             raise TraceFormatError(f"line {lineno}: unknown record type")
     if header is None or footer is None:
         raise TraceFormatError("trace needs a header and a footer")
-    for record, key in ((header, "graph"), (header, "init"), (header, "policy"),
-                        (footer, "final")):
-        if key in record and not isinstance(record[key], str):
-            raise TraceFormatError(f"trace field {key!r} must be a string")
+    kinds = {str: "a string", int: "an integer", bool: "a boolean"}
+    for record, key, kind in ((header, "graph", str), (header, "init", str),
+                              (header, "policy", str), (header, "seed", int),
+                              (header, "max_steps", int), (footer, "final", str),
+                              (footer, "stable", bool)):
+        if key in record and type(record[key]) is not kind:
+            raise TraceFormatError(f"trace field {key!r} must be {kinds[kind]}")
     try:
         g = read_graph(header["graph"])
         initial = parse_configuration(header["init"], g)
         final = parse_configuration(footer["final"], g)
-        if footer["steps"] != len(records):
-            raise TraceFormatError("footer step count does not match records")
+        for record, key, value in (
+            (header, "n", g.n), (header, "m", g.m), (header, "graph_hash", g.digest()),
+            (footer, "steps", len(records)),
+            (footer, "moves", sum(len(r.moves) for r in records)),
+            (footer, "rounds", records[-1].round_index if records else 0),
+        ):
+            if type(record[key]) is not type(value) or record[key] != value:
+                raise TraceFormatError(
+                    f"trace field {key!r} is {record[key]!r}, which does not "
+                    f"match the trace's {value!r}"
+                )
         for k, record in enumerate(records):
             if record.index != k:
                 raise TraceFormatError(f"step indices out of order at {record.index}")
@@ -722,7 +727,7 @@ def parse_trace(text: str) -> Trace:
             initial=initial,
             records=tuple(records),
             final=final,
-            stable=bool(footer["stable"]),
+            stable=footer["stable"],
             max_steps=header.get("max_steps", default_step_cap(g)),
         )
     except KeyError as exc:

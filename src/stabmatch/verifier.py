@@ -31,12 +31,14 @@ from .protocol import (
     pr_married,
 )
 from .scheduler import (
-    Rounds,
+    Execution,
     Trace,
     TraceFormatError,
     apply_realized,
     apply_step,
     realize_moves,
+    round_bound,
+    step_bound,
     trace_from_schedule,
 )
 
@@ -217,31 +219,28 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     final configuration, stability flag or round annotation. Check verdicts
     carry the first counterexample step and a configuration snapshot.
 
-    Per step, the replay re-evaluates only the dirty processes (the movers
-    and their neighbors) and updates from them the enabled set, each
-    process's guards and the round accounting; married pairs are indexed by
-    node, so only the movers' pairs are checked for separation. The active
-    set is computed at round boundaries only when the policy makes
-    active_component_shrink applicable.
+    The replay runs on an Execution evaluating ``enabled_rules``, so each
+    process's guards are known and each dirty process is re-evaluated once
+    per step; married pairs are indexed by node, so only the movers' pairs
+    are checked for separation. The active set is computed at round
+    boundaries only when the policy makes active_component_shrink
+    applicable.
     """
     g = trace.graph
     n, m = g.n, g.m
-    step_bound = 3 * n + 2 * m
-    round_bound = 2 * n + 1
+    steps_allowed, rounds_allowed = step_bound(g), round_bound(g)
     fails = _Failures()
 
     c = trace.initial
-    rules_of = {i: enabled_rules(c, g, i, semantics) for i in g.nodes}
-    for i in g.nodes:
-        if len(rules_of[i]) > 1:
+    execution = Execution(g, c, semantics, enabled_rules)
+    for i, rules in execution.enabled.items():
+        if len(rules) > 1:
             fails.hit(
                 "guard_exclusivity", 0,
-                f"node {i} has guards {[r.value for r in rules_of[i]]} "
+                f"node {i} has guards {[r.value for r in rules]} "
                 "in the initial configuration",
                 snapshot=c.to_text(),
             )
-    enabled = {i for i, r in rules_of.items() if r}
-    round_state = Rounds(enabled)
     policy_kind = trace.policy.split(":", 1)[0]
     round_applicable = policy_kind in ROUND_BOUND_POLICIES
     # the married pairs, and each married process's pair
@@ -277,7 +276,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 f"corrupt trace: step {record.index}: {exc}"
             ) from exc
         for mv in realized:
-            if mv.rule not in rules_of[mv.node]:
+            if mv.rule not in execution.enabled.get(mv.node, ()):
                 fails.hit(
                     "moves_enabled", record.index,
                     f"node {mv.node} executed {mv.rule.value} while not enabled",
@@ -334,13 +333,14 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     snapshot=c.to_text(),
                 )
 
-        dirty = set(moved)
-        for i in moved:
-            dirty.update(g.adjacency[i])
-        disabled = []
-        for i in dirty:
-            rules = enabled_rules(c2, g, i, semantics)
-            rules_of[i] = rules
+        if record.round_index != execution.round:
+            raise CorruptTraceError(
+                f"corrupt trace: step {record.index} recorded round "
+                f"{record.round_index}, recomputed {execution.round}"
+            )
+        on, _, closed = execution.advance(c2, moved)
+        for i in on:
+            rules = execution.enabled[i]
             if len(rules) > 1:
                 fails.hit(
                     "guard_exclusivity", record.index + 1,
@@ -348,18 +348,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     f"after step {record.index}",
                     snapshot=c2.to_text(),
                 )
-            if rules:
-                enabled.add(i)
-            else:
-                enabled.discard(i)
-                disabled.append(i)
-
-        if record.round_index != round_state.index:
-            raise CorruptTraceError(
-                f"corrupt trace: step {record.index} recorded round "
-                f"{record.round_index}, recomputed {round_state.index}"
-            )
-        if round_state.close_step(moved, disabled, enabled) and round_applicable:
+        if closed and round_applicable:
             boundary_actives.append(_active_set(c2, g, married))
             boundary_steps.append(record.index + 1)
         c = c2
@@ -368,7 +357,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         raise CorruptTraceError(
             "corrupt trace: replayed final configuration does not match the record"
         )
-    stabilized = not enabled
+    stabilized = not execution.enabled
     if stabilized != trace.stable:
         raise CorruptTraceError(
             "corrupt trace: recorded stability flag does not match the replay"
@@ -433,21 +422,21 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         },
     )
 
-    if trace.steps > step_bound:
+    if trace.steps > steps_allowed:
         fails.hit(
-            "step_bound", step_bound,
-            f"trace used {trace.steps} steps, bound is {step_bound}",
+            "step_bound", steps_allowed,
+            f"trace used {trace.steps} steps, bound is {steps_allowed}",
         )
-    settle("step_bound", measured={"steps": trace.steps, "bound": step_bound})
+    settle("step_bound", measured={"steps": trace.steps, "bound": steps_allowed})
 
-    if round_applicable and rounds > round_bound:
+    if round_applicable and rounds > rounds_allowed:
         fails.hit(
             "round_bound", None,
-            f"trace used {rounds} rounds, bound is {round_bound}",
+            f"trace used {rounds} rounds, bound is {rounds_allowed}",
         )
     settle(
         "round_bound",
-        measured={"rounds": rounds, "bound": round_bound},
+        measured={"rounds": rounds, "bound": rounds_allowed},
         skip=not round_applicable,
         skip_detail=f"bound applies to {' and '.join(ROUND_BOUND_POLICIES)} only",
     )
@@ -533,8 +522,8 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         steps=trace.steps,
         moves=total_moves,
         rounds=rounds,
-        step_bound=step_bound,
-        round_bound=round_bound,
+        step_bound=steps_allowed,
+        round_bound=rounds_allowed,
         stabilized=stabilized,
         connected=g.is_connected(),
         checks=checks,
@@ -693,7 +682,7 @@ def exhaustive_search(
     else:
         initials = list(initial)
 
-    bound = 3 * g.n + 2 * g.m
+    bound = step_bound(g)
     # memo: config -> (worst steps to stability, best branch, leaves all maximal)
     memo: dict[Configuration, tuple[int, Optional[tuple], bool]] = {}
     explored = 0

@@ -94,10 +94,11 @@ def rescan_rounds(trace: Trace, semantics=None):
     for k, record in enumerate(trace.records):
         annotations.append(round_index)
         moved = {mv.node for mv in record.moves}
-        owed = {i for i in owed if i not in moved and i in eligible(configs[k + 1])}
-        if not owed and eligible(configs[k + 1]):
+        after = eligible(configs[k + 1])
+        owed = {i for i in owed if i not in moved and i in after}
+        if not owed and after:
             round_index += 1
-            owed = eligible(configs[k + 1])
+            owed = after
     return (annotations[-1] if annotations else 0), annotations
 
 

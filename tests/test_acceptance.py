@@ -25,7 +25,6 @@ from stabmatch.scheduler import (
     DaemonPolicy,
     HEURISTIC_STRATEGIES,
     Move,
-    count_rounds,
     run,
     write_trace,
 )
@@ -37,6 +36,7 @@ from stabmatch.verifier import (
 )
 
 from .conftest import SMALL_CONNECTED, config_of, small_graph
+from .oracles import rescan_rounds
 from .test_verifier import forge_trace
 
 BROKEN = RuleSemantics(seduction_requires_larger_id=False)
@@ -134,7 +134,7 @@ def test_criterion_3_round_bound(matrix):
     ]
     violations = []
     for g, policy, trace in fair:
-        rounds, _ = count_rounds(trace)
+        rounds, _ = rescan_rounds(trace)
         if rounds > 2 * g.n + 1:
             violations.append((g.n, policy.describe(), rounds))
     _verdict(

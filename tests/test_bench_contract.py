@@ -9,8 +9,12 @@ the benchmark does and changes nothing in it.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import importlib.util
+import inspect
 import io
+import json
+import sys
 from pathlib import Path
 
 import stabmatch.cli
@@ -49,3 +53,78 @@ def test_tracer_wraps_and_counts_run_and_verify(tmp_path):
         assert tracer.calls[name] > 0, name
     assert tracer.counters["protocol.index_entries_built"] > 0
     assert not hasattr(stabmatch.cli.main, "__wrapped__")
+
+
+def _target_originals(tracer_module) -> dict[int, str]:
+    """id of every function the tracer targets, as the package defines it."""
+    originals = {}
+    for mod_name, path, _ in tracer_module.TARGETS:
+        owner = importlib.import_module(f"stabmatch.{mod_name}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        value = owner.__dict__[attr]
+        originals[id(getattr(value, "fget", value))] = f"{mod_name}.{path}"
+    return originals
+
+
+def _package_functions():
+    """Every function and method defined in a loaded stabmatch module."""
+    for name, module in sorted(sys.modules.items()):
+        if name != "stabmatch" and not name.startswith("stabmatch."):
+            continue
+        for value in vars(module).values():
+            members = vars(value).values() if inspect.isclass(value) else [value]
+            for member in members:
+                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                if inspect.isfunction(member) and member.__module__ == name:
+                    yield member
+
+
+def _held_values(fn):
+    yield from fn.__defaults__ or ()
+    yield from (fn.__kwdefaults__ or {}).values()
+    for cell in fn.__closure__ or ():
+        try:
+            yield cell.cell_contents
+        except ValueError:  # an empty cell
+            continue
+
+
+def test_no_target_is_held_where_the_tracer_cannot_rebind_it():
+    """The tracer rebinds module attributes only: a target bound as a
+    default argument or captured in a closure at import time would run
+    untraced, and unbound_originals() would not notice."""
+    originals = _target_originals(_load_tracer_module())
+    held = [
+        f"{fn.__module__}.{fn.__qualname__} holds {originals[id(value)]}"
+        for fn in _package_functions()
+        for value in _held_values(fn)
+        if id(value) in originals
+    ]
+    assert held == []
+
+
+def test_tracer_counts_search_and_experiment(tmp_path):
+    tracer = _load_tracer_module().Tracer()
+    graph = tmp_path / "p3.g"
+    graph.write_text("3\n0 1\n1 2\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "graphs": [{"kind": "path", "n": 4}], "policies": ["synchronous"],
+        "seeds": [1], "inits": ["random"],
+    }))
+    tracer.install()
+    try:
+        assert tracer.unbound_originals() == []
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert stabmatch.cli.main(
+                ["search", "--graph", str(graph), "--init", "all"]) == 0
+            assert stabmatch.cli.main(["experiment", "--spec", str(spec)]) == 0
+        tracer.end_command()
+    finally:
+        tracer.uninstall()
+    for name in ("scheduler.apply_step", "protocol.command_target",
+                 "protocol.enabled_nodes", "verifier.exhaustive_search",
+                 "verifier.check_maximal", "graph.generate"):
+        assert tracer.calls[name] > 0, name

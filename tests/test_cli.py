@@ -99,6 +99,14 @@ class TestRun:
         main(["gen", "--kind", "path", "--n", "2", "--out", "p2.g"])
         assert main(["run", "--graph", "p2.g", "--policy", "nonsense"]) == EXIT_USAGE
 
+    def test_non_positive_max_steps_is_usage_error(self, workdir, capsys):
+        main(["gen", "--kind", "path", "--n", "2", "--out", "p2.g"])
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--graph", "p2.g", "--policy", "synchronous",
+                  "--max-steps", "0"])
+        assert exc.value.code == EXIT_USAGE
+        assert "error: argument --max-steps" in capsys.readouterr().err
+
 
 class TestExperiment:
     def _spec(self, workdir, **overrides):
@@ -145,6 +153,13 @@ class TestExperiment:
         assert main(["experiment", "--spec", spec]) == EXIT_USAGE
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_steps", [0, -1, False])
+    def test_non_positive_max_steps_is_usage_error(self, workdir, capsys, max_steps):
+        spec = self._spec(workdir, max_steps=max_steps)
+        assert main(["experiment", "--spec", spec]) == EXIT_USAGE
+        assert "error: experiment spec 'max_steps' must be a positive integer" in (
+            capsys.readouterr().err)
+
     def test_top_level_list_is_usage_error(self, workdir, capsys):
         spec = _write(workdir / "spec.json", json.dumps([{"kind": "path", "n": 4}]))
         assert main(["experiment", "--spec", spec]) == EXIT_USAGE
@@ -182,6 +197,13 @@ class TestSearch:
         code = main(["search", "--graph", "c3.g", "--init", "all",
                      "--budget", "4"])
         assert code == EXIT_INCOMPLETE
+
+    def test_zero_budget_is_usage_error(self, workdir, capsys):
+        main(["gen", "--kind", "path", "--n", "2", "--out", "p2.g"])
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--graph", "p2.g", "--budget", "0"])
+        assert exc.value.code == EXIT_USAGE
+        assert "error: argument --budget" in capsys.readouterr().err
 
     def test_large_all_mode_warns(self, workdir, capsys):
         main(["gen", "--kind", "cycle", "--n", "6", "--out", "c6.g"])
@@ -304,9 +326,10 @@ class TestVerify:
               "--seed", "1", "--trace-out", "p2.trace"])
         capsys.readouterr()
         lines = (workdir / "p2.trace").read_text().splitlines()
-        # drop one step record but keep the footer count intact
+        # drop one step record but keep the footer counts intact
         forged = [ln for ln in lines if '"index":1' not in ln]
-        forged = [ln.replace('"steps":4', '"steps":3') for ln in forged]
+        forged = [ln.replace('"steps":4', '"steps":3').replace('"moves":4,', '"moves":3,')
+                  for ln in forged]
         forged = [
             ln.replace('{"index":2', '{"index":1').replace('{"index":3', '{"index":2')
             for ln in forged
@@ -350,3 +373,26 @@ class TestVerify:
         records[1]["moves"][0][0] = [0]
         assert self._verify_lines(workdir, records) == EXIT_USAGE
         assert "line 2: move node and target must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record, field, value", [
+        (0, "n", 99),
+        (0, "m", -5),
+        (0, "graph_hash", "bogus"),
+        (0, "seed", "x"),
+        (0, "seed", True),
+        (0, "max_steps", "abc"),
+        (0, "max_steps", True),
+        (-1, "moves", 99),
+        (-1, "rounds", 99),
+        (-1, "stable", "x"),
+        (1, "index", False),
+        (1, "round_index", True),
+    ])
+    def test_inconsistent_or_mistyped_field_is_usage_error(
+        self, workdir, capsys, record, field, value
+    ):
+        records = self._valid_lines(workdir, capsys)
+        records[record][field] = value
+        assert self._verify_lines(workdir, records) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err

@@ -16,17 +16,19 @@ from stabmatch.scheduler import (
     Trace,
     TraceFormatError,
     apply_step,
-    count_rounds,
     default_step_cap,
     make_state,
     parse_trace,
     replay_step,
+    round_bound,
     run,
     select,
+    step_bound,
     trace_counters,
     trace_from_schedule,
     write_trace,
 )
+from stabmatch.verifier import audit_trace
 
 from .conftest import config_of
 from .oracles import all_sequential_step_counts, rescan_rounds, starvation_streaks
@@ -271,18 +273,19 @@ class TestRounds:
 
         for seed in range(5):
             t = run(g, random_configuration(g, seed), DaemonPolicy("synchronous"))
-            rounds, annotations = count_rounds(t)
+            rounds, annotations = rescan_rounds(t)
             assert rounds == t.steps
             assert annotations == list(range(1, t.steps + 1))
 
     def test_empty_trace_zero_rounds(self, p2):
         c = config_of(p2, {0: (1, True), 1: (0, True)})
         t = run(p2, c, DaemonPolicy("synchronous"))
-        assert count_rounds(t) == (0, [])
+        assert rescan_rounds(t) == (0, [])
+        assert t.rounds == 0
 
     def test_p2_sequential_round_structure(self, p2):
         t = run(p2, Configuration.all_null(p2), DaemonPolicy("sequential_random", seed=1))
-        assert count_rounds(t)[0] == rescan_rounds(t)[0]
+        assert audit_trace(t).rounds == rescan_rounds(t)[0]
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.describe())
     def test_engine_annotation_matches_definition_rescan(self, policy):
@@ -292,10 +295,11 @@ class TestRounds:
         for seed in range(4):
             t = run(g, random_configuration(g, seed * 31), policy)
             recorded = [r.round_index for r in t.records]
-            fast = count_rounds(t)
             slow = rescan_rounds(t)
-            assert fast[1] == recorded == slow[1]
-            assert fast[0] == t.rounds == slow[0]
+            assert recorded == slow[1]
+            assert t.rounds == slow[0]
+            # the audit raises on an annotation its own replay does not reach
+            assert audit_trace(t).rounds == t.rounds
 
 
 class TestFairness:
@@ -410,4 +414,6 @@ class TestTraceCounters:
 
 
 def test_default_step_cap_is_bound_plus_one(p3):
+    assert step_bound(p3) == 3 * 3 + 2 * 2
+    assert round_bound(p3) == 2 * 3 + 1
     assert default_step_cap(p3) == 3 * 3 + 2 * 2 + 1

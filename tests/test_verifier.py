@@ -18,7 +18,6 @@ from stabmatch.scheduler import (
     Move,
     StepRecord,
     Trace,
-    count_rounds,
     replay_step,
     run,
     write_trace,
@@ -34,7 +33,7 @@ from stabmatch.verifier import (
 )
 
 from .conftest import SMALL_CONNECTED, config_of, small_graph
-from .oracles import brute_force_maximal
+from .oracles import brute_force_maximal, rescan_rounds
 
 BROKEN = RuleSemantics(seduction_requires_larger_id=False)
 
@@ -58,7 +57,7 @@ def forge_trace(g, c0, step_moves, policy="forged", semantics=None):
         ),
         final=final, stable=stable, max_steps=max(len(step_moves), 1),
     )
-    _, annotations = count_rounds(provisional, semantics)
+    _, annotations = rescan_rounds(provisional, semantics)
     return dataclasses.replace(
         provisional,
         records=tuple(
