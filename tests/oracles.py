@@ -102,6 +102,43 @@ def rescan_rounds(trace: Trace, semantics=None):
     return (annotations[-1] if annotations else 0), annotations
 
 
+def replay_configurations(g, c0: Configuration, step_moves, semantics=None):
+    """Every configuration of a recorded execution, from c0 on, with each
+    command transcribed from the rule definitions and evaluated against the
+    pre-step configuration: update sets m to the marriage status, marriage
+    points at the recorded suitor (or the suitor of largest identifier),
+    seduction at the courtable neighbor of largest identifier, abandonment
+    at null."""
+    from stabmatch.protocol import STANDARD, ProcessState, Rule
+
+    semantics = semantics or STANDARD
+    ident = g.ident
+    configs = [c0]
+    for moves in step_moves:
+        c = configs[-1]
+        states = {i: ProcessState(c.p_of(i), c.m_of(i)) for i in g.nodes}
+        for mv in moves:
+            i, p, m = mv.node, c.p_of(mv.node), c.m_of(mv.node)
+            if mv.rule is Rule.UPDATE:
+                m = p is not None and c.p_of(p) == i
+            elif mv.rule is Rule.MARRIAGE:
+                suitors = [j for j in g.adjacency[i] if c.p_of(j) == i]
+                p = mv.target if mv.target is not None else max(
+                    suitors, key=lambda j: ident[j])
+            elif mv.rule is Rule.SEDUCTION:
+                courtable = [
+                    j for j in g.adjacency[i]
+                    if c.p_of(j) is None and not c.m_of(j)
+                    and (ident[j] > ident[i] or not semantics.seduction_requires_larger_id)
+                ]
+                p = max(courtable, key=lambda j: ident[j])
+            else:
+                p = None
+            states[i] = ProcessState(p, m)
+        configs.append(Configuration.from_states(g, states))
+    return configs
+
+
 def all_sequential_step_counts(g, c0: Configuration, limit=200):
     """Step counts of every sequential schedule from c0, by full recursion.
 

@@ -33,7 +33,7 @@ from stabmatch.verifier import (
 )
 
 from .conftest import SMALL_CONNECTED, config_of, small_graph
-from .oracles import brute_force_maximal, rescan_rounds
+from .oracles import brute_force_maximal, replay_configurations, rescan_rounds
 
 BROKEN = RuleSemantics(seduction_requires_larger_id=False)
 
@@ -65,6 +65,13 @@ def forge_trace(g, c0, step_moves, policy="forged", semantics=None):
             for k, moves in enumerate(step_moves)
         ),
     )
+
+
+def pre_step_text(trace, step, semantics=None):
+    """The configuration before ``step``, replayed by the oracle, as text."""
+    configs = replay_configurations(
+        trace.graph, trace.initial, [r.moves for r in trace.records], semantics)
+    return configs[step].to_text()
 
 
 class TestIsStable:
@@ -203,6 +210,7 @@ class TestForgedTraces:
         check = report.checks["update_limit"]
         assert check.verdict == "fail"
         assert check.counterexample_step == 4
+        assert check.snapshot == pre_step_text(forged, 4)
         assert report.checks["moves_enabled"].counterexample_step == 4
 
     def test_forged_divorce_fails_marriage_persistence(self, two_suitors):
@@ -217,6 +225,7 @@ class TestForgedTraces:
         check = report.checks["marriage_persistence"]
         assert check.verdict == "fail"
         assert check.counterexample_step == 3
+        assert check.snapshot == pre_step_text(forged, 3)
 
     @pytest.mark.parametrize("movers, reported", [
         ((4, 11, 22, 37), (10, 11)),
@@ -235,6 +244,7 @@ class TestForgedTraces:
         check = audit_trace(forged).checks["marriage_persistence"]
         assert check.counterexample_step == 0
         assert check.detail == f"married pair {reported} separated"
+        assert check.snapshot == c0.to_text()
 
     def test_seduce_abandon_churn_fails_edge_move_limit(self, p2):
         churn = [
@@ -246,6 +256,7 @@ class TestForgedTraces:
         check = report.checks["edge_move_limit"]
         assert check.verdict == "fail"
         assert check.counterexample_step == 3
+        assert check.snapshot == pre_step_text(forged, 3)
         # the abandonments were never enabled, and that is localized too
         assert report.checks["moves_enabled"].counterexample_step == 1
 
@@ -351,6 +362,17 @@ class TestBrokenVariant:
             c, _ = apply_step(c, triangle, ws.chosen, BROKEN,
                               marriage_choices=dict(ws.marriage_choices))
         assert c == start
+
+    def test_capped_run_edge_move_limit_snapshot_is_pre_step(self, triangle):
+        t = run(
+            triangle, Configuration.all_null(triangle),
+            DaemonPolicy("sequential_adversarial_heuristic", "max_id"),
+            semantics=BROKEN,
+        )
+        check = audit_trace(t, semantics=BROKEN).checks["edge_move_limit"]
+        assert check.verdict == "fail"
+        assert check.counterexample_step == 3
+        assert check.snapshot == pre_step_text(t, 3, BROKEN)
 
     def test_capped_run_fails_audit(self, triangle):
         t = run(
