@@ -19,6 +19,7 @@ from .graph import Graph, GraphFormatError, generate, read_graph, write_graph
 from .protocol import (
     ConfigFormatError,
     Configuration,
+    MutableConfiguration,
     classify,
     enabled_rule,
     parse_configuration,
@@ -399,9 +400,10 @@ def cmd_export_dot(args) -> int:
                 raise UsageError(
                     f"--at-step must be within 0..{trace.steps} for this trace"
                 )
-            c = trace.initial
+            state = MutableConfiguration(trace.initial)
             for record in trace.records[: args.at_step]:
-                c = replay_step(c, g, record.moves)
+                replay_step(state, g, record.moves)
+            c = state.freeze()
     else:
         if not args.graph or not args.config:
             raise UsageError("export-dot needs --trace or both --graph and --config")

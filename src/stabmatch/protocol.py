@@ -1,10 +1,12 @@
 """Per-process state and the four guarded rules of the matching protocol.
 
 Every process ``i`` owns a pointer ``p`` (a neighbor or null) and a boolean
-flag ``m`` advertising to neighbors whether ``i`` is married. All operations
-here are pure functions of an immutable (Configuration, Graph) pair; a move
-reads the pre-step states of the process and its neighbors and rewrites only
-the process's own state.
+flag ``m`` advertising to neighbors whether ``i`` is married. A move reads
+the pre-step states of the process and its neighbors and rewrites only the
+process's own state. Guards and commands only read a configuration, through
+``p_of`` and ``m_of``, so they take either a frozen ``Configuration`` (kept,
+compared and hashed: trace endpoints, search states) or the
+``MutableConfiguration`` a replay writes in place, one step at a time.
 """
 
 from __future__ import annotations
@@ -137,6 +139,52 @@ class Configuration:
             m = "t" if self.m[k] else "f"
             lines.append(f"{i} {p} {m}")
         return "\n".join(lines) + "\n"
+
+
+class MutableConfiguration:
+    """A configuration that a replay updates in place, step by step.
+
+    ``p`` and ``m`` are lists aligned with ``nodes`` and indexed through the
+    node index of the frozen configuration it starts from, so a step costs
+    its writes and not a copy of every state. ``with_writes`` writes here and
+    returns this same object, so a command written for a frozen
+    configuration applies in place; ``freeze`` builds the Configuration to
+    keep. Identity is its equality, and it is not hashable.
+    """
+
+    __slots__ = ("base", "nodes", "p", "m", "_index")
+    __hash__ = None
+
+    def __init__(self, base: Configuration):
+        self.base = base
+        self.nodes = base.nodes
+        self.p = list(base.p)
+        self.m = list(base.m)
+        self._index = base._index
+
+    p_of = Configuration.p_of
+    m_of = Configuration.m_of
+    state = Configuration.state
+
+    def with_writes(self, writes: Mapping[int, ProcessState]) -> "MutableConfiguration":
+        index, p, m = self._index, self.p, self.m
+        for i, st in writes.items():
+            k = index[i]
+            p[k] = st.p
+            m[k] = st.m
+        return self
+
+    def freeze(self) -> Configuration:
+        """The current states as a Configuration sharing the node index."""
+        base = self.base
+        return base.with_writes({
+            i: ProcessState(p, m)
+            for i, p, m, p0, m0 in zip(self.nodes, self.p, self.m, base.p, base.m)
+            if p != p0 or m != m0
+        })
+
+    def to_text(self) -> str:
+        return self.freeze().to_text()
 
 
 def normalize(g: Graph, raw: Mapping[int, tuple] | Configuration) -> Configuration:

@@ -10,11 +10,14 @@ configuration, policy) triple always reproduces the same trace bit for bit.
 
 Every replay of steps, whether ``run`` choosing them, ``trace_from_schedule``
 following a script or the audit checking a recorded trace, goes through one
-``Execution``. It owns the current configuration, the map from each enabled
-process to its guard result, the round index and the set of processes the
-current round still owes a move or a disabling. After a step it evaluates
-each dirty process (a mover or a mover's neighbor) exactly once and no
-other, and updates the map and the rounds from those results.
+``Execution``. It owns the current configuration, a MutableConfiguration
+that each step's writes update in place, the map from each enabled process
+to its guard result, the round index and the set of processes the current
+round still owes a move or a disabling. After a step it evaluates each
+dirty process (a mover or a mover's neighbor) exactly once and no other,
+and updates the map and the rounds from those results. So a step costs time
+in proportion to the processes it touches, not to n; a frozen Configuration
+is built only for the trace's initial and final configurations.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Iterable, Mapping, Optional
 from .graph import Graph, read_graph, write_graph
 from .protocol import (
     Configuration,
+    MutableConfiguration,
     ProcessState,
     Rule,
     RuleSemantics,
@@ -243,7 +247,9 @@ class Execution:
 
     ``enabled`` maps each enabled process to its ``guards`` result, which is
     ``enabled_rule`` or, where every guard that holds is needed,
-    ``enabled_rules``. A round closes at the earliest step after which every
+    ``enabled_rules``. ``config`` is a MutableConfiguration copied from
+    ``c0``, which the caller writes each step into before calling
+    ``advance``. A round closes at the earliest step after which every
     process eligible at the round's first configuration has moved or had its
     guard disabled; ``owed`` holds those the current round still waits for.
     """
@@ -252,7 +258,7 @@ class Execution:
         self.graph = g
         self.semantics = semantics
         self.guards = guards
-        self.config = c0
+        self.config = MutableConfiguration(c0)
         self.enabled = {}
         for i in g.nodes:
             result = guards(c0, g, i, semantics)
@@ -261,8 +267,8 @@ class Execution:
         self.round = 1
         self.owed = set(self.enabled)
 
-    def advance(self, c2: Configuration, moved: Iterable[int]):
-        """Move to ``c2``, the configuration after a step by ``moved``.
+    def advance(self, moved: Iterable[int]):
+        """Account for a step by ``moved``, already written into ``config``.
 
         Only the movers and their neighbors read a changed state, so each of
         them is re-evaluated once and no other. Returns the re-evaluated
@@ -270,21 +276,20 @@ class Execution:
         closed the current round; a new round opens only while some process
         is still enabled.
         """
-        g, guards, semantics = self.graph, self.guards, self.semantics
+        g, guards, semantics, c = self.graph, self.guards, self.semantics, self.config
         enabled = self.enabled
         dirty = set(moved)
         for i in moved:
             dirty.update(g.adjacency[i])
         on, off = [], []
         for i in dirty:
-            result = guards(c2, g, i, semantics)
+            result = guards(c, g, i, semantics)
             if result:
                 enabled[i] = result
                 on.append(i)
             else:
                 enabled.pop(i, None)
                 off.append(i)
-        self.config = c2
         owed = self.owed
         owed.difference_update(moved)
         owed.difference_update(off)
@@ -357,7 +362,7 @@ def trace_counters(trace: Trace, semantics: RuleSemantics = STANDARD) -> TraceCo
     within one step count as a single step for that edge.
     """
     g = trace.graph
-    c = trace.initial
+    c = MutableConfiguration(trace.initial)
     per_rule = {rule: 0 for rule in Rule}
     updates: dict[int, int] = {}
     edge_steps: dict[tuple[int, int], int] = {}
@@ -374,7 +379,7 @@ def trace_counters(trace: Trace, semantics: RuleSemantics = STANDARD) -> TraceCo
                 step_edges.add((min(mv.node, mv.target), max(mv.node, mv.target)))
         for e in step_edges:
             edge_steps[e] = edge_steps.get(e, 0) + 1
-        c = apply_realized(c, g, realized)
+        apply_realized(c, g, realized)
     return TraceCounters(
         steps=trace.steps,
         moves=total,
@@ -391,12 +396,17 @@ def apply_step(
     chosen: Iterable[int],
     semantics: RuleSemantics = STANDARD,
     marriage_choices: Optional[Mapping[int, int]] = None,
+    rules: Optional[Mapping[int, Rule]] = None,
 ) -> tuple[Configuration, tuple[Move, ...]]:
     """Fire every chosen process's enabled rule against the same pre-step
     configuration and apply all writes simultaneously.
 
-    Raises ValueError when the selection is empty or contains a process
-    with no enabled rule.
+    ``rules`` maps the enabled processes to their rules, as the caller's
+    Execution or search already holds them; without it each chosen guard is
+    evaluated here. A frozen ``c`` gives a new Configuration; a
+    MutableConfiguration is written in place and returned. Raises
+    ValueError when the selection is empty or contains a process with no
+    enabled rule.
     """
     nodes = sorted(set(chosen))
     if not nodes:
@@ -404,7 +414,7 @@ def apply_step(
     writes = {}
     moves = []
     for i in nodes:
-        rule = enabled_rule(c, g, i, semantics)
+        rule = enabled_rule(c, g, i, semantics) if rules is None else rules.get(i)
         if rule is None:
             raise ValueError(f"node {i} has no enabled rule")
         choice = (marriage_choices or {}).get(i)
@@ -466,7 +476,9 @@ def realize_moves(
 def apply_realized(
     c: Configuration, g: Graph, realized: Iterable[Move]
 ) -> Configuration:
-    """Apply the writes of realized moves simultaneously."""
+    """Apply the writes of realized moves simultaneously: all are resolved
+    against ``c`` before any is written, in place into a
+    MutableConfiguration."""
     writes = {}
     for mv in realized:
         if mv.rule is Rule.UPDATE:
@@ -512,11 +524,11 @@ def run(
 ) -> Trace:
     """Iterate select/apply until no process is enabled or the cap is hit.
 
-    The Execution re-evaluates the movers and their neighbors after each
-    step; from what it reports the loop updates, in place, the enabled set
-    with its daemon orders and the pending-since map the fair daemon reads,
-    so a step costs time in proportion to the processes it touches plus the
-    copy of the configuration's state tuples.
+    Each step is written into the Execution's configuration in place, and
+    the Execution re-evaluates the movers and their neighbors; from what it
+    reports the loop updates, in place, the enabled set with its daemon
+    orders and the pending-since map the fair daemon reads, so a step costs
+    time in proportion to the processes it touches.
     """
     if max_steps is None:
         max_steps = default_step_cap(g)
@@ -530,11 +542,13 @@ def run(
     records = []
     while enabled and len(records) < max_steps:
         chosen = select(policy, enabled, state)
-        c2, moves = apply_step(execution.config, g, chosen, semantics)
+        _, moves = apply_step(
+            execution.config, g, chosen, semantics, rules=execution.enabled
+        )
         records.append(StepRecord(len(records), moves, execution.round))
         state.step_index += 1
         moved = {mv.node for mv in moves}
-        on, off, _ = execution.advance(c2, moved)
+        on, off, _ = execution.advance(moved)
         enabled.update(on, off)
         for i in off:
             pending.pop(i, None)
@@ -547,7 +561,7 @@ def run(
         seed=policy.seed,
         initial=c0,
         records=tuple(records),
-        final=execution.config,
+        final=execution.config.freeze(),
         stable=not enabled,
         max_steps=max_steps,
     )
@@ -568,18 +582,19 @@ def trace_from_schedule(
     execution = Execution(g, c0, semantics, enabled_rule)
     records = []
     for chosen, choices in schedule:
-        c2, moves = apply_step(
-            execution.config, g, chosen, semantics, marriage_choices=choices
+        _, moves = apply_step(
+            execution.config, g, chosen, semantics,
+            marriage_choices=choices, rules=execution.enabled,
         )
         records.append(StepRecord(len(records), moves, execution.round))
-        execution.advance(c2, [mv.node for mv in moves])
+        execution.advance([mv.node for mv in moves])
     return Trace(
         graph=g,
         policy=policy_desc,
         seed=0,
         initial=c0,
         records=tuple(records),
-        final=execution.config,
+        final=execution.config.freeze(),
         stable=not execution.enabled,
         max_steps=max(len(records), 1),
     )

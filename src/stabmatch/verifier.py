@@ -205,10 +205,12 @@ class _Failures:
         self.found: dict[str, CheckResult] = {}
 
     def hit(self, name, step, detail, snapshot=None):
+        """Record the first failure of ``name``; ``snapshot`` is a callable
+        giving the configuration text, called only for that first one."""
         if name not in self.found:
             self.found[name] = CheckResult(
                 name, "fail", counterexample_step=step, detail=detail,
-                snapshot=snapshot,
+                snapshot=snapshot and snapshot(),
             )
 
 
@@ -221,35 +223,37 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
 
     The replay runs on an Execution evaluating ``enabled_rules``, so each
     process's guards are known and each dirty process is re-evaluated once
-    per step; married pairs are indexed by node, so only the movers' pairs
-    are checked for separation. The active set is computed at round
-    boundaries only when the policy makes active_component_shrink
-    applicable.
+    per step, and each step is written into its configuration in place: a
+    snapshot of the configuration before a step is rebuilt from the movers'
+    previous states, and only for a first failure. Married pairs are
+    indexed by node, so only the movers' pairs are checked for separation.
+    The active set is computed at round boundaries only when the policy
+    makes active_component_shrink applicable.
     """
     g = trace.graph
     n, m = g.n, g.m
     steps_allowed, rounds_allowed = step_bound(g), round_bound(g)
     fails = _Failures()
 
-    c = trace.initial
-    execution = Execution(g, c, semantics, enabled_rules)
+    execution = Execution(g, trace.initial, semantics, enabled_rules)
+    c = execution.config
     for i, rules in execution.enabled.items():
         if len(rules) > 1:
             fails.hit(
                 "guard_exclusivity", 0,
                 f"node {i} has guards {[r.value for r in rules]} "
                 "in the initial configuration",
-                snapshot=c.to_text(),
+                snapshot=trace.initial.to_text,
             )
     policy_kind = trace.policy.split(":", 1)[0]
     round_applicable = policy_kind in ROUND_BOUND_POLICIES
     # the married pairs, and each married process's pair
-    married = set(extract_matching(c, g))
+    married = set(extract_matching(trace.initial, g))
     pair_of = {u: pair for pair in married for u in pair}
     update_counts: Counter = Counter()
     edge_step_counts: Counter = Counter()
     edge_third_step: dict[tuple[int, int], int] = {}
-    boundary_actives = [_active_set(c, g, married)] if round_applicable else []
+    boundary_actives = [_active_set(trace.initial, g, married)] if round_applicable else []
     boundary_steps = [0]
     total_moves = 0
 
@@ -280,35 +284,9 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 fails.hit(
                     "moves_enabled", record.index,
                     f"node {mv.node} executed {mv.rule.value} while not enabled",
-                    snapshot=c.to_text(),
+                    snapshot=c.to_text,
                 )
         total_moves += len(realized)
-
-        c2 = apply_realized(c, g, realized)
-        moved = {mv.node for mv in realized}
-
-        touched = {pair_of[i] for i in moved if i in pair_of}
-        separated = [
-            (u, v) for u, v in touched if not (c2.p_of(u) == v and c2.p_of(v) == u)
-        ]
-        if len(separated) > 1:
-            # report them in the married set's order, as a scan of it would
-            broken = set(separated)
-            separated = [pair for pair in married if pair in broken]
-        for u, v in separated:
-            fails.hit(
-                "marriage_persistence", record.index,
-                f"married pair ({u}, {v}) separated",
-                snapshot=c.to_text(),
-            )
-            married.discard((u, v))
-            del pair_of[u], pair_of[v]
-        for i in moved:
-            j = c2.p_of(i)
-            if j is not None and c2.p_of(j) == i:
-                pair = (min(i, j), max(i, j))
-                married.add(pair)
-                pair_of[i] = pair_of[j] = pair
 
         step_edges = set()
         for mv in realized:
@@ -318,7 +296,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     fails.hit(
                         "update_limit", record.index,
                         f"node {mv.node} executed its third update",
-                        snapshot=c.to_text(),
+                        snapshot=c.to_text,
                     )
             else:
                 step_edges.add((min(mv.node, mv.target), max(mv.node, mv.target)))
@@ -330,15 +308,41 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 fails.hit(
                     "edge_move_limit", record.index,
                     f"edge {e} saw a fourth step with a move on it",
-                    snapshot=c.to_text(),
+                    snapshot=c.to_text,
                 )
+
+        moved = {mv.node for mv in realized}
+        touched = {pair_of[i] for i in moved if i in pair_of}
+        previous = {i: c.state(i) for i in moved} if touched else None
+        apply_realized(c, g, realized)
+        separated = [
+            (u, v) for u, v in touched if not (c.p_of(u) == v and c.p_of(v) == u)
+        ]
+        if len(separated) > 1:
+            # report them in the married set's order, as a scan of it would
+            broken = set(separated)
+            separated = [pair for pair in married if pair in broken]
+        for u, v in separated:
+            fails.hit(
+                "marriage_persistence", record.index,
+                f"married pair ({u}, {v}) separated",
+                snapshot=lambda: c.freeze().with_writes(previous).to_text(),
+            )
+            married.discard((u, v))
+            del pair_of[u], pair_of[v]
+        for i in moved:
+            j = c.p_of(i)
+            if j is not None and c.p_of(j) == i:
+                pair = (min(i, j), max(i, j))
+                married.add(pair)
+                pair_of[i] = pair_of[j] = pair
 
         if record.round_index != execution.round:
             raise CorruptTraceError(
                 f"corrupt trace: step {record.index} recorded round "
                 f"{record.round_index}, recomputed {execution.round}"
             )
-        on, _, closed = execution.advance(c2, moved)
+        on, _, closed = execution.advance(moved)
         for i in on:
             rules = execution.enabled[i]
             if len(rules) > 1:
@@ -346,14 +350,14 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     "guard_exclusivity", record.index + 1,
                     f"node {i} has guards {[r.value for r in rules]} "
                     f"after step {record.index}",
-                    snapshot=c2.to_text(),
+                    snapshot=c.to_text,
                 )
         if closed and round_applicable:
-            boundary_actives.append(_active_set(c2, g, married))
+            boundary_actives.append(_active_set(c, g, married))
             boundary_steps.append(record.index + 1)
-        c = c2
 
-    if c != trace.final:
+    final = trace.final  # equal to the replayed configuration past this check
+    if c.p != list(final.p) or c.m != list(final.m):
         raise CorruptTraceError(
             "corrupt trace: replayed final configuration does not match the record"
         )
@@ -398,7 +402,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 "edge_move_limit", edge_third_step[(u, v)],
                 f"edge ({u}, {v}) reached three steps without an initial "
                 "one-sided pointer",
-                snapshot=trace.initial.to_text(),
+                snapshot=trace.initial.to_text,
             )
             continue
         source = u if u_points else v
@@ -441,12 +445,12 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         skip_detail=f"bound applies to {' and '.join(ROUND_BOUND_POLICIES)} only",
     )
 
-    matching = extract_matching(c, g)
+    matching = extract_matching(final, g)
     if not stabilized:
         fails.hit(
             "stable_is_maximal", trace.steps,
             "execution did not reach a stable configuration before the step cap",
-            snapshot=c.to_text(),
+            snapshot=final.to_text,
         )
     else:
         witness = check_maximal(matching, g)
@@ -454,26 +458,26 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             fails.hit(
                 "stable_is_maximal", trace.steps,
                 f"stable configuration is not maximal, edge {witness} is addable",
-                snapshot=c.to_text(),
+                snapshot=final.to_text,
             )
         for i in g.nodes:
-            cls = classify(c, g, i)
+            cls = classify(final, g, i)
             if cls not in (PredicateClass.MARRIED, PredicateClass.DEAD):
                 fails.hit(
                     "stable_is_maximal", trace.steps,
                     f"node {i} classifies {cls.value} in a stable configuration",
-                    snapshot=c.to_text(),
+                    snapshot=final.to_text,
                 )
     settle("stable_is_maximal", measured={"matching_size": len(matching)})
 
     if stabilized:
         for i in g.nodes:
-            if c.m_of(i) != pr_married(c, g, i):
+            if final.m_of(i) != pr_married(final, g, i):
                 fails.hit(
                     "m_flag_consistency", trace.steps,
-                    f"node {i} has m={c.m_of(i)} but marriage status "
-                    f"{pr_married(c, g, i)}",
-                    snapshot=c.to_text(),
+                    f"node {i} has m={final.m_of(i)} but marriage status "
+                    f"{pr_married(final, g, i)}",
+                    snapshot=final.to_text,
                 )
     settle(
         "m_flag_consistency",
@@ -597,9 +601,9 @@ def all_wellformed_configurations(g: Graph):
         yield Configuration(g.nodes, p, m)
 
 
-def _branches(c, g, semantics, branch_marriage):
-    """All (subset, marriage choice) pairs a distributed daemon could fire."""
-    enabled = enabled_nodes(c, g, semantics)
+def _branches(c, g, enabled, branch_marriage):
+    """All (subset, marriage choice) pairs a distributed daemon could fire
+    from ``c``, whose enabled processes map to their rules in ``enabled``."""
     nodes = sorted(enabled)
     for mask in range(1, 1 << len(nodes)):
         subset = tuple(nodes[k] for k in range(len(nodes)) if mask >> k & 1)
@@ -625,14 +629,16 @@ class _Livelock(Exception):
 
 
 class _Frame:
-    """One depth-first frame: a configuration and its pending branches."""
+    """One depth-first frame: a configuration, its enabled rules and its
+    pending branches."""
 
-    __slots__ = ("config", "branches", "entering", "best", "best_branch",
+    __slots__ = ("config", "rules", "branches", "entering", "best", "best_branch",
                  "leaves_ok", "expanded")
 
-    def __init__(self, config, branches, entering):
+    def __init__(self, config, g, semantics, branch_marriage, entering):
         self.config = config
-        self.branches = branches
+        self.rules = enabled_nodes(config, g, semantics)
+        self.branches = _branches(config, g, self.rules, branch_marriage)
         self.entering = entering  # the parent's branch that reached this frame
         self.best = 0
         self.best_branch = None
@@ -700,7 +706,7 @@ def exhaustive_search(
         if explored > budget:
             raise _Budget()
         onstack = {c0}
-        stack = [_Frame(c0, _branches(c0, g, semantics, branch_marriage), None)]
+        stack = [_Frame(c0, g, semantics, branch_marriage, None)]
         while stack:
             frame = stack[-1]
             branch = next(frame.branches, None)
@@ -720,7 +726,8 @@ def exhaustive_search(
             frame.expanded = True
             subset, choices = branch
             succ, _ = apply_step(
-                frame.config, g, subset, semantics, marriage_choices=choices
+                frame.config, g, subset, semantics,
+                marriage_choices=choices, rules=frame.rules,
             )
             if succ in onstack:
                 prefix, cycle = _cycle_steps(stack, succ, branch)
@@ -733,9 +740,7 @@ def exhaustive_search(
             if explored > budget:
                 raise _Budget()
             onstack.add(succ)
-            stack.append(
-                _Frame(succ, _branches(succ, g, semantics, branch_marriage), branch)
-            )
+            stack.append(_Frame(succ, g, semantics, branch_marriage, branch))
 
     try:
         for c0 in initials:

@@ -128,3 +128,73 @@ def test_tracer_counts_search_and_experiment(tmp_path):
                  "protocol.enabled_nodes", "verifier.exhaustive_search",
                  "verifier.check_maximal", "graph.generate"):
         assert tracer.calls[name] > 0, name
+
+
+BENCH_DIR = TRACER_PATH.parent
+
+
+def _load_bench_run():
+    """benchmarks/run.py, imported as the benchmark imports it; importing
+    it starts nothing (its Meter's timer runs only while entered)."""
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH_DIR / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return module
+
+
+def _run_and_verify(tmp_path, policy):
+    graph = tmp_path / "gnm.txt"
+    graph.write_text(write_graph(generate("random_gnm", 40, 120, seed=1)))
+    trace = tmp_path / "t.jsonl"
+    return [["run", "--graph", str(graph), "--init", "random:1", "--policy", policy,
+             "--seed", "1", "--trace-out", str(trace)],
+            ["verify", "--trace", str(trace)]]
+
+
+def _search(tmp_path):
+    graph = tmp_path / "p3.g"
+    graph.write_text("3\n0 1\n1 2\n")
+    return [["search", "--graph", str(graph), "--init", "all", "--branch-marriage"]]
+
+
+def _experiment(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "graphs": [{"kind": "cycle", "n": 5}, {"kind": "random_gnm", "n": 8, "m": 12}],
+        "policies": ["sequential_random", "distributed_fair"],
+        "seeds": [1, 2], "inits": ["random"],
+    }))
+    return [["experiment", "--spec", str(spec)]]
+
+
+def test_every_layer_metric_is_nonzero_on_a_miniature_of_its_workload(tmp_path):
+    """Each benchmark workload in miniature, traced as the benchmark traces
+    it: every LAYER_METRICS entry meant for that workload must read nonzero,
+    as the benchmark's self-check requires."""
+    bench = _load_bench_run()
+    miniatures = (
+        (bench.RUNS[0], _run_and_verify(tmp_path, "sequential_random")),
+        (bench.RUNS[1], _run_and_verify(tmp_path, "distributed_random")),
+        (bench.SEARCH[0], _search(tmp_path)),
+        (bench.MATRIX[0], _experiment(tmp_path)),
+    )
+    tracer = bench.Tracer()
+    zero = []
+    for workload, commands in miniatures:
+        tracer.clear_totals()
+        tracer.install()
+        try:
+            assert tracer.unbound_originals() == []
+            for argv in commands:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert stabmatch.cli.main(argv) == 0, argv
+                tracer.end_command()
+        finally:
+            tracer.uninstall()
+        zero += [f"{name} on {workload}" for name, _, _, value, meant_for in bench.LAYER_METRICS
+                 if workload in meant_for and not value(tracer)]
+    assert zero == []

@@ -300,6 +300,21 @@ class TestExportDot:
         assert main(["export-dot", "--trace", "p2.trace"]) == EXIT_OK
         assert "penwidth=2" in capsys.readouterr().out
 
+    def test_at_step_matches_oracle_replay(self, capsys):
+        from stabmatch.cli import export_dot
+
+        from .golden_corpus import GOLDEN_DIR
+        from .oracles import replay_configurations
+
+        path = GOLDEN_DIR / "gnm24-distributed_random.jsonl"
+        trace = parse_trace(path.read_text())
+        configs = replay_configurations(
+            trace.graph, trace.initial, [r.moves for r in trace.records])
+        assert len(configs) == trace.steps + 1
+        for k, c in enumerate(configs):
+            assert main(["export-dot", "--trace", str(path), "--at-step", str(k)]) == EXIT_OK
+            assert capsys.readouterr().out == export_dot(c, trace.graph)
+
     def test_missing_inputs_usage_error(self, workdir):
         assert main(["export-dot"]) == EXIT_USAGE
 
