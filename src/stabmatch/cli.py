@@ -13,6 +13,7 @@ import json
 import random
 import statistics
 import sys
+import time
 from pathlib import Path
 
 from .graph import Graph, GraphFormatError, generate, read_graph, write_graph
@@ -247,6 +248,20 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+def _search_progress():
+    """exhaustive_search's progress callback: explored states, memo size and
+    states/s on stderr, at most once a second."""
+    start = last = time.perf_counter()
+
+    def report(explored: int, memo_size: int) -> None:
+        nonlocal last
+        if (now := time.perf_counter()) - last >= 1.0:
+            last = now
+            print(f"search: explored={explored} memo={memo_size} "
+                  f"states_per_s={explored / (now - start):.0f}", file=sys.stderr)
+    return report
+
+
 def cmd_search(args) -> int:
     g = _load_graph(args.graph)
     if args.init == "all":
@@ -260,22 +275,18 @@ def cmd_search(args) -> int:
     else:
         initial = _load_init(args.init, g)
     result = exhaustive_search(
-        g, initial, branch_marriage=args.branch_marriage, budget=args.budget
+        g, initial, branch_marriage=args.branch_marriage, budget=args.budget,
+        progress=_search_progress() if args.progress else None,
     )
     sys.stdout.write(result.to_text())
     if args.witness_out:
-        if result.livelock and result.livelock_initial is not None:
-            trace = witness_trace(
-                g, result.livelock_initial, result.livelock_prefix + result.livelock_cycle,
-                policy_desc="livelock-witness",
-            )
-        elif result.witness_initial is not None:
-            trace = witness_trace(
-                g, result.witness_initial, result.witness, policy_desc="search-witness"
-            )
+        if result.livelock:
+            start, desc = result.livelock_initial, "livelock-witness"
+            steps = result.livelock_prefix + result.livelock_cycle
         else:
-            trace = None
-        if trace is not None:
+            start, steps, desc = result.witness_initial, result.witness, "search-witness"
+        if start is not None:
+            trace = witness_trace(g, start, steps, policy_desc=desc)
             _write(args.witness_out, write_trace(trace))
     if not result.complete:
         return EXIT_INCOMPLETE
@@ -484,6 +495,9 @@ def build_parser() -> _Parser:
                    help="maximum distinct configurations to explore")
     p.add_argument("--witness-out", default=None,
                    help="write the worst schedule as a replayable trace")
+    p.add_argument("--progress", action="store_true",
+                   help="print explored states, memo size and states/s to stderr "
+                   "about once a second")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("step", help="interactive schedule stepper")

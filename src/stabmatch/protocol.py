@@ -4,9 +4,9 @@ Every process ``i`` owns a pointer ``p`` (a neighbor or null) and a boolean
 flag ``m`` advertising to neighbors whether ``i`` is married. A move reads
 the pre-step states of the process and its neighbors and rewrites only the
 process's own state. Guards and commands only read a configuration, through
-``p_of`` and ``m_of``, so they take either a frozen ``Configuration`` (kept,
-compared and hashed: trace endpoints, search states) or the
-``MutableConfiguration`` a replay writes in place, one step at a time.
+``p_of`` and ``m_of``, so they take either a frozen ``Configuration`` (kept
+and compared: trace endpoints, search witnesses) or the
+``MutableConfiguration`` a replay writes in place or a search decodes into.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class Configuration:
         object.__setattr__(
             self, "_index", {u: k for k, u in enumerate(self.nodes)}
         )
-
-    def __hash__(self):
-        return hash((self.nodes, self.p, self.m))
 
     def p_of(self, i: int) -> Optional[int]:
         return self.p[self._index[i]]
@@ -299,22 +296,17 @@ def enabled_rules(
     married = pr_married(c, g, i)
     mi = c.m_of(i)
     pi = c.p_of(i)
+    suitors = marriage_suitors(c, g, i) if mi == married and pi is None else ()
     out = []
     if mi != married:
         out.append(Rule.UPDATE)
-    if mi == married and pi is None and marriage_suitors(c, g, i):
+    if mi == married and pi is None and suitors:
         out.append(Rule.MARRIAGE)
-    if (
-        mi == married
-        and pi is None
-        and not marriage_suitors(c, g, i)
-        and seduction_candidates(c, g, i, semantics)
-    ):
+    if mi == married and pi is None and not suitors and seduction_candidates(c, g, i, semantics):
         out.append(Rule.SEDUCTION)
-    if mi == married and pi is not None and c.p_of(pi) != i:
-        j = pi
-        if c.m_of(j) or g.ident[j] <= g.ident[i]:
-            out.append(Rule.ABANDONMENT)
+    if mi == married and pi is not None and c.p_of(pi) != i and (
+            c.m_of(pi) or g.ident[pi] <= g.ident[i]):
+        out.append(Rule.ABANDONMENT)
     return tuple(out)
 
 

@@ -402,8 +402,8 @@ def apply_step(
     configuration and apply all writes simultaneously.
 
     ``rules`` maps the enabled processes to their rules, as the caller's
-    Execution or search already holds them; without it each chosen guard is
-    evaluated here. A frozen ``c`` gives a new Configuration; a
+    Execution already holds them; without it each chosen guard is evaluated
+    here. A frozen ``c`` gives a new Configuration; a
     MutableConfiguration is written in place and returned. Raises
     ValueError when the selection is empty or contains a process with no
     enabled rule.

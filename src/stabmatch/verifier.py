@@ -11,19 +11,21 @@ predicates so agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .graph import Graph
 from .protocol import (
     Configuration,
+    MutableConfiguration,
     PredicateClass,
+    ProcessState,
     Rule,
     RuleSemantics,
     STANDARD,
     classify,
+    command_target,
     enabled_nodes,
     enabled_rule,
     enabled_rules,
@@ -559,17 +561,9 @@ class SearchResult:
     initial_count: int
 
     @property
-    def bound_ok(self) -> bool:
-        return not self.livelock and self.worst_steps <= self.bound
-
-    @property
     def ok(self) -> bool:
-        return (
-            self.complete
-            and not self.livelock
-            and self.bound_ok
-            and self.all_leaves_maximal
-        )
+        return (self.complete and not self.livelock and self.worst_steps <= self.bound
+                and self.all_leaves_maximal)
 
     def to_text(self) -> str:
         lines = [
@@ -586,35 +580,89 @@ class SearchResult:
         return "\n".join(lines) + "\n"
 
 
-def all_wellformed_configurations(g: Graph):
-    """Every configuration with p in N(i) or null and boolean m, in a fixed
-    deterministic order."""
-    per_node = []
-    for i in g.nodes:
-        options = [(None, False), (None, True)]
-        for j in g.adjacency[i]:
-            options.extend(((j, False), (j, True)))
-        per_node.append(options)
-    for combo in itertools.product(*per_node):
-        p = tuple(st[0] for st in combo)
-        m = tuple(st[1] for st in combo)
-        yield Configuration(g.nodes, p, m)
+class _StateCodec:
+    """A graph's configurations as ints. Node i's field holds the slot of
+    its pointer in its sorted adjacency (0 for null) times 2, plus its m
+    flag; the fields sit side by side, first node lowest."""
+
+    def __init__(self, g: Graph):
+        self.nodes = g.nodes
+        self.decoders = []  # per node: (shift, field mask, value -> (p, m))
+        self.field = {}  # node -> its field's bits in place
+        self.bits = {}  # node -> {ProcessState: its bits in place}
+        shift = 0
+        for i in g.nodes:
+            table = tuple((p, m) for p in (None,) + g.adjacency[i] for m in (False, True))
+            width = (len(table) - 1).bit_length()
+            self.decoders.append((shift, (1 << width) - 1, table))
+            self.field[i] = ((1 << width) - 1) << shift
+            self.bits[i] = {ProcessState(p, m): v << shift for v, (p, m) in enumerate(table)}
+            shift += width
+
+    def encode(self, c: Configuration) -> int:
+        try:
+            return sum(self.bits[i][c.state(i)] for i in c.nodes)
+        except KeyError:
+            raise ValueError("a pointer is neither null nor a neighbor") from None
+
+    def decode_into(self, state: int, c: MutableConfiguration) -> None:
+        p, m = c.p, c.m
+        for k, (shift, mask, table) in enumerate(self.decoders):
+            p[k], m[k] = table[state >> shift & mask]
+
+    def decode(self, state: int) -> Configuration:
+        return Configuration(self.nodes, *zip(*(
+            table[state >> shift & mask] for shift, mask, table in self.decoders)))
+
+    def every_state(self) -> list[int]:
+        """Every well-formed configuration, the first node's state varying
+        slowest, each node's from (null, false) up its adjacency."""
+        states = [0]
+        for shift, _, table in self.decoders:
+            states = [s | v << shift for s in states for v in range(len(table))]
+        return states
 
 
-def _branches(c, g, enabled, branch_marriage):
-    """All (subset, marriage choice) pairs a distributed daemon could fire
-    from ``c``, whose enabled processes map to their rules in ``enabled``."""
-    nodes = sorted(enabled)
-    for mask in range(1, 1 << len(nodes)):
-        subset = tuple(nodes[k] for k in range(len(nodes)) if mask >> k & 1)
-        if branch_marriage:
-            marrying = [i for i in subset if enabled[i] is Rule.MARRIAGE]
-            if marrying:
-                suitor_lists = [marriage_suitors(c, g, i) for i in marrying]
-                for combo in itertools.product(*suitor_lists):
-                    yield subset, dict(zip(marrying, combo))
-                continue
-        yield subset, None
+def _successors(c, g, semantics, branch_marriage, codec, state, labels=None):
+    """Every state a distributed daemon can reach from ``state`` (decoded in
+    ``c``) in one step: subsets in mask order over the sorted enabled
+    processes, each subset's suitor choices in product order. Each enabled
+    process's command is evaluated once, or once per suitor when marriages
+    branch, as the XOR of its field's old and new bits; a successor is
+    ``state`` XOR the union of its members' deltas, their fields being
+    disjoint. ``labels``, if given, receives each branch's WitnessStep."""
+    rules = enabled_nodes(c, g, semantics)
+    merged = [0]  # per subset so far, in mask order: each choice's union of deltas
+    steps = [((), ())]  # the same subsets and choices, for labels
+    for i in sorted(rules):
+        rule, bits, old = rules[i], codec.bits[i], state & codec.field[i]
+        if branch_marriage and rule is Rule.MARRIAGE:
+            suitors = marriage_suitors(c, g, i)
+            writes = [command_target(c, g, i, rule, semantics, marriage_choice=j) for j in suitors]
+            pairs = [((i, j),) for j in suitors]
+        else:
+            writes = [command_target(c, g, i, rule, semantics)]
+            pairs = [()]
+        deltas = [old ^ bits[w] for w in writes]
+        merged += [d | more for d in merged for more in deltas]
+        if labels is not None:
+            steps += [(subset + (i,), chosen + pair) for subset, chosen in steps for pair in pairs]
+    if labels is not None:
+        labels.extend(WitnessStep(subset, chosen) for subset, chosen in steps[1:])
+    return [state ^ d for d in merged[1:]]
+
+
+class _Expansion:
+    """A state on the search's stack: its successors, the one being
+    explored, and the worst schedule to stability found so far."""
+
+    __slots__ = ("state", "succs", "next", "best", "best_at", "leaves_ok")
+
+    def __init__(self, state: int, succs: list[int]):
+        self.state, self.succs = state, succs
+        self.next = self.best = 0
+        self.best_at = None
+        self.leaves_ok = True
 
 
 class _Budget(Exception):
@@ -622,44 +670,8 @@ class _Budget(Exception):
 
 
 class _Livelock(Exception):
-    def __init__(self, initial, prefix, cycle):
-        self.initial = initial
-        self.prefix = prefix
-        self.cycle = cycle
-
-
-class _Frame:
-    """One depth-first frame: a configuration, its enabled rules and its
-    pending branches."""
-
-    __slots__ = ("config", "rules", "branches", "entering", "best", "best_branch",
-                 "leaves_ok", "expanded")
-
-    def __init__(self, config, g, semantics, branch_marriage, entering):
-        self.config = config
-        self.rules = enabled_nodes(config, g, semantics)
-        self.branches = _branches(config, g, self.rules, branch_marriage)
-        self.entering = entering  # the parent's branch that reached this frame
-        self.best = 0
-        self.best_branch = None
-        self.leaves_ok = True
-        self.expanded = False
-
-    def fold(self, steps, branch, leaves_ok):
-        if self.best_branch is None or steps > self.best:
-            self.best = steps
-            self.best_branch = branch
-        self.leaves_ok = self.leaves_ok and leaves_ok
-
-
-def _cycle_steps(stack, succ, closing_branch):
-    """Split the DFS stack into the schedule reaching the repeated
-    configuration and the schedule that loops back to it."""
-    idx = next(k for k, frame in enumerate(stack) if frame.config == succ)
-    prefix = tuple(_witness_step(stack[k].entering) for k in range(1, idx + 1))
-    cycle = [_witness_step(stack[k].entering) for k in range(idx + 1, len(stack))]
-    cycle.append(_witness_step(closing_branch))
-    return prefix, tuple(cycle)
+    """args: the initial state, the branch taken at each state on the stack
+    (then None), and the stack position of the repeated state."""
 
 
 def exhaustive_search(
@@ -668,6 +680,7 @@ def exhaustive_search(
     branch_marriage: bool = False,
     budget: int = 200_000,
     semantics: RuleSemantics = STANDARD,
+    progress: Optional[Callable[[int, int], None]] = None,
 ) -> SearchResult:
     """Explore every daemon choice (every nonempty subset of the enabled
     processes, and every suitor choice when branch_marriage) to find the
@@ -678,130 +691,118 @@ def exhaustive_search(
     across initial states, so the all-configurations mode costs one sweep of
     the reachable state space. A repeated configuration on the current
     schedule proves a livelock and aborts the search with its witness.
+    ``progress``, if given, is called with the explored-state count and the
+    memo size after every 4 096 explored states.
+
+    A state is one int (``_StateCodec``), decoded into one reused
+    MutableConfiguration when first reached to evaluate its guards and
+    commands once (``_successors``). The memo maps a state to its worst
+    step count, the index of that branch and whether all leaves are maximal.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
+    codec = _StateCodec(g)
     if isinstance(initial, Configuration):
-        initials = [initial]
-    elif initial == "all":
-        initials = list(all_wellformed_configurations(g))
-    else:
-        initials = list(initial)
+        initial = [initial]
+    initials = codec.every_state() if initial == "all" else [codec.encode(c) for c in initial]
 
-    bound = step_bound(g)
-    # memo: config -> (worst steps to stability, best branch, leaves all maximal)
-    memo: dict[Configuration, tuple[int, Optional[tuple], bool]] = {}
+    memo: dict[int, tuple[int, Optional[int], bool]] = {}
     explored = 0
-    complete = True
-    livelock = False
-    livelock_initial = None
-    livelock_prefix: tuple[WitnessStep, ...] = ()
-    livelock_cycle: tuple[WitnessStep, ...] = ()
+    decoded = MutableConfiguration(Configuration.all_null(g))
 
-    def expand(c0: Configuration) -> None:
+    def reach(state):
+        """Count a new state: its expansion, or None once memoized as stable."""
         nonlocal explored
-        if c0 in memo:
-            return
         explored += 1
         if explored > budget:
             raise _Budget()
-        onstack = {c0}
-        stack = [_Frame(c0, g, semantics, branch_marriage, None)]
+        if progress is not None and not explored % 4096:
+            progress(explored, len(memo))
+        codec.decode_into(state, decoded)
+        succs = _successors(decoded, g, semantics, branch_marriage, codec, state)
+        if succs:
+            return _Expansion(state, succs)
+        memo[state] = (0, None, check_maximal(extract_matching(decoded, g), g) is None)
+        return None
+
+    def replay(c0, pick):
+        """The branches ``pick(state, k)`` names at the k-th state from c0,
+        until it names none, each fired by apply_step on a frozen
+        configuration, which re-checks it."""
+        steps = []
+        c, state = c0, codec.encode(c0)
+        while (at := pick(state, len(steps))) is not None:
+            labels = []
+            _successors(c, g, semantics, branch_marriage, codec, state, labels)
+            ws = labels[at]
+            steps.append(ws)
+            c, _ = apply_step(c, g, ws.chosen, semantics, marriage_choices=dict(ws.marriage_choices))
+            state = codec.encode(c)
+        return tuple(steps)
+
+    def expand(s0: int) -> None:
+        if s0 in memo or (top := reach(s0)) is None:
+            return
+        stack = [top]
+        onstack = {s0}
         while stack:
             frame = stack[-1]
-            branch = next(frame.branches, None)
-            if branch is None:
-                c = frame.config
-                if not frame.expanded:  # no enabled process: stable leaf
-                    maximal = check_maximal(extract_matching(c, g), g) is None
-                    memo[c] = (0, None, maximal)
-                else:
-                    memo[c] = (frame.best, frame.best_branch, frame.leaves_ok)
+            succs = frame.succs
+            # a branch is folded once its successor is in the memo: the
+            # branch to a pushed state is revisited when that state closes
+            while frame.next < len(succs):
+                succ = succs[frame.next]
+                if succ in onstack:
+                    at = next(k for k, f in enumerate(stack) if f.state == succ)
+                    raise _Livelock(s0, [f.next for f in stack] + [None], at)
+                entry = memo.get(succ)
+                if entry is None:
+                    child = reach(succ)
+                    if child is not None:
+                        onstack.add(succ)
+                        stack.append(child)
+                        break
+                    entry = memo[succ]
+                if entry[0] >= frame.best:
+                    frame.best = entry[0] + 1
+                    frame.best_at = frame.next
+                frame.leaves_ok &= entry[2]
+                frame.next += 1
+            else:
+                memo[frame.state] = (frame.best, frame.best_at, frame.leaves_ok)
                 stack.pop()
-                onstack.discard(c)
-                if stack:
-                    steps, _, ok = memo[c]
-                    stack[-1].fold(steps + 1, frame.entering, ok)
-                continue
-            frame.expanded = True
-            subset, choices = branch
-            succ, _ = apply_step(
-                frame.config, g, subset, semantics,
-                marriage_choices=choices, rules=frame.rules,
-            )
-            if succ in onstack:
-                prefix, cycle = _cycle_steps(stack, succ, branch)
-                raise _Livelock(c0, prefix, cycle)
-            if succ in memo:
-                steps, _, ok = memo[succ]
-                frame.fold(steps + 1, branch, ok)
-                continue
-            explored += 1
-            if explored > budget:
-                raise _Budget()
-            onstack.add(succ)
-            stack.append(_Frame(succ, g, semantics, branch_marriage, branch))
+                onstack.discard(frame.state)
 
+    complete = True
+    livelock_initial, livelock_steps, cycle_at = None, (), 0
     try:
-        for c0 in initials:
-            expand(c0)
+        for s0 in initials:
+            expand(s0)
     except _Budget:
         complete = False
     except _Livelock as exc:
-        livelock = True
-        livelock_initial = exc.initial
-        livelock_prefix = exc.prefix
-        livelock_cycle = exc.cycle
+        s0, path, cycle_at = exc.args
+        livelock_initial = codec.decode(s0)
+        livelock_steps = replay(livelock_initial, lambda _, k: path[k])
 
-    worst = -1
-    worst_initial = None
-    leaves_ok = True
-    for c0 in initials:
-        if c0 not in memo:
-            continue
-        steps, _, ok = memo[c0]
-        leaves_ok = leaves_ok and ok
-        if steps > worst:
-            worst = steps
-            worst_initial = c0
-    witness: tuple[WitnessStep, ...] = ()
-    if worst_initial is not None:
-        witness = _reconstruct_witness(worst_initial, g, memo, semantics)
-
+    done = [s0 for s0 in initials if s0 in memo]
+    worst = max(done, key=lambda s0: memo[s0][0], default=None)  # the first worst
+    witness_initial = None if worst is None else codec.decode(worst)
     return SearchResult(
-        worst_steps=max(worst, 0),
-        witness_initial=worst_initial,
-        witness=witness,
+        worst_steps=0 if worst is None else memo[worst][0],
+        witness_initial=witness_initial,
+        witness=() if worst is None else replay(witness_initial, lambda state, _: memo[state][1]),
         explored=explored,
         branch_marriage=branch_marriage,
         complete=complete,
-        livelock=livelock,
+        livelock=livelock_initial is not None,
         livelock_initial=livelock_initial,
-        livelock_prefix=livelock_prefix,
-        livelock_cycle=livelock_cycle,
-        all_leaves_maximal=leaves_ok and not livelock,
-        bound=bound,
+        livelock_prefix=livelock_steps[:cycle_at],
+        livelock_cycle=livelock_steps[cycle_at:],
+        all_leaves_maximal=livelock_initial is None and all(memo[s0][2] for s0 in done),
+        bound=step_bound(g),
         initial_count=len(initials),
     )
-
-
-def _witness_step(branch) -> WitnessStep:
-    subset, choices = branch
-    pairs = tuple(sorted(choices.items())) if choices else ()
-    return WitnessStep(tuple(subset), pairs)
-
-
-def _reconstruct_witness(c0, g, memo, semantics) -> tuple[WitnessStep, ...]:
-    steps = []
-    c = c0
-    while True:
-        entry = memo.get(c)
-        if entry is None or entry[1] is None:
-            break
-        subset, choices = entry[1]
-        steps.append(_witness_step((subset, choices)))
-        c, _ = apply_step(c, g, subset, semantics, marriage_choices=choices)
-    return tuple(steps)
 
 
 def witness_trace(

@@ -4,9 +4,9 @@ These deliberately avoid the package's fast paths: maximality is decided by
 trying every superset, rounds are recomputed with a full eligibility scan at
 every configuration, the five predicates are transcribed literally, and the
 reference daemon sorts the enabled set and rebuilds its pending and owed
-bookkeeping from scratch on every step. If
-an oracle and the implementation ever disagree, the test fails and one of
-them is wrong.
+bookkeeping from scratch on every step, and the reference search fires
+every branch with apply_step on a frozen configuration. If an oracle and
+the implementation ever disagree, the test fails and one of them is wrong.
 """
 
 from __future__ import annotations
@@ -14,15 +14,27 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from typing import Iterable, Optional, Union
 
-from stabmatch.protocol import Configuration, enabled_rule
+from stabmatch.graph import Graph
+from stabmatch.protocol import (
+    Configuration,
+    RuleSemantics,
+    Rule,
+    STANDARD,
+    enabled_nodes,
+    enabled_rule,
+    marriage_suitors,
+)
 from stabmatch.scheduler import (
     StepRecord,
     Trace,
     apply_step,
     default_step_cap,
     replay_step,
+    step_bound,
 )
+from stabmatch.verifier import SearchResult, WitnessStep, check_maximal, extract_matching
 
 
 def nodes_within_two_hops(g, u):
@@ -317,3 +329,227 @@ def reference_run(g, c0, policy, max_steps=None, semantics=None):
         stable=not enabled,
         max_steps=max_steps,
     )
+
+
+# The exhaustive schedule search as it was before states were int-encoded,
+# kept verbatim as the reference the int engine is compared against: every
+# branch is an apply_step on a frozen Configuration, and the memo and the
+# on-stack set hold Configurations.
+
+
+def all_wellformed_configurations(g: Graph):
+    """Every configuration with p in N(i) or null and boolean m, in a fixed
+    deterministic order."""
+    per_node = []
+    for i in g.nodes:
+        options = [(None, False), (None, True)]
+        for j in g.adjacency[i]:
+            options.extend(((j, False), (j, True)))
+        per_node.append(options)
+    for combo in itertools.product(*per_node):
+        p = tuple(st[0] for st in combo)
+        m = tuple(st[1] for st in combo)
+        yield Configuration(g.nodes, p, m)
+
+
+def _branches(c, g, enabled, branch_marriage):
+    """All (subset, marriage choice) pairs a distributed daemon could fire
+    from ``c``, whose enabled processes map to their rules in ``enabled``."""
+    nodes = sorted(enabled)
+    for mask in range(1, 1 << len(nodes)):
+        subset = tuple(nodes[k] for k in range(len(nodes)) if mask >> k & 1)
+        if branch_marriage:
+            marrying = [i for i in subset if enabled[i] is Rule.MARRIAGE]
+            if marrying:
+                suitor_lists = [marriage_suitors(c, g, i) for i in marrying]
+                for combo in itertools.product(*suitor_lists):
+                    yield subset, dict(zip(marrying, combo))
+                continue
+        yield subset, None
+
+
+class _Budget(Exception):
+    pass
+
+
+class _Livelock(Exception):
+    def __init__(self, initial, prefix, cycle):
+        self.initial = initial
+        self.prefix = prefix
+        self.cycle = cycle
+
+
+class _Frame:
+    """One depth-first frame: a configuration, its enabled rules and its
+    pending branches."""
+
+    __slots__ = ("config", "rules", "branches", "entering", "best", "best_branch",
+                 "leaves_ok", "expanded")
+
+    def __init__(self, config, g, semantics, branch_marriage, entering):
+        self.config = config
+        self.rules = enabled_nodes(config, g, semantics)
+        self.branches = _branches(config, g, self.rules, branch_marriage)
+        self.entering = entering  # the parent's branch that reached this frame
+        self.best = 0
+        self.best_branch = None
+        self.leaves_ok = True
+        self.expanded = False
+
+    def fold(self, steps, branch, leaves_ok):
+        if self.best_branch is None or steps > self.best:
+            self.best = steps
+            self.best_branch = branch
+        self.leaves_ok = self.leaves_ok and leaves_ok
+
+
+def _cycle_steps(stack, succ, closing_branch):
+    """Split the DFS stack into the schedule reaching the repeated
+    configuration and the schedule that loops back to it."""
+    idx = next(k for k, frame in enumerate(stack) if frame.config == succ)
+    prefix = tuple(_witness_step(stack[k].entering) for k in range(1, idx + 1))
+    cycle = [_witness_step(stack[k].entering) for k in range(idx + 1, len(stack))]
+    cycle.append(_witness_step(closing_branch))
+    return prefix, tuple(cycle)
+
+
+def reference_search(
+    g: Graph,
+    initial: Union[Configuration, str, Iterable[Configuration]],
+    branch_marriage: bool = False,
+    budget: int = 200_000,
+    semantics: RuleSemantics = STANDARD,
+) -> SearchResult:
+    """Explore every daemon choice (every nonempty subset of the enabled
+    processes, and every suitor choice when branch_marriage) to find the
+    longest schedule to stability.
+
+    ``initial`` is a configuration, the string "all" for every well-formed
+    configuration, or an iterable of configurations. The memo is shared
+    across initial states, so the all-configurations mode costs one sweep of
+    the reachable state space. A repeated configuration on the current
+    schedule proves a livelock and aborts the search with its witness.
+    """
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    if isinstance(initial, Configuration):
+        initials = [initial]
+    elif initial == "all":
+        initials = list(all_wellformed_configurations(g))
+    else:
+        initials = list(initial)
+
+    bound = step_bound(g)
+    # memo: config -> (worst steps to stability, best branch, leaves all maximal)
+    memo: dict[Configuration, tuple[int, Optional[tuple], bool]] = {}
+    explored = 0
+    complete = True
+    livelock = False
+    livelock_initial = None
+    livelock_prefix: tuple[WitnessStep, ...] = ()
+    livelock_cycle: tuple[WitnessStep, ...] = ()
+
+    def expand(c0: Configuration) -> None:
+        nonlocal explored
+        if c0 in memo:
+            return
+        explored += 1
+        if explored > budget:
+            raise _Budget()
+        onstack = {c0}
+        stack = [_Frame(c0, g, semantics, branch_marriage, None)]
+        while stack:
+            frame = stack[-1]
+            branch = next(frame.branches, None)
+            if branch is None:
+                c = frame.config
+                if not frame.expanded:  # no enabled process: stable leaf
+                    maximal = check_maximal(extract_matching(c, g), g) is None
+                    memo[c] = (0, None, maximal)
+                else:
+                    memo[c] = (frame.best, frame.best_branch, frame.leaves_ok)
+                stack.pop()
+                onstack.discard(c)
+                if stack:
+                    steps, _, ok = memo[c]
+                    stack[-1].fold(steps + 1, frame.entering, ok)
+                continue
+            frame.expanded = True
+            subset, choices = branch
+            succ, _ = apply_step(
+                frame.config, g, subset, semantics,
+                marriage_choices=choices, rules=frame.rules,
+            )
+            if succ in onstack:
+                prefix, cycle = _cycle_steps(stack, succ, branch)
+                raise _Livelock(c0, prefix, cycle)
+            if succ in memo:
+                steps, _, ok = memo[succ]
+                frame.fold(steps + 1, branch, ok)
+                continue
+            explored += 1
+            if explored > budget:
+                raise _Budget()
+            onstack.add(succ)
+            stack.append(_Frame(succ, g, semantics, branch_marriage, branch))
+
+    try:
+        for c0 in initials:
+            expand(c0)
+    except _Budget:
+        complete = False
+    except _Livelock as exc:
+        livelock = True
+        livelock_initial = exc.initial
+        livelock_prefix = exc.prefix
+        livelock_cycle = exc.cycle
+
+    worst = -1
+    worst_initial = None
+    leaves_ok = True
+    for c0 in initials:
+        if c0 not in memo:
+            continue
+        steps, _, ok = memo[c0]
+        leaves_ok = leaves_ok and ok
+        if steps > worst:
+            worst = steps
+            worst_initial = c0
+    witness: tuple[WitnessStep, ...] = ()
+    if worst_initial is not None:
+        witness = _reconstruct_witness(worst_initial, g, memo, semantics)
+
+    return SearchResult(
+        worst_steps=max(worst, 0),
+        witness_initial=worst_initial,
+        witness=witness,
+        explored=explored,
+        branch_marriage=branch_marriage,
+        complete=complete,
+        livelock=livelock,
+        livelock_initial=livelock_initial,
+        livelock_prefix=livelock_prefix,
+        livelock_cycle=livelock_cycle,
+        all_leaves_maximal=leaves_ok and not livelock,
+        bound=bound,
+        initial_count=len(initials),
+    )
+
+
+def _witness_step(branch) -> WitnessStep:
+    subset, choices = branch
+    pairs = tuple(sorted(choices.items())) if choices else ()
+    return WitnessStep(tuple(subset), pairs)
+
+
+def _reconstruct_witness(c0, g, memo, semantics) -> tuple[WitnessStep, ...]:
+    steps = []
+    c = c0
+    while True:
+        entry = memo.get(c)
+        if entry is None or entry[1] is None:
+            break
+        subset, choices = entry[1]
+        steps.append(_witness_step((subset, choices)))
+        c, _ = apply_step(c, g, subset, semantics, marriage_choices=choices)
+    return tuple(steps)

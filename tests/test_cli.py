@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+import types
 
 import pytest
 
@@ -209,6 +211,23 @@ class TestSearch:
         main(["gen", "--kind", "cycle", "--n", "6", "--out", "c6.g"])
         main(["search", "--graph", "c6.g", "--init", "all", "--budget", "10"])
         assert "warning" in capsys.readouterr().err
+
+    def test_progress_goes_to_stderr_and_leaves_stdout_unchanged(
+            self, workdir, capsys, monkeypatch):
+        main(["gen", "--kind", "complete", "--n", "4", "--out", "k4.g"])
+        argv = ["search", "--graph", "k4.g", "--init", "all", "--branch-marriage"]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr()
+        # a clock that advances two seconds per reading: every report is due
+        ticks = itertools.count(0.0, 2.0)
+        monkeypatch.setattr("stabmatch.cli.time", types.SimpleNamespace(
+            perf_counter=lambda: next(ticks)))
+        assert main(argv + ["--progress"]) == EXIT_OK
+        progress = capsys.readouterr()
+        assert progress.out == plain.out
+        assert "search: explored=4096 memo=" in progress.err
+        assert "states_per_s=" in progress.err and "search: explored" not in plain.err
 
     def test_witness_trace_verifies(self, workdir, capsys):
         main(["gen", "--kind", "cycle", "--n", "3", "--out", "c3.g"])

@@ -193,6 +193,30 @@ class TestAuditOnLegitimateTraces:
         assert report.all_pass and not report.connected
         assert "graph: disconnected" in report.to_text()
 
+    def test_each_guard_evaluation_lists_the_suitors_once(self, monkeypatch):
+        """The marriage and seduction guards both read a process's suitors;
+        one audit must compute them at most once per enabled_rules call."""
+        from stabmatch import protocol, verifier
+
+        g = generate("random_gnm", 60, 150, 3)
+        t = run(g, random_configuration(g, 1), DaemonPolicy("sequential_random", seed=1))
+        calls = []  # marriage_suitors calls made by each enabled_rules call
+        enabled_rules, marriage_suitors = protocol.enabled_rules, protocol.marriage_suitors
+
+        def counted_rules(*args):
+            calls.append(0)
+            return enabled_rules(*args)
+
+        def counted_suitors(*args):
+            calls[-1] += 1
+            return marriage_suitors(*args)
+
+        monkeypatch.setattr(verifier, "enabled_rules", counted_rules)
+        monkeypatch.setattr(protocol, "marriage_suitors", counted_suitors)
+        report = audit_trace(t)
+        assert report.all_pass
+        assert max(calls) == 1 and sum(calls) > t.steps
+
 
 class TestForgedTraces:
     def test_extra_update_fails_update_limit_at_forged_step(self, p2):
@@ -328,6 +352,20 @@ class TestExhaustiveSearch:
         plain = exhaustive_search(g, c0)
         branched = exhaustive_search(g, c0, branch_marriage=True)
         assert branched.worst_steps >= plain.worst_steps
+
+    def test_pointer_outside_the_adjacency_is_rejected(self, p3):
+        c0 = Configuration(p3.nodes, (2, None, None), (False, False, False))
+        with pytest.raises(ValueError, match="neither null nor a neighbor"):
+            exhaustive_search(p3, c0)
+
+    def test_progress_every_4096_explored_states(self):
+        g = small_graph("K4")
+        calls = []
+        result = exhaustive_search(g, "all", branch_marriage=True,
+                                   progress=lambda *args: calls.append(args))
+        assert [explored for explored, _ in calls] == list(range(4096, result.explored + 1, 4096))
+        assert calls and all(0 < memo_size < explored for explored, memo_size in calls)
+        assert result == exhaustive_search(g, "all", branch_marriage=True)
 
     def test_sequential_oracle_agrees_on_p2(self, p2):
         from .oracles import all_sequential_step_counts
