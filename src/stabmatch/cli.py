@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import statistics
 import sys
@@ -266,10 +267,12 @@ def cmd_search(args) -> int:
     g = _load_graph(args.graph)
     if args.init == "all":
         initial = "all"
-        if g.n > 4:
+        # every well-formed configuration is a start, each explored once
+        states = math.prod(2 * (len(g.adjacency[i]) + 1) for i in g.nodes)
+        if states > args.budget:
             print(
-                f"warning: all-configurations search over n={g.n} nodes is "
-                "exponential; raise --budget if the search comes back incomplete",
+                f"warning: all-configurations search over {states} configurations "
+                f"exceeds --budget {args.budget}; raise it for a complete search",
                 file=sys.stderr,
             )
     else:

@@ -3,10 +3,11 @@
 Every process ``i`` owns a pointer ``p`` (a neighbor or null) and a boolean
 flag ``m`` advertising to neighbors whether ``i`` is married. A move reads
 the pre-step states of the process and its neighbors and rewrites only the
-process's own state. Guards and commands only read a configuration, through
-``p_of`` and ``m_of``, so they take either a frozen ``Configuration`` (kept
-and compared: trace endpoints, search witnesses) or the
-``MutableConfiguration`` a replay writes in place or a search decodes into.
+process's own state. Guards and commands only read a configuration, so they
+take either a frozen ``Configuration`` (kept and compared: trace endpoints,
+search witnesses) or the ``MutableConfiguration`` a replay writes in place
+or a search decodes into. The guards, evaluated after every step, read its
+``p`` and ``m`` through its node index ``_index``, not through ``p_of``.
 """
 
 from __future__ import annotations
@@ -246,8 +247,9 @@ def parse_configuration(text: str, g: Graph) -> Configuration:
 
 def pr_married(c: Configuration, g: Graph, i: int) -> bool:
     """True iff i and its pointee point at each other."""
-    j = c.p_of(i)
-    return j is not None and c.p_of(j) == i
+    index, p = c._index, c.p
+    j = p[index[i]]
+    return j is not None and p[index[j]] == i
 
 
 def classify(c: Configuration, g: Graph, i: int) -> PredicateClass:
@@ -266,21 +268,20 @@ def classify(c: Configuration, g: Graph, i: int) -> PredicateClass:
 
 def marriage_suitors(c: Configuration, g: Graph, i: int) -> tuple[int, ...]:
     """Neighbors currently pointing at i, sorted ascending."""
-    return tuple(j for j in g.adjacency[i] if c.p_of(j) == i)
+    index, p = c._index, c.p
+    return tuple(j for j in g.adjacency[i] if p[index[j]] == i)
 
 
 def seduction_candidates(
     c: Configuration, g: Graph, i: int, semantics: RuleSemantics = STANDARD
 ) -> tuple[int, ...]:
     """Unmarried-flagged null-pointer neighbors courtable by i."""
-    ident = g.ident
-    my_id = ident[i]
+    index, p, m, ident = c._index, c.p, c.m, g.ident
+    # with the guard stripped every neighbor qualifies: identifiers are nonnegative
+    above = ident[i] if semantics.seduction_requires_larger_id else -1
     return tuple(
-        j
-        for j in g.adjacency[i]
-        if c.p_of(j) is None
-        and not c.m_of(j)
-        and (ident[j] > my_id or not semantics.seduction_requires_larger_id)
+        j for j in g.adjacency[i]
+        if p[k := index[j]] is None and not m[k] and ident[j] > above
     )
 
 
@@ -293,9 +294,10 @@ def enabled_rules(
     return more than one rule; the verifier audits exactly that, which is why
     this function must not short-circuit.
     """
-    married = pr_married(c, g, i)
-    mi = c.m_of(i)
-    pi = c.p_of(i)
+    index, p, m = c._index, c.p, c.m
+    k = index[i]
+    pi, mi = p[k], m[k]
+    married = pi is not None and p[index[pi]] == i
     suitors = marriage_suitors(c, g, i) if mi == married and pi is None else ()
     out = []
     if mi != married:
@@ -304,8 +306,8 @@ def enabled_rules(
         out.append(Rule.MARRIAGE)
     if mi == married and pi is None and not suitors and seduction_candidates(c, g, i, semantics):
         out.append(Rule.SEDUCTION)
-    if mi == married and pi is not None and c.p_of(pi) != i and (
-            c.m_of(pi) or g.ident[pi] <= g.ident[i]):
+    if mi == married and pi is not None and p[kj := index[pi]] != i and (
+            m[kj] or g.ident[pi] <= g.ident[i]):
         out.append(Rule.ABANDONMENT)
     return tuple(out)
 
@@ -313,18 +315,24 @@ def enabled_rules(
 def enabled_rule(
     c: Configuration, g: Graph, i: int, semantics: RuleSemantics = STANDARD
 ) -> Optional[Rule]:
-    """The enabled rule at i, or None. Guard order is fixed for reporting."""
-    j = c.p_of(i)
-    married = j is not None and c.p_of(j) == i
-    if c.m_of(i) != married:
+    """The enabled rule at i, or None. Guard order is fixed for reporting.
+    The marriage and seduction guards stop at the first suitor or candidate."""
+    index, p, m = c._index, c.p, c.m
+    k = index[i]
+    j = p[k]
+    if m[k] != (j is not None and p[index[j]] == i):
         return Rule.UPDATE
     if j is None:
-        if marriage_suitors(c, g, i):
-            return Rule.MARRIAGE
-        if seduction_candidates(c, g, i, semantics):
-            return Rule.SEDUCTION
+        adjacency, ident = g.adjacency[i], g.ident
+        for u in adjacency:
+            if p[index[u]] == i:
+                return Rule.MARRIAGE
+        above = ident[i] if semantics.seduction_requires_larger_id else -1
+        for u in adjacency:
+            if p[ku := index[u]] is None and not m[ku] and ident[u] > above:
+                return Rule.SEDUCTION
         return None
-    if c.p_of(j) != i and (c.m_of(j) or g.ident[j] <= g.ident[i]):
+    if p[kj := index[j]] != i and (m[kj] or g.ident[j] <= g.ident[i]):
         return Rule.ABANDONMENT
     return None
 

@@ -13,11 +13,12 @@ following a script or the audit checking a recorded trace, goes through one
 ``Execution``. It owns the current configuration, a MutableConfiguration
 that each step's writes update in place, the map from each enabled process
 to its guard result, the round index and the set of processes the current
-round still owes a move or a disabling. After a step it evaluates each
-dirty process (a mover or a mover's neighbor) exactly once and no other,
-and updates the map and the rounds from those results. So a step costs time
-in proportion to the processes it touches, not to n; a frozen Configuration
-is built only for the trace's initial and final configurations.
+round still owes a move or a disabling. After a step it evaluates, once
+each, the movers and those of their neighbors whose guard reads a state
+the step changed, and updates the map and the rounds from those results.
+So a step costs time in proportion to the guards it can change, not to n;
+a frozen Configuration is built only for the trace's initial and final
+configurations.
 """
 
 from __future__ import annotations
@@ -248,10 +249,12 @@ class Execution:
     ``enabled`` maps each enabled process to its ``guards`` result, which is
     ``enabled_rule`` or, where every guard that holds is needed,
     ``enabled_rules``. ``config`` is a MutableConfiguration copied from
-    ``c0``, which the caller writes each step into before calling
-    ``advance``. A round closes at the earliest step after which every
-    process eligible at the round's first configuration has moved or had its
-    guard disabled; ``owed`` holds those the current round still waits for.
+    ``c0``, which the caller writes each step's movers into before calling
+    ``advance``; the Execution keeps each process's state as of the last
+    ``advance``, so it knows what every mover changed. A round closes at the
+    earliest step after which every process eligible at the round's first
+    configuration has moved or had its guard disabled; ``owed`` holds those
+    the current round still waits for.
     """
 
     def __init__(self, g: Graph, c0: Configuration, semantics: RuleSemantics, guards):
@@ -259,6 +262,7 @@ class Execution:
         self.semantics = semantics
         self.guards = guards
         self.config = MutableConfiguration(c0)
+        self._p, self._m = list(c0.p), list(c0.m)
         self.enabled = {}
         for i in g.nodes:
             result = guards(c0, g, i, semantics)
@@ -270,19 +274,38 @@ class Execution:
     def advance(self, moved: Iterable[int]):
         """Account for a step by ``moved``, already written into ``config``.
 
-        Only the movers and their neighbors read a changed state, so each of
-        them is re-evaluated once and no other. Returns the re-evaluated
-        processes now enabled, those now disabled, and whether the step
-        closed the current round; a new round opens only while some process
-        is still enabled.
+        A guard reads its own state, its pointee's and, with a null pointer,
+        which neighbors point at it or are courtable (null pointer, m false,
+        a larger identifier unless stripped). So the movers are re-evaluated,
+        and a neighbor j of a mover i only if j was or is i's pointee, j
+        points at i, or j's pointer is null and i's courtability for j
+        changed; each once. Returns the re-evaluated processes now enabled,
+        those now disabled, and whether the step closed the current round; a
+        new round opens only while some process is still enabled.
         """
         g, guards, semantics, c = self.graph, self.guards, self.semantics, self.config
+        index, p, m, old_p, old_m = c._index, c.p, c.m, self._p, self._m
+        ident, strict = g.ident, semantics.seduction_requires_larger_id
         enabled = self.enabled
+        # the movers' closed neighborhoods as one set fix the evaluation
+        # order, which orders on/off and the audit's first counterexamples
         dirty = set(moved)
+        needed = set(moved)
         for i in moved:
-            dirty.update(g.adjacency[i])
+            adjacency = g.adjacency[i]
+            dirty.update(adjacency)
+            k = index[i]
+            needed.update((old_p[k], p[k]))
+            recourt = (p[k] is None and not m[k]) != (old_p[k] is None and not old_m[k])
+            old_p[k], old_m[k] = p[k], m[k]
+            for j in adjacency:
+                pj = p[index[j]]
+                if pj == i or recourt and pj is None and (ident[j] < ident[i] or not strict):
+                    needed.add(j)
         on, off = [], []
         for i in dirty:
+            if i not in needed:
+                continue
             result = guards(c, g, i, semantics)
             if result:
                 enabled[i] = result
@@ -525,7 +548,7 @@ def run(
     """Iterate select/apply until no process is enabled or the cap is hit.
 
     Each step is written into the Execution's configuration in place, and
-    the Execution re-evaluates the movers and their neighbors; from what it
+    the Execution re-evaluates the guards the step can change; from what it
     reports the loop updates, in place, the enabled set with its daemon
     orders and the pending-since map the fair daemon reads, so a step costs
     time in proportion to the processes it touches.

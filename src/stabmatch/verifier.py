@@ -224,8 +224,9 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     carry the first counterexample step and a configuration snapshot.
 
     The replay runs on an Execution evaluating ``enabled_rules``, so each
-    process's guards are known and each dirty process is re-evaluated once
-    per step, and each step is written into its configuration in place: a
+    process's guards are known and, after each step, only the movers and
+    the neighbors whose guards read a changed state are re-evaluated, once
+    each; each step is written into its configuration in place: a
     snapshot of the configuration before a step is rebuilt from the movers'
     previous states, and only for a first failure. Married pairs are
     indexed by node, so only the movers' pairs are checked for separation.

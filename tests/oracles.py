@@ -2,7 +2,7 @@
 
 These deliberately avoid the package's fast paths: maximality is decided by
 trying every superset, rounds are recomputed with a full eligibility scan at
-every configuration, the five predicates are transcribed literally, and the
+every configuration, the five predicates and the four guards are transcribed literally, and the
 reference daemon sorts the enabled set and rebuilds its pending and owed
 bookkeeping from scratch on every step, and the reference search fires
 every branch with apply_step on a frozen configuration. If an oracle and
@@ -201,6 +201,27 @@ def literal_predicates(c, g, i):
         "dead": p is None and all(married(j) for j in g.adjacency[i]),
         "free": p is None and any(not married(j) for j in g.adjacency[i]),
     }
+
+
+def literal_guards(c, g, i, semantics=STANDARD):
+    """The four guards transcribed one to one, read through p_of/m_of, in
+    the order enabled_rules lists them."""
+    p, m = c.p_of(i), c.m_of(i)
+    married = p is not None and c.p_of(p) == i
+    courted = any(c.p_of(j) == i for j in g.adjacency[i])
+    courtable = any(
+        c.p_of(j) is None and not c.m_of(j)
+        and (g.ident[j] > g.ident[i] or not semantics.seduction_requires_larger_id)
+        for j in g.adjacency[i]
+    )
+    holds = {
+        Rule.UPDATE: m != married,
+        Rule.MARRIAGE: m == married and p is None and courted,
+        Rule.SEDUCTION: m == married and p is None and not courted and courtable,
+        Rule.ABANDONMENT: m == married and p is not None and c.p_of(p) != i
+        and (c.m_of(p) or g.ident[p] <= g.ident[i]),
+    }
+    return tuple(rule for rule, ok in holds.items() if ok)
 
 
 def starvation_streaks(trace: Trace):

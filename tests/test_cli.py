@@ -210,7 +210,17 @@ class TestSearch:
     def test_large_all_mode_warns(self, workdir, capsys):
         main(["gen", "--kind", "cycle", "--n", "6", "--out", "c6.g"])
         main(["search", "--graph", "c6.g", "--init", "all", "--budget", "10"])
-        assert "warning" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "warning" in err and "46656 configurations" in err and "--budget 10" in err
+
+    def test_all_mode_within_budget_does_not_warn(self, workdir, capsys):
+        """K5 has 10**5 well-formed configurations, within the default
+        budget, so its all-configurations search completes unwarned."""
+        main(["gen", "--kind", "complete", "--n", "5", "--out", "k5.g"])
+        capsys.readouterr()
+        assert main(["search", "--graph", "k5.g", "--init", "all"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "warning" not in captured.err and "complete: true" in captured.out
 
     def test_progress_goes_to_stderr_and_leaves_stdout_unchanged(
             self, workdir, capsys, monkeypatch):

@@ -1,16 +1,21 @@
 """The replay kernel against full rescans: after every step its enabled map
 equals every node's guards evaluated afresh, and its round index is the one
-the round definition gives, as ``rescan_rounds`` recomputes it."""
+the round definition gives, as ``rescan_rounds`` recomputes it. The inputs
+include tied identifiers, node keys that are not 0..n-1 and dense graphs,
+since which neighbors a step re-evaluates depends on identifier order and
+the guards read states through the node index."""
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabmatch.graph import generate
+from stabmatch.graph import Graph, generate
 from stabmatch.protocol import (
     STANDARD,
     Configuration,
+    Rule,
     RuleSemantics,
     enabled_rule,
     enabled_rules,
@@ -19,6 +24,7 @@ from stabmatch.protocol import (
 from stabmatch.scheduler import (
     DaemonPolicy,
     Execution,
+    apply_step,
     replay_step,
     run,
     trace_counters,
@@ -26,6 +32,7 @@ from stabmatch.scheduler import (
 )
 from stabmatch.verifier import audit_trace
 
+from .conftest import config_of
 from .golden_corpus import all_policies
 from .oracles import replay_configurations, rescan_rounds
 
@@ -33,10 +40,25 @@ BROKEN = RuleSemantics(seduction_requires_larger_id=False)
 
 
 @st.composite
-def run_inputs(draw):
+def run_inputs(draw, traceable=False):
+    """A run's inputs; ``traceable`` keeps each identifier equal to its node
+    key, the only labeling a trace file carries."""
     n = draw(st.integers(1, 12))
-    m = draw(st.integers(n - 1, n * (n - 1) // 2))
-    g = generate("random_gnm", n, m, draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(("random_gnm", "complete", "star")))
+    m = draw(st.integers(n - 1, n * (n - 1) // 2)) if kind == "random_gnm" else None
+    g = generate(kind, n, m, draw(st.integers(0, 2**16)))
+    if not traceable and draw(st.booleans()):
+        # small identifier range: ties everywhere, broken by node key
+        values = st.integers(0, max(1, n // 3))
+        g = Graph(g.nodes, g.adjacency, {u: draw(values) for u in g.nodes})
+    if n > 1 and draw(st.booleans()):
+        # sparse node keys in a shuffled order, each keeping its identifier
+        # (a trace file names a lone node 0)
+        order = draw(st.permutations(range(n)))
+        offset, stride = draw(st.integers(1, 50)), draw(st.integers(2, 5))
+        key = {u: offset + stride * order[u] for u in g.nodes}
+        g = Graph.from_edges(key.values(), [(key[u], key[v]) for u, v in g.edges()],
+                             None if traceable else {key[u]: g.ident[u] for u in g.nodes})
     semantics = draw(st.sampled_from((STANDARD, BROKEN)))
     policy = DaemonPolicy.parse(draw(st.sampled_from(all_policies())),
                                 draw(st.integers(0, 2**16)))
@@ -74,6 +96,69 @@ def test_execution_matches_full_rescan(case, guards):
     assert (not execution.enabled) == trace.stable
 
 
+# One step on a path of n nodes, and a non-mover whose guard the step
+# changes through exactly one clause of advance's dependency rule: (n, ident,
+# initial states, mover, semantics, the non-mover and its rule after the step).
+ONE_CLAUSE_STEPS = {
+    # 0 abandons 1 over tied identifiers: its old pointee loses a suitor
+    "old pointee": (2, {0: 0, 1: 0}, {0: (1, False)}, 0, STANDARD, 1, None),
+    # 0 courts 1, which gains a suitor but could not court 0 back
+    "new pointee": (2, {}, {}, 0, STANDARD, 1, Rule.MARRIAGE),
+    # 1 flags its marriage to 2: 0, pointing at 1, may now abandon it
+    "points at mover": (3, {}, {0: (1, False), 1: (2, False), 2: (1, False)}, 1, STANDARD,
+                        0, Rule.ABANDONMENT),
+    # 1 clears a stale flag and becomes courtable by its smaller neighbor 0
+    "courtable": (2, {}, {1: (None, True)}, 1, STANDARD, 0, Rule.SEDUCTION),
+    # the same for the larger neighbor 1, once the identifier guard is stripped
+    "courtable, stripped": (2, {}, {0: (None, True)}, 0, BROKEN, 1, Rule.SEDUCTION),
+}
+
+
+@pytest.mark.parametrize("case", ONE_CLAUSE_STEPS.values(), ids=ONE_CLAUSE_STEPS)
+@pytest.mark.parametrize("guards", [enabled_rule, enabled_rules])
+def test_each_dependency_clause_reevaluates_its_neighbor(case, guards):
+    n, ident, states, mover, semantics, watched, rule_after = case
+    g = generate("path", n)
+    g = Graph(g.nodes, g.adjacency, ident)
+    execution = Execution(g, config_of(g, states), semantics, guards)
+    before = execution.enabled.get(watched)
+    apply_step(execution.config, g, [mover], semantics)
+    execution.advance([mover])
+    after = guards(execution.config, g, watched, semantics) or None
+    assert after != before and after in (rule_after, (rule_after,))
+    assert execution.enabled.get(watched) == after
+
+
+@pytest.mark.parametrize("kind", ["complete", "star"])
+@pytest.mark.parametrize("semantics", [STANDARD, BROKEN], ids=["standard", "stripped"])
+@pytest.mark.parametrize("guards", [enabled_rule, enabled_rules])
+def test_dense_steps_reevaluate_fewer_than_the_movers_neighborhoods(kind, semantics, guards):
+    """On a dense graph a sequential step's mover has many neighbors, and
+    few of them read what it changed: advance evaluates fewer guards than
+    the movers and all their neighbors, and still agrees with a rescan."""
+    g = generate(kind, 14)
+    trace = run(g, random_configuration(g, 3), DaemonPolicy("sequential_random", seed=5),
+                semantics=semantics)
+    evaluated = []  # the process of each guard evaluation
+
+    def counted(*args):
+        evaluated.append(args[2])
+        return guards(*args)
+
+    execution = Execution(g, trace.initial, semantics, counted)
+    evaluated.clear()
+    neighborhoods = 0
+    for record in trace.records:
+        moved = {mv.node for mv in record.moves}
+        replay_step(execution.config, g, record.moves, semantics)
+        execution.advance(moved)
+        neighborhoods += len(moved.union(*(g.adjacency[i] for i in moved)))
+        c = execution.config
+        assert execution.enabled == {
+            i: r for i in g.nodes if (r := guards(c, g, i, semantics))}
+    assert trace.steps > 1 and len(evaluated) < neighborhoods
+
+
 def _frozen(c):
     assert type(c) is Configuration
     assert type(c.p) is tuple and type(c.m) is tuple
@@ -81,7 +166,7 @@ def _frozen(c):
 
 
 @settings(max_examples=150, deadline=None)
-@given(run_inputs())
+@given(run_inputs(traceable=True))
 def test_replays_in_place_never_write_a_kept_configuration(case):
     """run, the audit and trace_counters write their steps into a mutable
     copy: the caller's c0 and the trace's endpoints stay as they were, and

@@ -7,9 +7,11 @@ from stabmatch.graph import Graph, generate
 from stabmatch.protocol import (
     ConfigFormatError,
     Configuration,
+    MutableConfiguration,
     PredicateClass,
     ProcessState,
     Rule,
+    RuleSemantics,
     classify,
     command_target,
     enabled_rule,
@@ -21,7 +23,7 @@ from stabmatch.protocol import (
 )
 
 from .conftest import config_of
-from .oracles import literal_predicates
+from .oracles import literal_guards, literal_predicates
 
 
 @st.composite
@@ -115,6 +117,28 @@ class TestEnabledRule:
             rules = enabled_rules(c, g, i)
             assert len(rules) <= 1
             assert enabled_rule(c, g, i) == (rules[0] if rules else None)
+
+
+    @given(graph_and_config(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_guards_match_their_literal_transcription(self, gc, data):
+        """The guards read the state lists through the node index; under
+        tied identifiers, sparse node keys and both semantics they agree
+        with the guards read one process at a time, on a frozen and on a
+        mutable configuration."""
+        g, c = gc
+        key = {u: 7 + 3 * k for k, u in enumerate(data.draw(st.permutations(g.nodes)))}
+        ident = {key[u]: data.draw(st.integers(0, 2)) for u in g.nodes}
+        g = Graph.from_edges(key.values(), [(key[u], key[v]) for u, v in g.edges()], ident)
+        c = Configuration.from_states(g, {
+            key[u]: ProcessState(None if c.p_of(u) is None else key[c.p_of(u)], c.m_of(u))
+            for u in c.nodes})
+        for semantics in (RuleSemantics(), RuleSemantics(seduction_requires_larger_id=False)):
+            for config in (c, MutableConfiguration(c)):
+                for i in g.nodes:
+                    rules = literal_guards(c, g, i, semantics)
+                    assert enabled_rules(config, g, i, semantics) == rules
+                    assert enabled_rule(config, g, i, semantics) == (rules[0] if rules else None)
 
 
 class TestCommandTarget:

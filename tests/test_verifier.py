@@ -195,27 +195,32 @@ class TestAuditOnLegitimateTraces:
 
     def test_each_guard_evaluation_lists_the_suitors_once(self, monkeypatch):
         """The marriage and seduction guards both read a process's suitors;
-        one audit must compute them at most once per enabled_rules call."""
+        one audit must compute them exactly once in each enabled_rules call
+        whose process reads them (null pointer, flag equal to its marriage
+        status) and never in any other."""
         from stabmatch import protocol, verifier
 
         g = generate("random_gnm", 60, 150, 3)
         t = run(g, random_configuration(g, 1), DaemonPolicy("sequential_random", seed=1))
-        calls = []  # marriage_suitors calls made by each enabled_rules call
+        calls = []  # per enabled_rules call: [reads suitors, marriage_suitors calls]
         enabled_rules, marriage_suitors = protocol.enabled_rules, protocol.marriage_suitors
 
-        def counted_rules(*args):
-            calls.append(0)
-            return enabled_rules(*args)
+        def counted_rules(c, g, i, semantics):
+            # a null pointer means unmarried, so the flag must be false
+            reads = c.p_of(i) is None and not c.m_of(i)
+            calls.append([reads, 0])
+            return enabled_rules(c, g, i, semantics)
 
         def counted_suitors(*args):
-            calls[-1] += 1
+            calls[-1][1] += 1
             return marriage_suitors(*args)
 
         monkeypatch.setattr(verifier, "enabled_rules", counted_rules)
         monkeypatch.setattr(protocol, "marriage_suitors", counted_suitors)
         report = audit_trace(t)
         assert report.all_pass
-        assert max(calls) == 1 and sum(calls) > t.steps
+        assert all(count == (1 if reads else 0) for reads, count in calls)
+        assert any(reads for reads, _ in calls)
 
 
 class TestForgedTraces:
