@@ -14,10 +14,13 @@ following a script or the audit checking a recorded trace, goes through one
 that each step's writes update in place, the map from each enabled process
 to its guard result, the round index and the set of processes the current
 round still owes a move or a disabling. After a step it evaluates, once
-each, the movers and those of their neighbors whose guard reads a state
-the step changed, and updates the map and the rounds from those results.
-So a step costs time in proportion to the guards it can change, not to n;
-a frozen Configuration is built only for the trace's initial and final
+each and in no fixed order, the movers and those of their neighbors whose
+guard reads a state the step changed, and updates the map and the rounds
+from those results. A recorded step is resolved from the state lists and
+written into them in place by ``realize_moves`` and ``apply_realized``,
+the one move resolution every replay of a trace shares. So a step costs
+time in proportion to the guards it can change, not to n; a frozen
+Configuration is built only for the trace's initial and final
 configurations.
 """
 
@@ -39,9 +42,7 @@ from .protocol import (
     STANDARD,
     command_target,
     enabled_rule,
-    marriage_suitors,
     parse_configuration,
-    seduction_candidates,
 )
 
 POLICY_KINDS = (
@@ -251,7 +252,8 @@ class Execution:
     ``enabled_rules``. ``config`` is a MutableConfiguration copied from
     ``c0``, which the caller writes each step's movers into before calling
     ``advance``; the Execution keeps each process's state as of the last
-    ``advance``, so it knows what every mover changed. A round closes at the
+    ``advance``, so it knows what every mover changed, and until then
+    ``previous_state`` gives a mover's pre-step state. A round closes at the
     earliest step after which every process eligible at the round's first
     configuration has moved or had its guard disabled; ``owed`` holds those
     the current round still waits for.
@@ -277,35 +279,32 @@ class Execution:
         A guard reads its own state, its pointee's and, with a null pointer,
         which neighbors point at it or are courtable (null pointer, m false,
         a larger identifier unless stripped). So the movers are re-evaluated,
-        and a neighbor j of a mover i only if j was or is i's pointee, j
-        points at i, or j's pointer is null and i's courtability for j
-        changed; each once. Returns the re-evaluated processes now enabled,
-        those now disabled, and whether the step closed the current round; a
-        new round opens only while some process is still enabled.
+        their old and new pointees when the pointer changed, and a neighbor j
+        of a mover i if j points at i, or j's pointer is null and i's
+        courtability for j changed; each once, in no fixed order: the guards
+        are mutually exclusive by construction, and nothing built from on/off
+        depends on their order. Returns the re-evaluated processes now
+        enabled, those now disabled, and whether the step closed the current
+        round; a new round opens only while some process is still enabled.
         """
         g, guards, semantics, c = self.graph, self.guards, self.semantics, self.config
         index, p, m, old_p, old_m = c._index, c.p, c.m, self._p, self._m
         ident, strict = g.ident, semantics.seduction_requires_larger_id
         enabled = self.enabled
-        # the movers' closed neighborhoods as one set fix the evaluation
-        # order, which orders on/off and the audit's first counterexamples
-        dirty = set(moved)
         needed = set(moved)
         for i in moved:
-            adjacency = g.adjacency[i]
-            dirty.update(adjacency)
             k = index[i]
-            needed.update((old_p[k], p[k]))
+            if p[k] != old_p[k]:
+                needed.update((old_p[k], p[k]))
             recourt = (p[k] is None and not m[k]) != (old_p[k] is None and not old_m[k])
             old_p[k], old_m[k] = p[k], m[k]
-            for j in adjacency:
+            for j in g.adjacency[i]:
                 pj = p[index[j]]
                 if pj == i or recourt and pj is None and (ident[j] < ident[i] or not strict):
                     needed.add(j)
+        needed.discard(None)
         on, off = [], []
-        for i in dirty:
-            if i not in needed:
-                continue
+        for i in needed:
             result = guards(c, g, i, semantics)
             if result:
                 enabled[i] = result
@@ -321,6 +320,11 @@ class Execution:
             self.round += 1
             self.owed = set(enabled)
         return on, off, closed
+
+    def previous_state(self, i: int) -> ProcessState:
+        """Process i's state as of the last ``advance``: a mover's pre-step state."""
+        k = self.config._index[i]
+        return ProcessState(self._p[k], self._m[k])
 
 
 @dataclass(frozen=True)
@@ -453,66 +457,77 @@ def realize_moves(
     """Resolve recorded moves against their pre-step configuration.
 
     The returned moves carry concrete targets: the married suitor, the
-    courted neighbor, or the partner an abandonment drops. Commands are
-    resolved even if a recorded rule is not actually enabled; enabledness is
-    the verifier's concern, while structurally impossible moves raise
-    TraceFormatError.
+    courted neighbor, or the partner an abandonment drops. A recorded move
+    already concrete (an update, or a marriage naming a neighbor that points
+    at the mover) is returned as is. The default suitor and the seduction
+    target take one pass over the adjacency, reading ``c.p``/``c.m`` through
+    the node index, and keep the first maximum by identifier, as
+    ``max(..., key=ident)`` does. Commands are resolved even if a recorded
+    rule is not actually enabled; enabledness is the verifier's concern,
+    while structurally impossible moves raise TraceFormatError.
     """
+    index, p, m, ident, adjacency = c._index, c.p, c.m, g.ident, g.adjacency
+    strict = semantics.seduction_requires_larger_id
     out = []
     for mv in moves:
-        if mv.rule is Rule.UPDATE:
-            out.append(Move(mv.node, Rule.UPDATE, None))
-        elif mv.rule is Rule.MARRIAGE:
-            suitors = marriage_suitors(c, g, mv.node)
-            target = mv.target
+        i, rule, target = mv.node, mv.rule, mv.target
+        if rule is Rule.UPDATE:
+            out.append(mv if target is None else Move(i, rule))
+        elif rule is Rule.MARRIAGE:
             if target is None:
-                if not suitors:
-                    raise TraceFormatError(
-                        f"marriage recorded at node {mv.node} with no suitor"
-                    )
-                target = max(suitors, key=lambda j: g.ident[j])
-            elif target not in suitors:
-                raise TraceFormatError(
-                    f"marriage target {target} is not a suitor of {mv.node}"
-                )
-            out.append(Move(mv.node, Rule.MARRIAGE, target))
-        elif mv.rule is Rule.SEDUCTION:
-            cands = seduction_candidates(c, g, mv.node, semantics)
-            if not cands:
-                raise TraceFormatError(
-                    f"seduction recorded at node {mv.node} with no candidate"
-                )
-            best = max(cands, key=lambda j: g.ident[j])
-            out.append(Move(mv.node, Rule.SEDUCTION, best))
-        elif mv.rule is Rule.ABANDONMENT:
-            old = c.p_of(mv.node)
+                for j in adjacency[i]:
+                    if p[index[j]] == i and (target is None or ident[j] > ident[target]):
+                        target = j
+                if target is None:
+                    raise TraceFormatError(f"marriage recorded at node {i} with no suitor")
+                out.append(Move(i, rule, target))
+            elif (k := index.get(target)) is not None and p[k] == i and target in adjacency[i]:
+                out.append(mv)
+            else:
+                raise TraceFormatError(f"marriage target {target} is not a suitor of {i}")
+        elif rule is Rule.SEDUCTION:
+            # stripped, every neighbor qualifies: identifiers are nonnegative
+            above, best = ident[i] if strict else -1, None
+            for j in adjacency[i]:
+                if p[kj := index[j]] is None and not m[kj] and ident[j] > above:
+                    above, best = ident[j], j
+            if best is None:
+                raise TraceFormatError(f"seduction recorded at node {i} with no candidate")
+            out.append(Move(i, rule, best))
+        elif rule is Rule.ABANDONMENT:
+            old = p[index[i]]
             if old is None:
-                raise TraceFormatError(
-                    f"abandonment recorded at node {mv.node} with a null pointer"
-                )
-            out.append(Move(mv.node, Rule.ABANDONMENT, old))
+                raise TraceFormatError(f"abandonment recorded at node {i} with a null pointer")
+            out.append(Move(i, rule, old))
         else:
-            raise TraceFormatError(f"unknown rule in record: {mv.rule}")
+            raise TraceFormatError(f"unknown rule in record: {rule}")
     return tuple(out)
 
 
 def apply_realized(
     c: Configuration, g: Graph, realized: Iterable[Move]
 ) -> Configuration:
-    """Apply the writes of realized moves simultaneously: all are resolved
-    against ``c`` before any is written, in place into a
-    MutableConfiguration."""
-    writes = {}
+    """Apply the writes of realized moves simultaneously.
+
+    Every (index, p, m) write is computed from ``c``'s state lists before any
+    is made; a MutableConfiguration gets them written into its lists in
+    place and is returned, a frozen Configuration gives a new one through
+    ``with_writes``.
+    """
+    index, p, m = c._index, c.p, c.m
+    writes = []
     for mv in realized:
+        i, k = mv.node, index[mv.node]
         if mv.rule is Rule.UPDATE:
-            j = c.p_of(mv.node)
-            married = j is not None and c.p_of(j) == mv.node
-            writes[mv.node] = ProcessState(c.p_of(mv.node), married)
-        elif mv.rule is Rule.ABANDONMENT:
-            writes[mv.node] = ProcessState(None, c.m_of(mv.node))
-        else:
-            writes[mv.node] = ProcessState(mv.target, c.m_of(mv.node))
-    return c.with_writes(writes)
+            j = p[k]
+            writes.append((k, j, j is not None and p[index[j]] == i))
+        else:  # abandonment realizes its dropped partner, the write is null
+            writes.append((k, None if mv.rule is Rule.ABANDONMENT else mv.target, m[k]))
+    if isinstance(c, MutableConfiguration):
+        for k, pk, mk in writes:
+            p[k], m[k] = pk, mk
+        return c
+    return c.with_writes({c.nodes[k]: ProcessState(pk, mk) for k, pk, mk in writes})
 
 
 def replay_step(
@@ -677,6 +692,9 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_RULE_BY_NAME = {rule.value: rule for rule in Rule}
+
+
 def parse_trace(text: str) -> Trace:
     """Decode a trace file; structural errors raise TraceFormatError."""
     header = None
@@ -704,8 +722,8 @@ def parse_trace(text: str) -> Trace:
                 for entry in obj["moves"]:
                     node, rule_name = entry[0], entry[1]
                     try:
-                        rule = Rule(rule_name)
-                    except ValueError:
+                        rule = _RULE_BY_NAME[rule_name]
+                    except (KeyError, TypeError):  # TypeError: an unhashable name
                         raise TraceFormatError(
                             f"line {lineno}: unknown rule {rule_name!r}"
                         ) from None

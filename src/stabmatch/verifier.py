@@ -226,12 +226,15 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     The replay runs on an Execution evaluating ``enabled_rules``, so each
     process's guards are known and, after each step, only the movers and
     the neighbors whose guards read a changed state are re-evaluated, once
-    each; each step is written into its configuration in place: a
-    snapshot of the configuration before a step is rebuilt from the movers'
-    previous states, and only for a first failure. Married pairs are
-    indexed by node, so only the movers' pairs are checked for separation.
-    The active set is computed at round boundaries only when the policy
-    makes active_component_shrink applicable.
+    each. Each step is resolved and written into the Execution's state
+    lists in place by ``realize_moves`` and ``apply_realized``, and one
+    pass over its realized moves checks enabledness and counts updates and
+    edge steps. A snapshot of the configuration before a step is rebuilt,
+    only for a first failure, from the pre-step states the Execution keeps
+    until ``advance``. Married pairs are indexed by node, so only the
+    movers' pairs are checked for separation. The active set is computed at
+    round boundaries only when the policy makes active_component_shrink
+    applicable.
     """
     g = trace.graph
     n, m = g.n, g.m
@@ -265,44 +268,45 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             raise CorruptTraceError(
                 f"corrupt trace: step {record.index} has no moves"
             )
-        seen_nodes = set()
+        moved = set()
         for mv in record.moves:
             if mv.node not in g.adjacency:
                 raise CorruptTraceError(
                     f"corrupt trace: step {record.index} moves unknown node {mv.node}"
                 )
-            if mv.node in seen_nodes:
+            if mv.node in moved:
                 raise CorruptTraceError(
                     f"corrupt trace: step {record.index} moves node {mv.node} twice"
                 )
-            seen_nodes.add(mv.node)
+            moved.add(mv.node)
         try:
             realized = realize_moves(c, g, record.moves, semantics)
         except TraceFormatError as exc:
             raise CorruptTraceError(
                 f"corrupt trace: step {record.index}: {exc}"
             ) from exc
-        for mv in realized:
-            if mv.rule not in execution.enabled.get(mv.node, ()):
-                fails.hit(
-                    "moves_enabled", record.index,
-                    f"node {mv.node} executed {mv.rule.value} while not enabled",
-                    snapshot=c.to_text,
-                )
         total_moves += len(realized)
 
+        enabled = execution.enabled
         step_edges = set()
         for mv in realized:
+            i = mv.node
+            if mv.rule not in enabled.get(i, ()):
+                fails.hit(
+                    "moves_enabled", record.index,
+                    f"node {i} executed {mv.rule.value} while not enabled",
+                    snapshot=c.to_text,
+                )
             if mv.rule is Rule.UPDATE:
-                update_counts[mv.node] += 1
-                if update_counts[mv.node] == 3:
+                update_counts[i] += 1
+                if update_counts[i] == 3:
                     fails.hit(
                         "update_limit", record.index,
-                        f"node {mv.node} executed its third update",
+                        f"node {i} executed its third update",
                         snapshot=c.to_text,
                     )
             else:
-                step_edges.add((min(mv.node, mv.target), max(mv.node, mv.target)))
+                step_edges.add((min(i, mv.target), max(i, mv.target)))
         for e in step_edges:
             edge_step_counts[e] += 1
             if edge_step_counts[e] == 3:
@@ -314,12 +318,11 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     snapshot=c.to_text,
                 )
 
-        moved = {mv.node for mv in realized}
         touched = {pair_of[i] for i in moved if i in pair_of}
-        previous = {i: c.state(i) for i in moved} if touched else None
         apply_realized(c, g, realized)
+        index, p = c._index, c.p
         separated = [
-            (u, v) for u, v in touched if not (c.p_of(u) == v and c.p_of(v) == u)
+            (u, v) for u, v in touched if not (p[index[u]] == v and p[index[v]] == u)
         ]
         if len(separated) > 1:
             # report them in the married set's order, as a scan of it would
@@ -329,13 +332,14 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             fails.hit(
                 "marriage_persistence", record.index,
                 f"married pair ({u}, {v}) separated",
-                snapshot=lambda: c.freeze().with_writes(previous).to_text(),
+                snapshot=lambda: c.freeze().with_writes(
+                    {i: execution.previous_state(i) for i in moved}).to_text(),
             )
             married.discard((u, v))
             del pair_of[u], pair_of[v]
         for i in moved:
-            j = c.p_of(i)
-            if j is not None and c.p_of(j) == i:
+            j = p[index[i]]
+            if j is not None and p[index[j]] == i:
                 pair = (min(i, j), max(i, j))
                 married.add(pair)
                 pair_of[i] = pair_of[j] = pair

@@ -2,7 +2,8 @@
 
 These deliberately avoid the package's fast paths: maximality is decided by
 trying every superset, rounds are recomputed with a full eligibility scan at
-every configuration, the five predicates and the four guards are transcribed literally, and the
+every configuration, the five predicates, the four guards and the
+resolution of a recorded step are transcribed literally, and the
 reference daemon sorts the enabled set and rebuilds its pending and owed
 bookkeeping from scratch on every step, and the reference search fires
 every branch with apply_step on a frozen configuration. If an oracle and
@@ -19,6 +20,7 @@ from typing import Iterable, Optional, Union
 from stabmatch.graph import Graph
 from stabmatch.protocol import (
     Configuration,
+    ProcessState,
     RuleSemantics,
     Rule,
     STANDARD,
@@ -27,8 +29,10 @@ from stabmatch.protocol import (
     marriage_suitors,
 )
 from stabmatch.scheduler import (
+    Move,
     StepRecord,
     Trace,
+    TraceFormatError,
     apply_step,
     default_step_cap,
     replay_step,
@@ -222,6 +226,58 @@ def literal_guards(c, g, i, semantics=STANDARD):
         and (c.m_of(p) or g.ident[p] <= g.ident[i]),
     }
     return tuple(rule for rule, ok in holds.items() if ok)
+
+
+def literal_realize(c, g, moves, semantics=STANDARD):
+    """A recorded step resolved and applied as the rules read, through
+    p_of/m_of and max(..., key=ident): the realized moves and the frozen
+    configuration after the step, or the TraceFormatError the step raises.
+    ``c`` itself is left as it is."""
+    ident = g.ident
+
+    def suitors(i):
+        return [j for j in g.adjacency[i] if c.p_of(j) == i]
+
+    realized = []
+    for mv in moves:
+        i = mv.node
+        if mv.rule is Rule.UPDATE:
+            realized.append(Move(i, Rule.UPDATE))
+        elif mv.rule is Rule.MARRIAGE:
+            if mv.target is None:
+                if not suitors(i):
+                    raise TraceFormatError(f"marriage recorded at node {i} with no suitor")
+                realized.append(Move(i, Rule.MARRIAGE, max(suitors(i), key=lambda j: ident[j])))
+            elif mv.target in suitors(i):
+                realized.append(Move(i, Rule.MARRIAGE, mv.target))
+            else:
+                raise TraceFormatError(f"marriage target {mv.target} is not a suitor of {i}")
+        elif mv.rule is Rule.SEDUCTION:
+            courtable = [
+                j for j in g.adjacency[i]
+                if c.p_of(j) is None and not c.m_of(j)
+                and (ident[j] > ident[i] or not semantics.seduction_requires_larger_id)
+            ]
+            if not courtable:
+                raise TraceFormatError(f"seduction recorded at node {i} with no candidate")
+            realized.append(Move(i, Rule.SEDUCTION, max(courtable, key=lambda j: ident[j])))
+        elif mv.rule is Rule.ABANDONMENT:
+            if c.p_of(i) is None:
+                raise TraceFormatError(
+                    f"abandonment recorded at node {i} with a null pointer")
+            realized.append(Move(i, Rule.ABANDONMENT, c.p_of(i)))
+        else:
+            raise TraceFormatError(f"unknown rule in record: {mv.rule}")
+    states = {i: ProcessState(c.p_of(i), c.m_of(i)) for i in g.nodes}
+    for mv in realized:
+        i, p = mv.node, c.p_of(mv.node)
+        if mv.rule is Rule.UPDATE:
+            states[i] = ProcessState(p, p is not None and c.p_of(p) == i)
+        elif mv.rule is Rule.ABANDONMENT:
+            states[i] = ProcessState(None, c.m_of(i))
+        else:
+            states[i] = ProcessState(mv.target, c.m_of(i))
+    return tuple(realized), Configuration.from_states(g, states)
 
 
 def starvation_streaks(trace: Trace):

@@ -15,6 +15,7 @@ import inspect
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import stabmatch.cli
@@ -31,6 +32,9 @@ def _load_tracer_module():
 
 
 def test_tracer_wraps_and_counts_run_and_verify(tmp_path):
+    """Under the sequential daemon and the synchronous one (conc_large's
+    policy family), a verify on its own replays the trace through
+    realize_moves and apply_realized, the resolution every replay shares."""
     tracer = _load_tracer_module().Tracer()
     graph = tmp_path / "g.txt"
     graph.write_text(write_graph(generate("random_gnm", 30, 60, seed=1)))
@@ -38,13 +42,20 @@ def test_tracer_wraps_and_counts_run_and_verify(tmp_path):
     tracer.install()
     try:
         assert tracer.unbound_originals() == []
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert stabmatch.cli.main(
-                ["run", "--graph", str(graph), "--init", "random:1",
-                 "--policy", "sequential_random", "--seed", "1",
-                 "--trace-out", str(trace)]) == 0
-            assert stabmatch.cli.main(["verify", "--trace", str(trace)]) == 0
-        tracer.end_command()
+        for policy in ("sequential_random", "synchronous"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert stabmatch.cli.main(
+                    ["run", "--graph", str(graph), "--init", "random:1",
+                     "--policy", policy, "--seed", "1",
+                     "--trace-out", str(trace)]) == 0
+            tracer.end_command()
+            before = Counter(tracer.calls)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert stabmatch.cli.main(["verify", "--trace", str(trace)]) == 0
+            tracer.end_command()
+            verify_calls = tracer.calls - before
+            for name in ("scheduler.realize_moves", "scheduler.apply_realized"):
+                assert verify_calls[name] > 0, (policy, name)
     finally:
         tracer.uninstall()
     for name in ("protocol.Configuration.with_writes", "scheduler.apply_realized",

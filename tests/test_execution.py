@@ -24,6 +24,7 @@ from stabmatch.protocol import (
 from stabmatch.scheduler import (
     DaemonPolicy,
     Execution,
+    Move,
     apply_step,
     replay_step,
     run,
@@ -127,6 +128,28 @@ def test_each_dependency_clause_reevaluates_its_neighbor(case, guards):
     after = guards(execution.config, g, watched, semantics) or None
     assert after != before and after in (rule_after, (rule_after,))
     assert execution.enabled.get(watched) == after
+
+
+@pytest.mark.parametrize("guards", [enabled_rule, enabled_rules])
+def test_update_move_does_not_reevaluate_a_pointee_that_points_elsewhere(guards):
+    """0 clears a stale flag while pointing at 1, and 1 points at 2: the
+    move changes nothing 1's guard reads, so 1 is not re-evaluated."""
+    g = generate("path", 3)
+    states = {0: (1, True), 1: (2, False), 2: (None, False)}
+    evaluated = []
+
+    def counted(*args):
+        evaluated.append(args[2])
+        return guards(*args)
+
+    execution = Execution(g, config_of(g, states), STANDARD, counted)
+    evaluated.clear()
+    replay_step(execution.config, g, [Move(0, Rule.UPDATE)])
+    execution.advance([0])
+    assert evaluated == [0]
+    c = execution.config
+    assert c.m_of(0) is False
+    assert execution.enabled == {i: r for i in g.nodes if (r := guards(c, g, i, STANDARD))}
 
 
 @pytest.mark.parametrize("kind", ["complete", "star"])

@@ -3,10 +3,17 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stabmatch.graph import Graph, generate
-from stabmatch.protocol import Configuration, ProcessState, Rule
+from stabmatch.protocol import (
+    STANDARD,
+    Configuration,
+    MutableConfiguration,
+    ProcessState,
+    Rule,
+    enabled_rule,
+)
 from stabmatch.scheduler import (
     HEURISTIC_STRATEGIES,
     DaemonPolicy,
@@ -15,10 +22,12 @@ from stabmatch.scheduler import (
     SchedulerState,
     Trace,
     TraceFormatError,
+    apply_realized,
     apply_step,
     default_step_cap,
     make_state,
     parse_trace,
+    realize_moves,
     replay_step,
     round_bound,
     run,
@@ -31,7 +40,13 @@ from stabmatch.scheduler import (
 from stabmatch.verifier import audit_trace
 
 from .conftest import config_of
-from .oracles import all_sequential_step_counts, rescan_rounds, starvation_streaks
+from .oracles import (
+    all_sequential_step_counts,
+    literal_realize,
+    rescan_rounds,
+    starvation_streaks,
+)
+from .test_execution import run_inputs
 
 ALL_POLICIES = [
     DaemonPolicy("sequential_random", seed=3),
@@ -363,6 +378,12 @@ class TestTraceSerialization:
         with pytest.raises(TraceFormatError, match="unknown rule"):
             parse_trace(text)
 
+    def test_rule_name_that_is_not_a_string_is_an_unknown_rule(self):
+        t = self._trace()
+        text = write_trace(t).replace('"seduction"', '["seduction"]', 1)
+        with pytest.raises(TraceFormatError, match=r"unknown rule \['seduction'\]"):
+            parse_trace(text)
+
 
 class TestTraceFromSchedule:
     def test_matches_engine_on_recorded_schedule(self, two_suitors):
@@ -417,3 +438,58 @@ def test_default_step_cap_is_bound_plus_one(p3):
     assert step_bound(p3) == 3 * 3 + 2 * 2
     assert round_bound(p3) == 2 * 3 + 1
     assert default_step_cap(p3) == 3 * 3 + 2 * 2 + 1
+
+
+@st.composite
+def recorded_steps(draw):
+    """A configuration and a step as a trace could record it, resolvable or
+    not: any rule at any node, most often its enabled one so that several
+    moves resolve together, a marriage naming no target, a neighbor
+    (pointing at the mover or not) or a key that is no node, and a target on
+    a rule that carries none."""
+    g, c0, _, semantics = draw(run_inputs())
+    moves = []
+    for i in draw(st.lists(st.sampled_from(g.nodes), min_size=1, max_size=g.n)):
+        rules = [*Rule, *[enabled_rule(c0, g, i, semantics) or Rule.UPDATE] * 4]
+        target = st.sampled_from([max(g.nodes) + 1, *g.adjacency[i]])
+        moves.append(Move(i, draw(st.sampled_from(rules)), draw(st.none() | target)))
+    return g, c0, tuple(moves), semantics
+
+
+def _resolved(resolve):
+    try:
+        return resolve()
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+# a star whose leaves 2 and 3 tie for the largest identifier: the default
+# suitor and the seduction target are the first of them, as max() picks
+TIED_STAR = Graph.from_edges(range(5), [(0, j) for j in range(1, 5)],
+                             {0: 0, 1: 5, 2: 7, 3: 7, 4: 2})
+
+
+@settings(max_examples=400, deadline=None)
+@given(recorded_steps(), st.booleans())
+@example((TIED_STAR, config_of(TIED_STAR, {j: (0, False) for j in range(1, 5)}),
+          (Move(0, Rule.MARRIAGE),), STANDARD), False)
+@example((TIED_STAR, Configuration.all_null(TIED_STAR), (Move(0, Rule.SEDUCTION),), STANDARD),
+         True)
+def test_resolution_matches_its_literal_transcription(case, mutable):
+    """realize_moves and apply_realized give the realized moves and the
+    configuration after the step that the transcription gives, or raise
+    the same TraceFormatError message. A frozen input is never written,
+    and a mutable one only by a step that resolves."""
+    g, c0, moves, semantics = case
+    c = MutableConfiguration(c0) if mutable else c0
+
+    def engine():
+        realized = realize_moves(c, g, moves, semantics)
+        after = apply_realized(c, g, realized)
+        assert (after is c) == mutable
+        return realized, after.freeze() if mutable else after
+
+    expected = _resolved(lambda: literal_realize(c0, g, moves, semantics))
+    assert _resolved(engine) == expected
+    if not mutable or isinstance(expected, str):
+        assert (tuple(c.p), tuple(c.m)) == (c0.p, c0.m)
