@@ -249,17 +249,23 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _search_progress():
-    """exhaustive_search's progress callback: explored states, memo size and
-    states/s on stderr, at most once a second."""
-    start = last = time.perf_counter()
+def _search_status(explored: int, memo_size: int, elapsed: float) -> None:
+    """One stderr line of search progress after ``elapsed`` seconds."""
+    elapsed = max(elapsed, 1e-9)
+    print(f"search: explored={explored} memo={memo_size} elapsed_s={elapsed:.2f} "
+          f"states_per_s={explored / elapsed:.0f}", file=sys.stderr)
+
+
+def _search_progress(start: float):
+    """exhaustive_search's progress callback: a status line on stderr at
+    most once a second."""
+    last = start
 
     def report(explored: int, memo_size: int) -> None:
         nonlocal last
         if (now := time.perf_counter()) - last >= 1.0:
             last = now
-            print(f"search: explored={explored} memo={memo_size} "
-                  f"states_per_s={explored / (now - start):.0f}", file=sys.stderr)
+            _search_status(explored, memo_size, now - start)
     return report
 
 
@@ -277,10 +283,13 @@ def cmd_search(args) -> int:
             )
     else:
         initial = _load_init(args.init, g)
+    start = time.perf_counter()
     result = exhaustive_search(
         g, initial, branch_marriage=args.branch_marriage, budget=args.budget,
-        progress=_search_progress() if args.progress else None,
+        progress=_search_progress(start) if args.progress else None,
     )
+    if args.progress:
+        _search_status(result.explored, result.memo_size, time.perf_counter() - start)
     sys.stdout.write(result.to_text())
     if args.witness_out:
         if result.livelock:
@@ -499,8 +508,8 @@ def build_parser() -> _Parser:
     p.add_argument("--witness-out", default=None,
                    help="write the worst schedule as a replayable trace")
     p.add_argument("--progress", action="store_true",
-                   help="print explored states, memo size and states/s to stderr "
-                   "about once a second")
+                   help="print explored states, memo size, elapsed seconds and "
+                   "states/s to stderr about once a second and once at the end")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("step", help="interactive schedule stepper")

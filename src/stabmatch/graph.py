@@ -106,7 +106,12 @@ class Graph:
         return len(seen) == len(self.nodes)
 
     def digest(self) -> str:
-        return hashlib.sha256(write_graph(self).encode()).hexdigest()[:16]
+        return text_digest(write_graph(self))
+
+
+def text_digest(graph_text: str) -> str:
+    """The graph hash of a graph serialized by ``write_graph``."""
+    return hashlib.sha256(graph_text.encode()).hexdigest()[:16]
 
 
 def check_distance2_unique(g: Graph) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .graph import Graph
 
@@ -348,36 +348,50 @@ def command_target(
     """The new state the rule's command writes for i.
 
     ``marriage_choice`` overrides the default suitor pick (the largest
-    identifier); it must be an actual suitor. Raises ValueError when the rule
-    is not enabled at i.
+    identifier, the first of equals); it must be an actual suitor. Only the
+    requested rule's guard is evaluated, in the pass over i's adjacency that
+    resolves the write. Raises ValueError when the rule is not enabled at i.
     """
-    if enabled_rule(c, g, i, semantics) != rule:
-        raise ValueError(f"rule {rule} is not enabled at node {i}")
-    if rule is Rule.UPDATE:
-        return ProcessState(c.p_of(i), pr_married(c, g, i))
-    if rule is Rule.MARRIAGE:
-        suitors = marriage_suitors(c, g, i)
-        if marriage_choice is None:
-            choice = max(suitors, key=lambda j: g.ident[j])
-        elif marriage_choice in suitors:
-            choice = marriage_choice
-        else:
-            raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
-        return ProcessState(choice, c.m_of(i))
-    if rule is Rule.SEDUCTION:
-        cands = seduction_candidates(c, g, i, semantics)
-        return ProcessState(max(cands, key=lambda j: g.ident[j]), c.m_of(i))
-    if rule is Rule.ABANDONMENT:
-        return ProcessState(None, c.m_of(i))
-    raise ValueError(f"unknown rule: {rule}")
+    index, p, m, ident = c._index, c.p, c.m, g.ident
+    k = index[i]
+    j, mi = p[k], m[k]
+    married = j is not None and p[index[j]] == i
+    if mi != married:
+        if rule is Rule.UPDATE:
+            return ProcessState(j, married)
+    elif j is None:
+        if rule is Rule.MARRIAGE:
+            best = None
+            chosen = marriage_choice is None
+            for u in g.adjacency[i]:
+                if p[index[u]] == i:
+                    if best is None or ident[u] > ident[best]:
+                        best = u
+                    chosen = chosen or u == marriage_choice
+            if best is not None:
+                if not chosen:
+                    raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
+                return ProcessState(best if marriage_choice is None else marriage_choice, mi)
+        elif rule is Rule.SEDUCTION and all(p[index[u]] != i for u in g.adjacency[i]):
+            cands = seduction_candidates(c, g, i, semantics)
+            if cands:
+                return ProcessState(max(cands, key=ident.__getitem__), mi)
+    elif rule is Rule.ABANDONMENT and p[kj := index[j]] != i and (
+            m[kj] or ident[j] <= ident[i]):
+        return ProcessState(None, mi)
+    raise ValueError(f"rule {rule} is not enabled at node {i}")
 
 
 def enabled_nodes(
-    c: Configuration, g: Graph, semantics: RuleSemantics = STANDARD
+    c: Configuration,
+    g: Graph,
+    semantics: RuleSemantics = STANDARD,
+    nodes: Optional[Iterable[int]] = None,
 ) -> dict[int, Rule]:
-    """Map of every eligible node to its enabled rule."""
+    """Map of every eligible node (of ``nodes``, all by default) to its
+    enabled rule."""
     out = {}
-    for i in g.nodes:
+    for i in g.nodes if nodes is None else nodes:
         r = enabled_rule(c, g, i, semantics)
         if r is not None:
             out[i] = r

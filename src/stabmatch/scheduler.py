@@ -32,7 +32,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .graph import Graph, read_graph, write_graph
+from .graph import Graph, read_graph, text_digest, write_graph
 from .protocol import (
     Configuration,
     MutableConfiguration,
@@ -645,7 +645,7 @@ def write_trace(trace: Trace) -> str:
         _dump(
             {
                 "type": "header",
-                "graph_hash": trace.graph.digest(),
+                "graph_hash": text_digest(graph_text),
                 "graph": graph_text,
                 "init": trace.initial.to_text(),
                 "policy": trace.policy,

@@ -20,7 +20,6 @@ from .protocol import (
     Configuration,
     MutableConfiguration,
     PredicateClass,
-    ProcessState,
     Rule,
     RuleSemantics,
     STANDARD,
@@ -123,20 +122,20 @@ def _active_set(
 
 
 def _components(nodes: frozenset[int], g: Graph) -> list[frozenset[int]]:
-    """Maximal connected components of the induced subgraph on ``nodes``."""
-    left = set(nodes)
+    """Maximal connected components of the induced subgraph on ``nodes``,
+    in the order of their smallest members."""
+    seen: set[int] = set()
     comps = []
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for u in comp:
             for v in g.adjacency[u]:
-                if v in left and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        left -= comp
+                if v in nodes and v not in seen:
+                    seen.add(v)
+                    comp.append(v)
         comps.append(frozenset(comp))
     return comps
 
@@ -564,6 +563,7 @@ class SearchResult:
     all_leaves_maximal: bool
     bound: int
     initial_count: int
+    memo_size: int
 
     @property
     def ok(self) -> bool:
@@ -588,25 +588,37 @@ class SearchResult:
 class _StateCodec:
     """A graph's configurations as ints. Node i's field holds the slot of
     its pointer in its sorted adjacency (0 for null) times 2, plus its m
-    flag; the fields sit side by side, first node lowest."""
+    flag; the fields sit side by side, first node lowest. Node i's view is
+    the union of the fields of i and its neighbors: everything its guard
+    and command read."""
 
     def __init__(self, g: Graph):
         self.nodes = g.nodes
         self.decoders = []  # per node: (shift, field mask, value -> (p, m))
         self.field = {}  # node -> its field's bits in place
-        self.bits = {}  # node -> {ProcessState: its bits in place}
+        self.bits = {}  # node -> {(p, m): its bits in place}
         shift = 0
         for i in g.nodes:
             table = tuple((p, m) for p in (None,) + g.adjacency[i] for m in (False, True))
             width = (len(table) - 1).bit_length()
             self.decoders.append((shift, (1 << width) - 1, table))
             self.field[i] = ((1 << width) - 1) << shift
-            self.bits[i] = {ProcessState(p, m): v << shift for v, (p, m) in enumerate(table)}
+            self.bits[i] = {pm: v << shift for v, pm in enumerate(table)}
             shift += width
+        self.full = (1 << shift) - 1
+        # per node, in node order: the view mask
+        self.view = [
+            self.field[i] | sum(self.field[j] for j in g.adjacency[i]) for i in g.nodes]
+
+    def view_caches(self) -> list[Optional[dict]]:
+        """Per node, in node order, an empty cache of its results by view,
+        or None for a node that sees every field: the search's memo already
+        keys its whole state."""
+        return [None if view == self.full else {} for view in self.view]
 
     def encode(self, c: Configuration) -> int:
         try:
-            return sum(self.bits[i][c.state(i)] for i in c.nodes)
+            return sum(self.bits[i][p, m] for i, p, m in zip(c.nodes, c.p, c.m))
         except KeyError:
             raise ValueError("a pointer is neither null nor a neighbor") from None
 
@@ -628,33 +640,59 @@ class _StateCodec:
         return states
 
 
-def _successors(c, g, semantics, branch_marriage, codec, state, labels=None):
-    """Every state a distributed daemon can reach from ``state`` (decoded in
-    ``c``) in one step: subsets in mask order over the sorted enabled
-    processes, each subset's suitor choices in product order. Each enabled
-    process's command is evaluated once, or once per suitor when marriages
-    branch, as the XOR of its field's old and new bits; a successor is
-    ``state`` XOR the union of its members' deltas, their fields being
-    disjoint. ``labels``, if given, receives each branch's WitnessStep."""
-    rules = enabled_nodes(c, g, semantics)
-    merged = [0]  # per subset so far, in mask order: each choice's union of deltas
+def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=None):
+    """Every state a distributed daemon can reach from ``state`` in one
+    step: subsets in mask order over the sorted enabled processes, each
+    subset's suitor choices in product order. A successor is ``state`` XOR
+    each of its members' deltas, their fields being disjoint.
+
+    A node's entry is ``()`` when it is disabled, otherwise ``(i, deltas,
+    pairs)``: its command's write as the XOR of its field's old and new
+    bits, one per suitor when marriages branch, and the marriage pairs they
+    label. Its view fixes the entry, so ``caches`` (from
+    ``codec.view_caches()``) keeps it under ``state & view``. Only on a
+    miss is ``state`` decoded into the MutableConfiguration ``c``, and only
+    the missed nodes' guards (``enabled_nodes``) and commands
+    (``command_target``) are evaluated. ``labels``, if given, receives each
+    branch's WitnessStep."""
+    entries = [None if cache is None else cache.get(state & view)
+               for view, cache in zip(codec.view, caches)]
+    if None in entries:
+        codec.decode_into(state, c)
+        nodes = codec.nodes
+        missed = [k for k, entry in enumerate(entries) if entry is None]
+        rules = enabled_nodes(c, g, semantics, [nodes[k] for k in missed])
+        for k in missed:
+            i = nodes[k]
+            rule = rules.get(i)
+            if rule is None:
+                entry = ()
+            else:
+                if branch_marriage and rule is Rule.MARRIAGE:
+                    suitors = marriage_suitors(c, g, i)
+                    writes = [command_target(c, g, i, rule, semantics, marriage_choice=j)
+                              for j in suitors]
+                    pairs = [((i, j),) for j in suitors]
+                else:
+                    writes = [command_target(c, g, i, rule, semantics)]
+                    pairs = ((),)
+                bits, old = codec.bits[i], state & codec.field[i]
+                entry = (i, [old ^ bits[w.p, w.m] for w in writes], pairs)
+            entries[k] = entry
+            if caches[k] is not None:
+                caches[k][state & codec.view[k]] = entry
+    succs = [state]  # per subset so far, in mask order: each choice's successor
     steps = [((), ())]  # the same subsets and choices, for labels
-    for i in sorted(rules):
-        rule, bits, old = rules[i], codec.bits[i], state & codec.field[i]
-        if branch_marriage and rule is Rule.MARRIAGE:
-            suitors = marriage_suitors(c, g, i)
-            writes = [command_target(c, g, i, rule, semantics, marriage_choice=j) for j in suitors]
-            pairs = [((i, j),) for j in suitors]
-        else:
-            writes = [command_target(c, g, i, rule, semantics)]
-            pairs = [()]
-        deltas = [old ^ bits[w] for w in writes]
-        merged += [d | more for d in merged for more in deltas]
+    for entry in entries:
+        if not entry:
+            continue
+        i, deltas, pairs = entry
+        succs += [s ^ delta for s in succs for delta in deltas]
         if labels is not None:
             steps += [(subset + (i,), chosen + pair) for subset, chosen in steps for pair in pairs]
     if labels is not None:
         labels.extend(WitnessStep(subset, chosen) for subset, chosen in steps[1:])
-    return [state ^ d for d in merged[1:]]
+    return succs[1:]
 
 
 class _Expansion:
@@ -699,10 +737,12 @@ def exhaustive_search(
     ``progress``, if given, is called with the explored-state count and the
     memo size after every 4 096 explored states.
 
-    A state is one int (``_StateCodec``), decoded into one reused
-    MutableConfiguration when first reached to evaluate its guards and
-    commands once (``_successors``). The memo maps a state to its worst
-    step count, the index of that branch and whether all leaves are maximal.
+    A state is one int (``_StateCodec``). When first reached, its
+    successors come from each node's guard and command result, cached per
+    search under the node's view of the state; a miss decodes the state into
+    one reused MutableConfiguration and evaluates the missed nodes there
+    (``_successors``). The memo maps a state to its worst step count, the
+    index of that branch and whether all leaves are maximal.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -714,6 +754,7 @@ def exhaustive_search(
     memo: dict[int, tuple[int, Optional[int], bool]] = {}
     explored = 0
     decoded = MutableConfiguration(Configuration.all_null(g))
+    caches = codec.view_caches()
 
     def reach(state):
         """Count a new state: its expansion, or None once memoized as stable."""
@@ -723,10 +764,10 @@ def exhaustive_search(
             raise _Budget()
         if progress is not None and not explored % 4096:
             progress(explored, len(memo))
-        codec.decode_into(state, decoded)
-        succs = _successors(decoded, g, semantics, branch_marriage, codec, state)
+        succs = _successors(decoded, g, semantics, branch_marriage, codec, caches, state)
         if succs:
             return _Expansion(state, succs)
+        codec.decode_into(state, decoded)
         memo[state] = (0, None, check_maximal(extract_matching(decoded, g), g) is None)
         return None
 
@@ -738,7 +779,7 @@ def exhaustive_search(
         c, state = c0, codec.encode(c0)
         while (at := pick(state, len(steps))) is not None:
             labels = []
-            _successors(c, g, semantics, branch_marriage, codec, state, labels)
+            _successors(decoded, g, semantics, branch_marriage, codec, caches, state, labels)
             ws = labels[at]
             steps.append(ws)
             c, _ = apply_step(c, g, ws.chosen, semantics, marriage_choices=dict(ws.marriage_choices))
@@ -746,37 +787,43 @@ def exhaustive_search(
         return tuple(steps)
 
     def expand(s0: int) -> None:
-        if s0 in memo or (top := reach(s0)) is None:
+        if s0 in memo or (frame := reach(s0)) is None:
             return
-        stack = [top]
+        stack = [frame]
         onstack = {s0}
-        while stack:
-            frame = stack[-1]
+        memo_get = memo.get
+        while True:
             succs = frame.succs
+            at, best, best_at, leaves_ok = frame.next, frame.best, frame.best_at, frame.leaves_ok
             # a branch is folded once its successor is in the memo: the
-            # branch to a pushed state is revisited when that state closes
-            while frame.next < len(succs):
-                succ = succs[frame.next]
-                if succ in onstack:
-                    at = next(k for k, f in enumerate(stack) if f.state == succ)
-                    raise _Livelock(s0, [f.next for f in stack] + [None], at)
-                entry = memo.get(succ)
+            # branch to a pushed state is revisited when that state closes.
+            # A state on the stack is never in the memo.
+            for at, succ in enumerate(succs[at:], at):
+                entry = memo_get(succ)
                 if entry is None:
+                    if succ in onstack:
+                        frame.next = at
+                        k = next(k for k, f in enumerate(stack) if f.state == succ)
+                        raise _Livelock(s0, [f.next for f in stack] + [None], k)
                     child = reach(succ)
                     if child is not None:
+                        frame.next, frame.best, frame.best_at, frame.leaves_ok = (
+                            at, best, best_at, leaves_ok)
                         onstack.add(succ)
                         stack.append(child)
                         break
                     entry = memo[succ]
-                if entry[0] >= frame.best:
-                    frame.best = entry[0] + 1
-                    frame.best_at = frame.next
-                frame.leaves_ok &= entry[2]
-                frame.next += 1
+                if entry[0] >= best:
+                    best = entry[0] + 1
+                    best_at = at
+                leaves_ok &= entry[2]
             else:
-                memo[frame.state] = (frame.best, frame.best_at, frame.leaves_ok)
+                memo[frame.state] = (best, best_at, leaves_ok)
                 stack.pop()
                 onstack.discard(frame.state)
+                if not stack:
+                    return
+            frame = stack[-1]
 
     complete = True
     livelock_initial, livelock_steps, cycle_at = None, (), 0
@@ -807,6 +854,7 @@ def exhaustive_search(
         all_leaves_maximal=livelock_initial is None and all(memo[s0][2] for s0 in done),
         bound=step_bound(g),
         initial_count=len(initials),
+        memo_size=len(memo),
     )
 
 

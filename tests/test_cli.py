@@ -238,6 +238,9 @@ class TestSearch:
         assert progress.out == plain.out
         assert "search: explored=4096 memo=" in progress.err
         assert "states_per_s=" in progress.err and "search: explored" not in plain.err
+        # the last line sums up the whole search: K4 has 4 096 states
+        assert progress.err.endswith(
+            "search: explored=4096 memo=4096 elapsed_s=4.00 states_per_s=1024\n")
 
     def test_witness_trace_verifies(self, workdir, capsys):
         main(["gen", "--kind", "cycle", "--n", "3", "--out", "c3.g"])

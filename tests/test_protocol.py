@@ -14,6 +14,7 @@ from stabmatch.protocol import (
     RuleSemantics,
     classify,
     command_target,
+    enabled_nodes,
     enabled_rule,
     enabled_rules,
     normalize,
@@ -23,7 +24,7 @@ from stabmatch.protocol import (
 )
 
 from .conftest import config_of
-from .oracles import literal_guards, literal_predicates
+from .oracles import literal_command_target, literal_guards, literal_predicates
 
 
 @st.composite
@@ -139,6 +140,69 @@ class TestEnabledRule:
                     rules = literal_guards(c, g, i, semantics)
                     assert enabled_rules(config, g, i, semantics) == rules
                     assert enabled_rule(config, g, i, semantics) == (rules[0] if rules else None)
+
+
+def _outcome(command, *args, **kwargs):
+    """A command's write, or the ValueError it raises as (type, message)."""
+    try:
+        return command(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _commands_agree(c, g):
+    """command_target and its literal transcription give the same write or
+    the same error for every node, rule and suitor choice (none, every
+    node, a key that is no node), under both semantics, on a frozen and on
+    a mutable configuration."""
+    choices = (None, *g.nodes, max(g.nodes) + 1)
+    for semantics in (RuleSemantics(), RuleSemantics(seduction_requires_larger_id=False)):
+        for config in (c, MutableConfiguration(c)):
+            for i in g.nodes:
+                for rule in Rule:
+                    for choice in choices:
+                        assert _outcome(command_target, config, g, i, rule, semantics,
+                                        marriage_choice=choice) == _outcome(
+                            literal_command_target, c, g, i, rule, semantics,
+                            marriage_choice=choice), (i, rule, choice, semantics)
+
+
+@given(graph_and_config(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_commands_match_their_literal_transcription(gc, data):
+    """On random graphs, with identifiers equal to the keys or drawn from
+    {0, 1, 2} (ties everywhere, broken by node key), and sparse node keys."""
+    g, c = gc
+    key = {u: 7 + 3 * k for k, u in enumerate(data.draw(st.permutations(g.nodes)))}
+    tied = data.draw(st.booleans())
+    ident = {key[u]: data.draw(st.integers(0, 2)) if tied else key[u] for u in g.nodes}
+    g = Graph.from_edges(key.values(), [(key[u], key[v]) for u, v in g.edges()], ident)
+    c = Configuration.from_states(g, {
+        key[u]: ProcessState(None if c.p_of(u) is None else key[c.p_of(u)], c.m_of(u))
+        for u in c.nodes})
+    _commands_agree(c, g)
+
+
+@given(graph_and_config(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_enabled_nodes_of_a_subset_is_the_restriction(gc, data):
+    g, c = gc
+    nodes = data.draw(st.lists(st.sampled_from(g.nodes), unique=True))
+    everyone = enabled_nodes(c, g)
+    assert enabled_nodes(c, g, nodes=nodes) == {i: everyone[i] for i in nodes if i in everyone}
+
+
+@pytest.mark.parametrize("courted", [True, False])
+def test_commands_on_tied_top_identifiers_match_their_literal_transcription(courted):
+    """A star whose leaves tie at the top identifier: the default suitor
+    and the seduction target are the first of them by key."""
+    g = Graph.from_edges(range(5), [(0, k) for k in range(1, 5)],
+                         {0: 1, 1: 3, 2: 9, 3: 9, 4: 2})
+    leaf = (0, False) if courted else (None, False)
+    c = config_of(g, {k: leaf for k in range(1, 5)})
+    _commands_agree(c, g)
+    rule = Rule.MARRIAGE if courted else Rule.SEDUCTION
+    assert command_target(c, g, 0, rule).p == 2
 
 
 class TestCommandTarget:

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabmatch import verifier
+from stabmatch import protocol, scheduler, verifier
 from stabmatch.graph import Graph
 from stabmatch.protocol import (
     STANDARD,
+    Configuration,
     MutableConfiguration,
     RuleSemantics,
     enabled_nodes,
@@ -22,7 +23,13 @@ from stabmatch.protocol import (
 from stabmatch.scheduler import apply_step
 from stabmatch.verifier import audit_trace, exhaustive_search, witness_trace
 
-from .oracles import _branches, _witness_step, reference_search, replay_configurations
+from .oracles import (
+    _branches,
+    _witness_step,
+    all_wellformed_configurations,
+    reference_search,
+    replay_configurations,
+)
 
 BROKEN = RuleSemantics(seduction_requires_larger_id=False)
 
@@ -101,8 +108,8 @@ def test_successors_follow_the_reference_branch_order(instance):
     state = codec.encode(c0)
     assert codec.decode(state) == c0
     labels = []
-    succs = verifier._successors(
-        MutableConfiguration(c0), g, semantics, branch_marriage, codec, state, labels)
+    succs = verifier._successors(MutableConfiguration(c0), g, semantics, branch_marriage,
+                                 codec, codec.view_caches(), state, labels)
     branches = list(_branches(c0, g, enabled_nodes(c0, g, semantics), branch_marriage))
     assert labels == [_witness_step(branch) for branch in branches]
     assert [codec.decode(succ) for succ in succs] == [
@@ -137,3 +144,103 @@ def test_livelock_cycle_returns_to_its_start(g):
         g, result.livelock_initial, [r.moves for r in trace.records], BROKEN)
     assert len(result.livelock_cycle) >= 1
     assert configs[len(result.livelock_prefix)] == configs[-1]
+
+
+# n = 5 graphs where every closed neighborhood leaves some node out, so
+# each node's guard and command results are cached under its view of the
+# state; C5 and the bull are labeled as in the benchmark's search workload
+P5 = Graph.from_edges(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+C5 = Graph.from_edges(range(5), [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
+BULL = Graph.from_edges(range(5), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+P3_K2 = Graph.from_edges(range(5), [(0, 1), (1, 2), (3, 4)])
+
+
+@pytest.mark.parametrize("g, semantics, branch_marriage", [
+    (P5, STANDARD, True), (P5, BROKEN, False), (P5, BROKEN, True), (P3_K2, STANDARD, True)],
+    ids=["P5", "P5-stripped", "P5-stripped-branching", "P3+K2"])
+def test_equals_reference_where_the_view_caches_hit(g, semantics, branch_marriage):
+    result = exhaustive_search(g, "all", branch_marriage, semantics=semantics)
+    assert result == reference_search(g, "all", branch_marriage, semantics=semantics)
+    assert result.livelock == (semantics is BROKEN)
+
+
+@pytest.mark.parametrize("g, explored, worst", [(C5, 7776, 22), (BULL, 6144, 21)],
+                         ids=["C5", "bull"])
+def test_pinned_five_node_searches_and_their_audited_witnesses(g, explored, worst):
+    result = exhaustive_search(g, "all", branch_marriage=True)
+    assert (result.explored, result.memo_size, result.worst_steps) == (explored, explored, worst)
+    assert result.ok
+    trace = witness_trace(g, result.witness_initial, result.witness)
+    assert trace.steps == worst and trace.stable
+    assert audit_trace(trace).all_pass
+
+
+def test_c5_evaluates_each_guard_once_per_view(monkeypatch):
+    """C5 has 5 nodes of 6 states each, so 5 * 6**3 = 1 080 (node, closed
+    neighborhood) views; the search evaluates each node's guard once per
+    view, and the witness replay once more per fired move."""
+    calls = []
+    guard = protocol.enabled_rule
+
+    def counted(*args):
+        calls.append(args[2])
+        return guard(*args)
+
+    for module in (protocol, scheduler):
+        monkeypatch.setattr(module, "enabled_rule", counted)
+    codec = verifier._StateCodec(C5)
+    assert all(cache == {} for cache in codec.view_caches())
+    result = exhaustive_search(C5, "all", branch_marriage=True)
+    assert result.explored == 7776
+    for i in C5.nodes:
+        fired = sum(i in ws.chosen for ws in result.witness)
+        assert calls.count(i) == 6**3 + fired
+    assert len(calls) <= 1080 + 5 * result.worst_steps
+
+
+def test_each_stable_leaf_is_checked_in_its_own_configuration(monkeypatch):
+    """A state whose nodes all hit their caches is not decoded to find its
+    successors, so a stable leaf must be decoded for its maximality check.
+    In P3 plus a disjoint K2, stable parts of the two components combine:
+    a stable state is reached whose every node's view was seen before."""
+    g = P3_K2
+    leaves = []
+    extract = verifier.extract_matching
+
+    def recording(c, g):
+        leaves.append(c.freeze())
+        return extract(c, g)
+
+    monkeypatch.setattr(verifier, "extract_matching", recording)
+    assert exhaustive_search(g, "all", branch_marriage=True).all_leaves_maximal
+    stable = [c for c in all_wellformed_configurations(g) if verifier.is_stable(c, g)]
+    assert len(leaves) == len(set(leaves)) == len(stable)
+    assert set(leaves) == set(stable)
+
+
+def test_a_node_that_sees_every_field_is_not_cached():
+    k4 = Graph.from_edges(range(4), itertools.combinations(range(4), 2))
+    assert verifier._StateCodec(k4).view_caches() == [None] * 4
+    paw = Graph.from_edges(range(4), [(0, 1), (0, 3), (1, 3), (2, 3)])
+    assert [cache is None for cache in verifier._StateCodec(paw).view_caches()] == [
+        False, False, False, True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), st.randoms(use_true_random=False))
+def test_cached_successors_equal_fresh_ones(instance, rng):
+    """States visited in a random order through one set of view caches give
+    the successors and labels that fresh caches give."""
+    g, _, branch_marriage, semantics = instance
+    codec = verifier._StateCodec(g)
+    states = codec.every_state()
+    states = rng.sample(states, min(len(states), 200))
+    caches = codec.view_caches()
+    c = MutableConfiguration(Configuration.all_null(g))
+    for state in states + states[:20]:
+        cached, fresh = [], []
+        got = verifier._successors(
+            c, g, semantics, branch_marriage, codec, caches, state, cached)
+        want = verifier._successors(
+            c, g, semantics, branch_marriage, codec, codec.view_caches(), state, fresh)
+        assert (got, cached) == (want, fresh)

@@ -24,6 +24,7 @@ from stabmatch.scheduler import (
 )
 from stabmatch.verifier import (
     CorruptTraceError,
+    _components,
     audit_trace,
     check_maximal,
     exhaustive_search,
@@ -314,6 +315,39 @@ class TestForgedTraces:
         forged = forge_trace(p2, Configuration.all_null(p2), [record])
         with pytest.raises(CorruptTraceError, match="twice"):
             audit_trace(forged)
+
+
+def _components_by_smallest_left(nodes, g):
+    """The components in the order the audit first listed them: repeatedly
+    the component of the smallest node not yet placed."""
+    left = set(nodes)
+    comps = []
+    while left:
+        start = min(left)
+        comp = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in g.adjacency[u]:
+                if v in left and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        left -= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+@given(n=st.integers(1, 30), extra=st.integers(0, 40), gseed=st.integers(0, 10**6),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_components_keep_the_order_of_their_smallest_members(n, extra, gseed, data):
+    """The first active_component_shrink counterexample depends on this
+    order; sparse graphs split a random subset into many components."""
+    g = generate("random_gnm", n, min(n - 1 + extra, n * (n - 1) // 2), gseed)
+    g = Graph.from_edges(g.nodes, data.draw(st.sets(st.sampled_from(g.edges())))
+                         if g.m else ())
+    nodes = frozenset(data.draw(st.sets(st.sampled_from(g.nodes))))
+    assert _components(nodes, g) == _components_by_smallest_left(nodes, g)
 
 
 class TestExhaustiveSearch:
