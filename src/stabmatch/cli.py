@@ -120,12 +120,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_once(g, c0, policy, max_steps=None):
-    trace = run(g, c0, policy, max_steps=max_steps)
-    report = audit_trace(trace)
-    return trace, report
-
-
 def cmd_run(args) -> int:
     g = _load_graph(args.graph)
     c0 = _load_init(args.init, g)
@@ -133,19 +127,20 @@ def cmd_run(args) -> int:
         policy = DaemonPolicy.parse(args.policy, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    trace, report = _run_once(g, c0, policy, args.max_steps)
+    trace = run(g, c0, policy, max_steps=args.max_steps)
+    report = audit_trace(trace)
     if args.trace_out:
         _write(args.trace_out, write_trace(trace))
     if args.report_out:
         _write(args.report_out, report.to_text())
-    counters = trace_counters(trace)
+    per_rule = trace_counters(trace)
     print(
         f"stable={'yes' if trace.stable else 'no'} steps={trace.steps} "
         f"moves={trace.moves} rounds={trace.rounds} "
         f"matching={len(extract_matching(trace.final, g))}"
     )
     print("moves by rule: " + " ".join(
-        f"{rule.value}={counters.per_rule[rule]}" for rule in counters.per_rule
+        f"{rule.value}={count}" for rule, count in per_rule.items()
     ))
     print(report.to_text(), end="")
     if not report.all_pass:
@@ -220,7 +215,8 @@ def cmd_experiment(args) -> int:
                         raise UsageError(str(exc)) from exc
                     init = init_spec if init_spec != "random" else f"random:{seed}"
                     c0 = _load_init(init, g)
-                    trace, report = _run_once(g, c0, policy, max_steps)
+                    trace = run(g, c0, policy, max_steps=max_steps)
+                    report = audit_trace(trace)
                     ok = report.all_pass
                     failures += 0 if ok else 1
                     cell_steps.append(trace.steps)

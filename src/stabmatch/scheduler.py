@@ -110,7 +110,6 @@ class SchedulerState:
     rng: random.Random
     victim: int
     pending_since: dict[int, int] = field(default_factory=dict)
-    step_index: int = 0
 
 
 def make_state(policy: DaemonPolicy, g: Graph) -> SchedulerState:
@@ -368,53 +367,14 @@ class Trace:
         return self.records[-1].round_index if self.records else 0
 
 
-@dataclass(frozen=True)
-class TraceCounters:
-    """Derived per-trace tallies: moves by rule, updates by node, and for
-    every edge the number of steps containing a pointer move on it."""
-
-    steps: int
-    moves: int
-    per_rule: dict[Rule, int]
-    updates_per_node: dict[int, int]
-    edge_move_steps: dict[tuple[int, int], int]
-    rounds: int
-
-
-def trace_counters(trace: Trace, semantics: RuleSemantics = STANDARD) -> TraceCounters:
-    """Recompute the counters by replaying the records.
-
-    A pointer move (marriage, seduction, abandonment) counts against the
-    edge between the mover and its target; several moves on the same edge
-    within one step count as a single step for that edge.
-    """
-    g = trace.graph
-    c = MutableConfiguration(trace.initial)
-    per_rule = {rule: 0 for rule in Rule}
-    updates: dict[int, int] = {}
-    edge_steps: dict[tuple[int, int], int] = {}
-    total = 0
+def trace_counters(trace: Trace) -> dict[Rule, int]:
+    """Moves by rule, in Rule order with zeros kept, tallied from the
+    records: a recorded move carries the rule it executed."""
+    per_rule = dict.fromkeys(Rule, 0)
     for record in trace.records:
-        realized = realize_moves(c, g, record.moves, semantics)
-        step_edges = set()
-        for mv in realized:
+        for mv in record.moves:
             per_rule[mv.rule] += 1
-            total += 1
-            if mv.rule is Rule.UPDATE:
-                updates[mv.node] = updates.get(mv.node, 0) + 1
-            else:
-                step_edges.add((min(mv.node, mv.target), max(mv.node, mv.target)))
-        for e in step_edges:
-            edge_steps[e] = edge_steps.get(e, 0) + 1
-        apply_realized(c, g, realized)
-    return TraceCounters(
-        steps=trace.steps,
-        moves=total,
-        per_rule=per_rule,
-        updates_per_node=updates,
-        edge_move_steps=edge_steps,
-        rounds=trace.rounds,
-    )
+    return per_rule
 
 
 def apply_step(
@@ -464,13 +424,21 @@ def realize_moves(
     the node index, and keep the first maximum by identifier, as
     ``max(..., key=ident)`` does. Commands are resolved even if a recorded
     rule is not actually enabled; enabledness is the verifier's concern,
-    while structurally impossible moves raise TraceFormatError.
+    while structurally impossible moves raise TraceFormatError: a step with
+    no moves, a move by a node not in the graph, a node moving twice, a
+    marriage to a non-suitor, or a command with nothing to act on.
     """
     index, p, m, ident, adjacency = c._index, c.p, c.m, g.ident, g.adjacency
     strict = semantics.seduction_requires_larger_id
     out = []
+    moved = set()
     for mv in moves:
         i, rule, target = mv.node, mv.rule, mv.target
+        if i not in index:
+            raise TraceFormatError(f"move recorded at unknown node {i}")
+        if i in moved:
+            raise TraceFormatError(f"node {i} recorded twice in one step")
+        moved.add(i)
         if rule is Rule.UPDATE:
             out.append(mv if target is None else Move(i, rule))
         elif rule is Rule.MARRIAGE:
@@ -501,6 +469,8 @@ def realize_moves(
             out.append(Move(i, rule, old))
         else:
             raise TraceFormatError(f"unknown rule in record: {rule}")
+    if not out:
+        raise TraceFormatError("step recorded with no moves")
     return tuple(out)
 
 
@@ -584,7 +554,6 @@ def run(
             execution.config, g, chosen, semantics, rules=execution.enabled
         )
         records.append(StepRecord(len(records), moves, execution.round))
-        state.step_index += 1
         moved = {mv.node for mv in moves}
         on, off, _ = execution.advance(moved)
         enabled.update(on, off)
@@ -592,7 +561,7 @@ def run(
             pending.pop(i, None)
         for i in on:
             if i in moved or i not in pending:
-                pending[i] = state.step_index
+                pending[i] = len(records)
     return Trace(
         graph=g,
         policy=policy.describe(),
@@ -763,7 +732,8 @@ def parse_trace(text: str) -> Trace:
         initial = parse_configuration(header["init"], g)
         final = parse_configuration(footer["final"], g)
         for record, key, value in (
-            (header, "n", g.n), (header, "m", g.m), (header, "graph_hash", g.digest()),
+            (header, "n", g.n), (header, "m", g.m),
+            (header, "graph_hash", text_digest(header["graph"])),
             (footer, "steps", len(records)),
             (footer, "moves", sum(len(r.moves) for r in records)),
             (footer, "rounds", records[-1].round_index if records else 0),

@@ -218,9 +218,11 @@ class _Failures:
 def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditReport:
     """Replay a trace and evaluate every bound and invariant on it.
 
-    Raises CorruptTraceError when the records do not reproduce the recorded
-    final configuration, stability flag or round annotation. Check verdicts
-    carry the first counterexample step and a configuration snapshot.
+    Raises CorruptTraceError when a recorded step is malformed (the
+    TraceFormatError of ``realize_moves``) or the records do not reproduce
+    the recorded final configuration, stability flag or round annotation.
+    Check verdicts carry the first counterexample step and a configuration
+    snapshot.
 
     The replay runs on an Execution evaluating ``enabled_rules``, so each
     process's guards are known and, after each step, only the movers and
@@ -260,31 +262,15 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     edge_third_step: dict[tuple[int, int], int] = {}
     boundary_actives = [_active_set(trace.initial, g, married)] if round_applicable else []
     boundary_steps = [0]
-    total_moves = 0
 
     for record in trace.records:
-        if not record.moves:
-            raise CorruptTraceError(
-                f"corrupt trace: step {record.index} has no moves"
-            )
-        moved = set()
-        for mv in record.moves:
-            if mv.node not in g.adjacency:
-                raise CorruptTraceError(
-                    f"corrupt trace: step {record.index} moves unknown node {mv.node}"
-                )
-            if mv.node in moved:
-                raise CorruptTraceError(
-                    f"corrupt trace: step {record.index} moves node {mv.node} twice"
-                )
-            moved.add(mv.node)
         try:
             realized = realize_moves(c, g, record.moves, semantics)
         except TraceFormatError as exc:
             raise CorruptTraceError(
                 f"corrupt trace: step {record.index}: {exc}"
             ) from exc
-        total_moves += len(realized)
+        moved = {mv.node for mv in realized}
 
         enabled = execution.enabled
         step_edges = set()
@@ -530,7 +516,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         n=n,
         m=m,
         steps=trace.steps,
-        moves=total_moves,
+        moves=trace.moves,
         rounds=rounds,
         step_bound=steps_allowed,
         round_bound=rounds_allowed,

@@ -270,6 +270,10 @@ def literal_realize(c, g, moves, semantics=STANDARD):
     realized = []
     for mv in moves:
         i = mv.node
+        if i not in g.adjacency:
+            raise TraceFormatError(f"move recorded at unknown node {i}")
+        if any(done.node == i for done in realized):
+            raise TraceFormatError(f"node {i} recorded twice in one step")
         if mv.rule is Rule.UPDATE:
             realized.append(Move(i, Rule.UPDATE))
         elif mv.rule is Rule.MARRIAGE:
@@ -297,6 +301,8 @@ def literal_realize(c, g, moves, semantics=STANDARD):
             realized.append(Move(i, Rule.ABANDONMENT, c.p_of(i)))
         else:
             raise TraceFormatError(f"unknown rule in record: {mv.rule}")
+    if not realized:
+        raise TraceFormatError("step recorded with no moves")
     states = {i: ProcessState(c.p_of(i), c.m_of(i)) for i in g.nodes}
     for mv in realized:
         i, p = mv.node, c.p_of(mv.node)

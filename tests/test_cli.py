@@ -109,6 +109,29 @@ class TestRun:
         assert exc.value.code == EXIT_USAGE
         assert "error: argument --max-steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["sequential_random", "synchronous"])
+    def test_run_replays_its_trace_once(self, workdir, capsys, monkeypatch, policy):
+        """Past the simulation itself, one run command replays the trace
+        once, in the audit: one realize_moves call per recorded step."""
+        import stabmatch.scheduler
+        import stabmatch.verifier
+
+        calls = []
+        realize = stabmatch.scheduler.realize_moves
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return realize(*args, **kwargs)
+
+        for module in (stabmatch.scheduler, stabmatch.verifier):
+            monkeypatch.setattr(module, "realize_moves", counted)
+        main(["gen", "--kind", "random_gnm", "--n", "30", "--m", "60", "--out", "g.g"])
+        assert main(["run", "--graph", "g.g", "--init", "random:1", "--policy", policy,
+                     "--trace-out", "t.trace"]) == EXIT_OK
+        steps = parse_trace((workdir / "t.trace").read_text()).steps
+        assert steps > 1 and len(calls) == steps
+        assert "moves by rule: " in capsys.readouterr().out
+
 
 class TestExperiment:
     def _spec(self, workdir, **overrides):
@@ -350,6 +373,23 @@ class TestExportDot:
     def test_missing_inputs_usage_error(self, workdir):
         assert main(["export-dot"]) == EXIT_USAGE
 
+    def test_unknown_mover_at_step_is_usage_error(self, workdir, capsys):
+        """--at-step resolves recorded steps through realize_moves, so a
+        step moving a node not in the graph is a format error, as verify
+        finds it a corrupt trace."""
+        main(["gen", "--kind", "path", "--n", "3", "--out", "p3.g"])
+        main(["run", "--graph", "p3.g", "--policy", "synchronous",
+              "--trace-out", "p3.trace"])
+        capsys.readouterr()
+        records = [json.loads(ln) for ln in (workdir / "p3.trace").read_text().splitlines()]
+        records[-1]["moves"] -= len(records[1]["moves"]) - 1
+        records[1]["moves"] = [[7, "update"]]
+        _write(workdir / "bad.trace", "\n".join(json.dumps(r) for r in records) + "\n")
+        assert main(["export-dot", "--trace", "bad.trace", "--at-step", "2"]) == EXIT_USAGE
+        assert "unknown node 7" in capsys.readouterr().err
+        assert main(["verify", "--trace", "bad.trace"]) == EXIT_FAIL
+        assert "corrupt trace: step 0" in capsys.readouterr().err
+
     def test_at_step_out_of_range(self, workdir, capsys):
         main(["gen", "--kind", "path", "--n", "2", "--out", "p2.g"])
         main(["run", "--graph", "p2.g", "--policy", "synchronous",
@@ -384,6 +424,14 @@ class TestVerify:
         _write(workdir / "bad.trace", "\n".join(forged) + "\n")
         assert main(["verify", "--trace", "bad.trace"]) == EXIT_FAIL
         assert "corrupt trace" in capsys.readouterr().err
+
+    def test_noncanonical_graph_text_is_usage_error(self, workdir, capsys):
+        """graph_hash is the digest of the header's graph text as written:
+        an equivalent text that is not the canonical one does not match it."""
+        records = self._valid_lines(workdir, capsys)
+        records[0]["graph"] += "# the same graph\n"
+        assert self._verify_lines(workdir, records) == EXIT_USAGE
+        assert "'graph_hash'" in capsys.readouterr().err
 
     def test_malformed_trace_usage_error(self, workdir, capsys):
         _write(workdir / "junk.trace", "not a trace\n")

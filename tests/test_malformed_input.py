@@ -3,7 +3,8 @@
 Every field of a valid trace, of one of its step moves and of a valid
 experiment spec is replaced by a value of some JSON type. Whatever the value,
 ``main`` must answer with an exit code of the contract (0 pass, 1 audit
-failure, 64 usage or format error) and never raise.
+failure, 64 usage or format error) and never raise, whether it verifies the
+trace or renders it with ``export-dot --at-step``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ _G = generate("random_gnm", 6, 8, 1)
 TRACE = write_trace(
     run(_G, random_configuration(_G, 2), DaemonPolicy("distributed_fair", seed=1))
 )
+
+STEPS = TRACE.count('"type":"step"')
+
+
+def _unknown_mover() -> str:
+    """TRACE with its first step's first mover replaced by a node not in
+    the graph; the footer's counts still match."""
+    records = [json.loads(line) for line in TRACE.splitlines()]
+    records[1]["moves"][0][0] = _G.n + 1
+    return "\n".join(json.dumps(r) for r in records) + "\n"
+
 
 SPEC = {
     "graphs": [{"kind": "random_gnm", "n": 6, "m": 8, "seed": 1}],
@@ -77,6 +89,17 @@ def test_verify_never_raises(input_path, text):
     input_path.write_text(text)
     assert main(["verify", "--trace", str(input_path)]) in (
         EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_traces())
+@example(text=_unknown_mover())
+def test_export_dot_at_step_never_raises(input_path, text):
+    """export-dot --at-step resolves every recorded step without the audit:
+    a malformed one is a format error, never a traceback."""
+    input_path.write_text(text)
+    assert main(["export-dot", "--trace", str(input_path), "--at-step", str(STEPS),
+                 "--out", str(input_path.with_name("out.dot"))]) in (EXIT_OK, EXIT_USAGE)
 
 
 @settings(max_examples=200, deadline=None)

@@ -409,17 +409,23 @@ class TestTraceFromSchedule:
 
 
 class TestTraceCounters:
+    """trace_counters tallies moves by rule from the records; the per-node
+    update and per-edge step counts are the audit's."""
+
     def test_golden_scenario_counts(self, two_suitors):
         g, c0 = two_suitors
         t = run(g, c0, DaemonPolicy("sequential_adversarial_heuristic", "max_id"))
-        counters = trace_counters(t)
-        assert counters.steps == 4 and counters.moves == 4
-        assert counters.per_rule == {
+        assert trace_counters(t) == {
             Rule.UPDATE: 2, Rule.MARRIAGE: 1, Rule.SEDUCTION: 0, Rule.ABANDONMENT: 1,
         }
-        assert counters.updates_per_node == {2: 1, 3: 1}
-        assert counters.edge_move_steps == {(2, 3): 1, (1, 3): 1}
-        assert counters.rounds == t.rounds
+        assert list(trace_counters(t)) == list(Rule)
+        report = audit_trace(t)
+        assert (report.steps, report.moves, report.rounds) == (4, 4, t.rounds)
+        # nodes 2 and 3 update once each; edges (2, 3) and (1, 3) see one step each
+        assert report.checks["update_limit"].measured == {"max_updates_per_node": 1}
+        assert report.checks["edge_move_limit"].measured == {
+            "max_steps_per_edge": 1, "edges_at_three": 0,
+        }
 
     def test_sequential_vs_distributed_totals(self):
         g = generate("random_gnm", 10, 16, 2)
@@ -427,11 +433,11 @@ class TestTraceCounters:
 
         for kind in ("sequential_random", "distributed_random"):
             t = run(g, random_configuration(g, 3), DaemonPolicy(kind, seed=4))
-            counters = trace_counters(t)
-            assert counters.moves == t.moves
-            assert sum(counters.per_rule.values()) == counters.moves
-            assert max(counters.updates_per_node.values(), default=0) <= 2
-            assert max(counters.edge_move_steps.values(), default=0) <= 3
+            assert sum(trace_counters(t).values()) == t.moves
+            report = audit_trace(t)
+            assert report.moves == t.moves
+            assert report.checks["update_limit"].measured["max_updates_per_node"] <= 2
+            assert report.checks["edge_move_limit"].measured["max_steps_per_edge"] <= 3
 
 
 def test_default_step_cap_is_bound_plus_one(p3):
@@ -444,12 +450,13 @@ def test_default_step_cap_is_bound_plus_one(p3):
 def recorded_steps(draw):
     """A configuration and a step as a trace could record it, resolvable or
     not: any rule at any node, most often its enabled one so that several
-    moves resolve together, a marriage naming no target, a neighbor
-    (pointing at the mover or not) or a key that is no node, and a target on
-    a rule that carries none."""
+    moves resolve together, a node that may move twice, a marriage naming
+    no target, a neighbor (pointing at the mover or not) or a key that is no
+    node, and a target on a rule that carries none."""
     g, c0, _, semantics = draw(run_inputs())
     moves = []
-    for i in draw(st.lists(st.sampled_from(g.nodes), min_size=1, max_size=g.n)):
+    unique = draw(st.booleans())
+    for i in draw(st.lists(st.sampled_from(g.nodes), min_size=1, max_size=g.n, unique=unique)):
         rules = [*Rule, *[enabled_rule(c0, g, i, semantics) or Rule.UPDATE] * 4]
         target = st.sampled_from([max(g.nodes) + 1, *g.adjacency[i]])
         moves.append(Move(i, draw(st.sampled_from(rules)), draw(st.none() | target)))
@@ -475,6 +482,11 @@ TIED_STAR = Graph.from_edges(range(5), [(0, j) for j in range(1, 5)],
           (Move(0, Rule.MARRIAGE),), STANDARD), False)
 @example((TIED_STAR, Configuration.all_null(TIED_STAR), (Move(0, Rule.SEDUCTION),), STANDARD),
          True)
+# the structural faults: an empty step, a node not in the graph, a node moving twice
+@example((TIED_STAR, Configuration.all_null(TIED_STAR), (), STANDARD), True)
+@example((TIED_STAR, Configuration.all_null(TIED_STAR), (Move(9, Rule.UPDATE),), STANDARD), True)
+@example((TIED_STAR, Configuration.all_null(TIED_STAR),
+          (Move(1, Rule.UPDATE), Move(2, Rule.UPDATE), Move(1, Rule.UPDATE)), STANDARD), True)
 def test_resolution_matches_its_literal_transcription(case, mutable):
     """realize_moves and apply_realized give the realized moves and the
     configuration after the step that the transcription gives, or raise

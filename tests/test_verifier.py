@@ -311,10 +311,11 @@ class TestForgedTraces:
             audit_trace(dataclasses.replace(t, stable=False))
 
     def test_duplicate_mover_is_corrupt(self, p2):
-        record = (Move(0, Rule.SEDUCTION), Move(0, Rule.SEDUCTION))
-        forged = forge_trace(p2, Configuration.all_null(p2), [record])
+        # forge_trace replays its steps, which a duplicate mover stops
+        t = run(p2, Configuration.all_null(p2), DaemonPolicy("sequential_random", seed=2))
+        first = dataclasses.replace(t.records[0], moves=(Move(0, Rule.SEDUCTION),) * 2)
         with pytest.raises(CorruptTraceError, match="twice"):
-            audit_trace(forged)
+            audit_trace(dataclasses.replace(t, records=(first, *t.records[1:])))
 
 
 def _components_by_smallest_left(nodes, g):
