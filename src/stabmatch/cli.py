@@ -163,6 +163,9 @@ def _graph_from_spec(entry: dict) -> tuple[str, Graph]:
         raise UsageError("graph entry needs 'file' or 'kind'")
     if not isinstance(kind, str):
         raise UsageError("graph entry 'kind' must be a string")
+    for key in ("n", "m", "seed"):
+        if key in entry and type(entry[key]) is not int:
+            raise UsageError(f"graph entry '{key}' must be an integer")
     n = entry.get("n")
     m = entry.get("m")
     seed = entry.get("seed", 0)
@@ -195,7 +198,7 @@ def cmd_experiment(args) -> int:
                                    ("policies", policies, str, "strings"),
                                    ("seeds", seeds, int, "integers"),
                                    ("inits", inits, str, "strings")):
-        if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
+        if not isinstance(items, list) or not all(type(x) is kind for x in items):
             raise UsageError(f"experiment spec '{key}' must be a list of {what}")
     if max_steps is not None and (type(max_steps) is not int or max_steps < 1):
         raise UsageError("experiment spec 'max_steps' must be a positive integer")

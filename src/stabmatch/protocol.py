@@ -345,41 +345,41 @@ def command_target(
     semantics: RuleSemantics = STANDARD,
     marriage_choice: Optional[int] = None,
 ) -> ProcessState:
-    """The new state the rule's command writes for i.
+    """The new state the rule's command writes for i. No guard is evaluated:
+    every caller already holds the rule enabled at i.
 
-    ``marriage_choice`` overrides the default suitor pick (the largest
-    identifier, the first of equals); it must be an actual suitor. Only the
-    requested rule's guard is evaluated, in the pass over i's adjacency that
-    resolves the write. Raises ValueError when the rule is not enabled at i.
+    This is the one pick of a move's neighbor: the suitor
+    ``marriage_choice``, by default the largest identifier (the first of
+    equals), and the largest of ``seduction_candidates``. Raises ValueError
+    when the command has nothing to act on: no suitor, a choice that is no
+    suitor, no candidate, or an abandonment with a null pointer.
     """
     index, p, m, ident = c._index, c.p, c.m, g.ident
     k = index[i]
     j, mi = p[k], m[k]
-    married = j is not None and p[index[j]] == i
-    if mi != married:
-        if rule is Rule.UPDATE:
-            return ProcessState(j, married)
-    elif j is None:
-        if rule is Rule.MARRIAGE:
+    if rule is Rule.UPDATE:
+        return ProcessState(j, j is not None and p[index[j]] == i)
+    if rule is Rule.MARRIAGE:
+        if marriage_choice is None:
             best = None
-            chosen = marriage_choice is None
             for u in g.adjacency[i]:
-                if p[index[u]] == i:
-                    if best is None or ident[u] > ident[best]:
-                        best = u
-                    chosen = chosen or u == marriage_choice
-            if best is not None:
-                if not chosen:
-                    raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
-                return ProcessState(best if marriage_choice is None else marriage_choice, mi)
-        elif rule is Rule.SEDUCTION and all(p[index[u]] != i for u in g.adjacency[i]):
-            cands = seduction_candidates(c, g, i, semantics)
-            if cands:
-                return ProcessState(max(cands, key=ident.__getitem__), mi)
-    elif rule is Rule.ABANDONMENT and p[kj := index[j]] != i and (
-            m[kj] or ident[j] <= ident[i]):
-        return ProcessState(None, mi)
-    raise ValueError(f"rule {rule} is not enabled at node {i}")
+                if p[index[u]] == i and (best is None or ident[u] > ident[best]):
+                    best = u
+            if best is None:
+                raise ValueError(f"marriage at node {i} has no suitor")
+            return ProcessState(best, mi)
+        ku = index.get(marriage_choice)
+        if ku is None or p[ku] != i or marriage_choice not in g.adjacency[i]:
+            raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
+        return ProcessState(marriage_choice, mi)
+    if rule is Rule.SEDUCTION:
+        cands = seduction_candidates(c, g, i, semantics)
+        if not cands:
+            raise ValueError(f"seduction at node {i} has no candidate")
+        return ProcessState(max(cands, key=ident.__getitem__), mi)
+    if j is None:
+        raise ValueError(f"abandonment at node {i} has a null pointer")
+    return ProcessState(None, mi)
 
 
 def enabled_nodes(

@@ -16,12 +16,13 @@ to its guard result, the round index and the set of processes the current
 round still owes a move or a disabling. After a step it evaluates, once
 each and in no fixed order, the movers and those of their neighbors whose
 guard reads a state the step changed, and updates the map and the rounds
-from those results. A recorded step is resolved from the state lists and
-written into them in place by ``realize_moves`` and ``apply_realized``,
-the one move resolution every replay of a trace shares. So a step costs
-time in proportion to the guards it can change, not to n; a frozen
-Configuration is built only for the trace's initial and final
-configurations.
+from those results. So a step costs time in proportion to the guards it
+can change, not to n; a frozen Configuration is built only for the trace's
+initial and final configurations. ``apply_step`` fires a step that ``run``
+or ``trace_from_schedule`` chose through ``protocol.command_target``, which
+owns every pick of a married suitor or a courted neighbor. A recorded step
+is resolved by ``realize_moves``, which takes those picks from
+``command_target``, and written in place by ``apply_realized``.
 """
 
 from __future__ import annotations
@@ -417,19 +418,17 @@ def realize_moves(
     """Resolve recorded moves against their pre-step configuration.
 
     The returned moves carry concrete targets: the married suitor, the
-    courted neighbor, or the partner an abandonment drops. A recorded move
-    already concrete (an update, or a marriage naming a neighbor that points
-    at the mover) is returned as is. The default suitor and the seduction
-    target take one pass over the adjacency, reading ``c.p``/``c.m`` through
-    the node index, and keep the first maximum by identifier, as
-    ``max(..., key=ident)`` does. Commands are resolved even if a recorded
-    rule is not actually enabled; enabledness is the verifier's concern,
-    while structurally impossible moves raise TraceFormatError: a step with
-    no moves, a move by a node not in the graph, a node moving twice, a
-    marriage to a non-suitor, or a command with nothing to act on.
+    courted neighbor, or the partner an abandonment drops. The married
+    suitor (the recorded one, or the default when none is recorded) and the
+    courted neighbor are ``command_target``'s picks; an update or an
+    abandonment chooses no neighbor and is resolved here. Commands are
+    resolved even if a recorded rule is not actually enabled; enabledness is
+    the verifier's concern, while structurally impossible moves raise
+    TraceFormatError: a step with no moves, a move by a node not in the
+    graph, a node moving twice, a marriage to a non-suitor, or a command
+    with nothing to act on.
     """
-    index, p, m, ident, adjacency = c._index, c.p, c.m, g.ident, g.adjacency
-    strict = semantics.seduction_requires_larger_id
+    index = c._index
     out = []
     moved = set()
     for mv in moves:
@@ -441,29 +440,17 @@ def realize_moves(
         moved.add(i)
         if rule is Rule.UPDATE:
             out.append(mv if target is None else Move(i, rule))
-        elif rule is Rule.MARRIAGE:
-            if target is None:
-                for j in adjacency[i]:
-                    if p[index[j]] == i and (target is None or ident[j] > ident[target]):
-                        target = j
-                if target is None:
-                    raise TraceFormatError(f"marriage recorded at node {i} with no suitor")
-                out.append(Move(i, rule, target))
-            elif (k := index.get(target)) is not None and p[k] == i and target in adjacency[i]:
-                out.append(mv)
-            else:
-                raise TraceFormatError(f"marriage target {target} is not a suitor of {i}")
-        elif rule is Rule.SEDUCTION:
-            # stripped, every neighbor qualifies: identifiers are nonnegative
-            above, best = ident[i] if strict else -1, None
-            for j in adjacency[i]:
-                if p[kj := index[j]] is None and not m[kj] and ident[j] > above:
-                    above, best = ident[j], j
-            if best is None:
-                raise TraceFormatError(f"seduction recorded at node {i} with no candidate")
-            out.append(Move(i, rule, best))
+        elif rule is Rule.MARRIAGE or rule is Rule.SEDUCTION:
+            try:
+                state = command_target(c, g, i, rule, semantics, marriage_choice=target)
+            except ValueError:
+                raise TraceFormatError(
+                    f"seduction recorded at node {i} with no candidate" if rule is Rule.SEDUCTION
+                    else f"marriage recorded at node {i} with no suitor" if target is None
+                    else f"marriage target {target} is not a suitor of {i}") from None
+            out.append(Move(i, rule, state.p))
         elif rule is Rule.ABANDONMENT:
-            old = p[index[i]]
+            old = c.p[index[i]]
             if old is None:
                 raise TraceFormatError(f"abandonment recorded at node {i} with a null pointer")
             out.append(Move(i, rule, old))

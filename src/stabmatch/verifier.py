@@ -20,6 +20,7 @@ from .protocol import (
     Configuration,
     MutableConfiguration,
     PredicateClass,
+    ProcessState,
     Rule,
     RuleSemantics,
     STANDARD,
@@ -638,8 +639,9 @@ def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=N
     label. Its view fixes the entry, so ``caches`` (from
     ``codec.view_caches()``) keeps it under ``state & view``. Only on a
     miss is ``state`` decoded into the MutableConfiguration ``c``, and only
-    the missed nodes' guards (``enabled_nodes``) and commands
-    (``command_target``) are evaluated. ``labels``, if given, receives each
+    the missed nodes' guards (``enabled_nodes``) and commands are evaluated:
+    ``command_target``, or for a branched marriage a write of each suitor
+    from ``marriage_suitors``. ``labels``, if given, receives each
     branch's WitnessStep."""
     entries = [None if cache is None else cache.get(state & view)
                for view, cache in zip(codec.view, caches)]
@@ -655,9 +657,8 @@ def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=N
                 entry = ()
             else:
                 if branch_marriage and rule is Rule.MARRIAGE:
-                    suitors = marriage_suitors(c, g, i)
-                    writes = [command_target(c, g, i, rule, semantics, marriage_choice=j)
-                              for j in suitors]
+                    suitors, mi = marriage_suitors(c, g, i), c.m_of(i)
+                    writes = [ProcessState(j, mi) for j in suitors]
                     pairs = [((i, j),) for j in suitors]
                 else:
                     writes = [command_target(c, g, i, rule, semantics)]

@@ -228,35 +228,6 @@ def literal_guards(c, g, i, semantics=STANDARD):
     return tuple(rule for rule, ok in holds.items() if ok)
 
 
-def literal_command_target(c, g, i, rule, semantics=STANDARD, marriage_choice=None):
-    """A command's write transcribed one to one: the rule must be the one
-    ``literal_guards`` finds, the suitors and the courtable neighbors are
-    read through p_of/m_of, and the default pick is max(..., key=ident).
-    Raises the ValueError the package's ``command_target`` documents."""
-    rules = literal_guards(c, g, i, semantics)
-    if (rules[0] if rules else None) != rule:
-        raise ValueError(f"rule {rule} is not enabled at node {i}")
-    ident = g.ident
-    p, m = c.p_of(i), c.m_of(i)
-    if rule is Rule.UPDATE:
-        return ProcessState(p, p is not None and c.p_of(p) == i)
-    if rule is Rule.MARRIAGE:
-        suitors = [j for j in g.adjacency[i] if c.p_of(j) == i]
-        if marriage_choice is None:
-            return ProcessState(max(suitors, key=lambda j: ident[j]), m)
-        if marriage_choice in suitors:
-            return ProcessState(marriage_choice, m)
-        raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
-    if rule is Rule.SEDUCTION:
-        courtable = [
-            j for j in g.adjacency[i]
-            if c.p_of(j) is None and not c.m_of(j)
-            and (ident[j] > ident[i] or not semantics.seduction_requires_larger_id)
-        ]
-        return ProcessState(max(courtable, key=lambda j: ident[j]), m)
-    return ProcessState(None, m)
-
-
 def literal_realize(c, g, moves, semantics=STANDARD):
     """A recorded step resolved and applied as the rules read, through
     p_of/m_of and max(..., key=ident): the realized moves and the frozen

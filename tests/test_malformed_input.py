@@ -109,3 +109,18 @@ def test_experiment_never_raises(input_path, text):
     input_path.write_text(text)
     assert main(["experiment", "--spec", str(input_path)]) in (
         EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+
+
+@pytest.mark.parametrize("graph, seeds, fragment", [
+    ({"kind": "path", "n": True}, [0], "graph entry 'n' must be an integer"),
+    ({"kind": "path", "n": 4.0}, [0], "graph entry 'n' must be an integer"),
+    ({"kind": "random_gnm", "n": 6, "m": True}, [0], "graph entry 'm' must be an integer"),
+    ({"kind": "path", "n": 4, "seed": "abc"}, [0], "graph entry 'seed' must be an integer"),
+    ({"kind": "path", "n": 4}, [True], "experiment spec 'seeds' must be a list of integers"),
+], ids=["n-true", "n-float", "m-true", "seed-string", "seeds-true"])
+def test_non_integer_spec_numbers_are_usage_errors(input_path, capsys, graph, seeds, fragment):
+    """A graph entry's n, m and seed, and every seed, must be JSON integers:
+    a boolean is no graph size and a string no seed."""
+    input_path.write_text(json.dumps({**SPEC, "graphs": [graph], "seeds": seeds}))
+    assert main(["experiment", "--spec", str(input_path)]) == EXIT_USAGE
+    assert fragment in capsys.readouterr().err

@@ -22,9 +22,10 @@ from stabmatch.protocol import (
     pr_married,
     random_configuration,
 )
+from stabmatch.scheduler import Move, TraceFormatError
 
 from .conftest import config_of
-from .oracles import literal_command_target, literal_guards, literal_predicates
+from .oracles import literal_guards, literal_predicates, literal_realize
 
 
 @st.composite
@@ -142,29 +143,38 @@ class TestEnabledRule:
                     assert enabled_rule(config, g, i, semantics) == (rules[0] if rules else None)
 
 
-def _outcome(command, *args, **kwargs):
-    """A command's write, or the ValueError it raises as (type, message)."""
+def _write(c, g, i, rule, semantics, choice):
+    """command_target's write for i, or None when it raises ValueError."""
     try:
-        return command(*args, **kwargs)
-    except ValueError as exc:
-        return type(exc), str(exc)
+        return command_target(c, g, i, rule, semantics, marriage_choice=choice)
+    except ValueError:
+        return None
+
+
+def _realized_write(c, g, i, rule, semantics, choice):
+    """i's state after literal_realize replays the one-move step (i, rule,
+    choice), or None when the step raises TraceFormatError."""
+    try:
+        _, after = literal_realize(c, g, [Move(i, rule, choice)], semantics)
+    except TraceFormatError:
+        return None
+    return after.state(i)
 
 
 def _commands_agree(c, g):
-    """command_target and its literal transcription give the same write or
-    the same error for every node, rule and suitor choice (none, every
-    node, a key that is no node), under both semantics, on a frozen and on
-    a mutable configuration."""
+    """command_target gives the write that literal_realize's replay of a
+    one-move step gives, or both raise, for every node, rule and suitor
+    choice (none, every node, a key that is no node), under both
+    semantics, on a frozen and on a mutable configuration. The rule need
+    not be enabled: neither evaluates a guard."""
     choices = (None, *g.nodes, max(g.nodes) + 1)
     for semantics in (RuleSemantics(), RuleSemantics(seduction_requires_larger_id=False)):
         for config in (c, MutableConfiguration(c)):
             for i in g.nodes:
                 for rule in Rule:
                     for choice in choices:
-                        assert _outcome(command_target, config, g, i, rule, semantics,
-                                        marriage_choice=choice) == _outcome(
-                            literal_command_target, c, g, i, rule, semantics,
-                            marriage_choice=choice), (i, rule, choice, semantics)
+                        assert _write(config, g, i, rule, semantics, choice) == _realized_write(
+                            c, g, i, rule, semantics, choice), (i, rule, choice, semantics)
 
 
 @given(graph_and_config(), st.data())
@@ -234,10 +244,26 @@ class TestCommandTarget:
         c = config_of(p2, {0: (1, False), 1: (0, False)})
         assert command_target(c, p2, 0, Rule.UPDATE) == ProcessState(1, True)
 
-    def test_rule_not_enabled_raises(self, p2):
-        c = Configuration.all_null(p2)
-        with pytest.raises(ValueError, match="not enabled"):
-            command_target(c, p2, 0, Rule.ABANDONMENT)
+    @pytest.mark.parametrize("rule,choice,fragment", [
+        (Rule.MARRIAGE, None, "no suitor"),
+        (Rule.MARRIAGE, 1, "not a suitor"),
+        (Rule.SEDUCTION, None, "no candidate"),
+        (Rule.ABANDONMENT, None, "null pointer"),
+    ])
+    def test_command_with_nothing_to_act_on_raises(self, p3, rule, choice, fragment):
+        """Node 2 of the path 0-1-2 is uncourted, its one neighbor is
+        smaller, and its pointer is null."""
+        c = Configuration.all_null(p3)
+        with pytest.raises(ValueError, match=fragment):
+            command_target(c, p3, 2, rule, marriage_choice=choice)
+
+    def test_command_of_a_rule_not_enabled_still_acts(self):
+        """The command evaluates no guard: at a courted node marriage is
+        enabled, yet seduction's command courts the largest candidate."""
+        g = Graph.from_edges([3, 5, 7, 9], [(3, 5), (3, 7), (3, 9)])
+        c = config_of(g, {5: (3, False), 7: (None, False), 9: (None, False)})
+        assert enabled_rule(c, g, 3) is Rule.MARRIAGE
+        assert command_target(c, g, 3, Rule.SEDUCTION) == ProcessState(9, False)
 
 
 class TestLocality:

@@ -393,6 +393,22 @@ class TestExhaustiveSearch:
         branched = exhaustive_search(g, c0, branch_marriage=True)
         assert branched.worst_steps >= plain.worst_steps
 
+    def test_branched_marriages_are_written_without_command_target(self, monkeypatch):
+        """With branch_marriage, a marriage branch writes each suitor from
+        marriage_suitors; command_target is called for the other rules only."""
+        from stabmatch import verifier
+
+        rules = []
+        command_target = verifier.command_target
+
+        def recorded(c, g, i, rule, *args, **kwargs):
+            rules.append(rule)
+            return command_target(c, g, i, rule, *args, **kwargs)
+
+        monkeypatch.setattr(verifier, "command_target", recorded)
+        result = exhaustive_search(small_graph("P4"), "all", branch_marriage=True)
+        assert result.ok and rules and Rule.MARRIAGE not in rules
+
     def test_pointer_outside_the_adjacency_is_rejected(self, p3):
         c0 = Configuration(p3.nodes, (2, None, None), (False, False, False))
         with pytest.raises(ValueError, match="neither null nor a neighbor"):
