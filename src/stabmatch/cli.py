@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .graph import Graph, GraphFormatError, generate, read_graph, write_graph
+from .graph import GENERATOR_KINDS, Graph, GraphFormatError, generate, read_graph, write_graph
 from .protocol import (
     ConfigFormatError,
     Configuration,
@@ -120,6 +120,18 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _print_report(report) -> int:
+    """Print an audit report, name its first counterexample on stderr if it
+    fails, and return the exit code: how run and verify end."""
+    print(report.to_text(), end="")
+    if report.all_pass:
+        return EXIT_OK
+    first = report.failures()[0]
+    print(f"counterexample: check={first.name} step={first.counterexample_step}",
+          file=sys.stderr)
+    return EXIT_FAIL
+
+
 def cmd_run(args) -> int:
     g = _load_graph(args.graph)
     c0 = _load_init(args.init, g)
@@ -137,20 +149,12 @@ def cmd_run(args) -> int:
     print(
         f"stable={'yes' if trace.stable else 'no'} steps={trace.steps} "
         f"moves={trace.moves} rounds={trace.rounds} "
-        f"matching={len(extract_matching(trace.final, g))}"
+        f"matching={report.checks['stable_is_maximal'].measured['matching_size']}"
     )
     print("moves by rule: " + " ".join(
         f"{rule.value}={count}" for rule, count in per_rule.items()
     ))
-    print(report.to_text(), end="")
-    if not report.all_pass:
-        first = report.failures()[0]
-        print(
-            f"counterexample: check={first.name} step={first.counterexample_step}",
-            file=sys.stderr,
-        )
-        return EXIT_FAIL
-    return EXIT_OK
+    return _print_report(report)
 
 
 def _graph_from_spec(entry: dict) -> tuple[str, Graph]:
@@ -185,21 +189,20 @@ def cmd_experiment(args) -> int:
         raise UsageError(f"bad experiment spec: {exc}") from exc
     if not isinstance(spec, dict):
         raise UsageError("experiment spec must be a JSON object")
-    graphs = spec.get("graphs") or []
-    policies = spec.get("policies") or []
-    seeds = spec.get("seeds") or [0]
-    inits = spec.get("inits") or ["allnull"]
+    # a default stands in for an absent key only
+    graphs = spec.get("graphs", [])
+    policies = spec.get("policies", [])
+    seeds = spec.get("seeds", [0])
+    inits = spec.get("inits", ["allnull"])
     max_steps = spec.get("max_steps")
-    if not graphs:
-        raise UsageError("experiment spec needs a nonempty 'graphs' list")
-    if not policies:
-        raise UsageError("experiment spec needs a nonempty 'policies' list")
     for key, items, kind, what in (("graphs", graphs, dict, "objects"),
                                    ("policies", policies, str, "strings"),
                                    ("seeds", seeds, int, "integers"),
                                    ("inits", inits, str, "strings")):
         if not isinstance(items, list) or not all(type(x) is kind for x in items):
             raise UsageError(f"experiment spec '{key}' must be a list of {what}")
+        if not items:
+            raise UsageError(f"experiment spec needs a nonempty '{key}' list")
     if max_steps is not None and (type(max_steps) is not int or max_steps < 1):
         raise UsageError("experiment spec 'max_steps' must be a positive integer")
 
@@ -240,11 +243,7 @@ def cmd_experiment(args) -> int:
     verdict = "pass" if failures == 0 else "fail"
     total = sum(1 for r in rows if not r.startswith("aggregate"))
     rows.append(f"experiment: {verdict} runs={total} failures={failures}")
-    summary = "\n".join(rows) + "\n"
-    if args.out:
-        _write(args.out, summary)
-    else:
-        sys.stdout.write(summary)
+    _write(args.out or None, "\n".join(rows) + "\n")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
@@ -444,15 +443,7 @@ def cmd_verify(args) -> int:
         return EXIT_FAIL
     if args.report_out:
         _write(args.report_out, report.to_text())
-    print(report.to_text(), end="")
-    if not report.all_pass:
-        first = report.failures()[0]
-        print(
-            f"counterexample: check={first.name} step={first.counterexample_step}",
-            file=sys.stderr,
-        )
-        return EXIT_FAIL
-    return EXIT_OK
+    return _print_report(report)
 
 
 def build_parser() -> _Parser:
@@ -464,8 +455,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate a graph file")
-    p.add_argument("--kind", required=True,
-                   choices=["path", "cycle", "complete", "star", "random_gnm"])
+    p.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None,
                    help="edge count (random_gnm only)")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Container, Iterable, Optional, Union
 
 from .graph import Graph
 from .protocol import (
@@ -107,11 +107,8 @@ def check_maximal(
     return None
 
 
-def _active_set(
-    c: Configuration, g: Graph, married_pairs: Iterable[tuple[int, int]]
-) -> frozenset[int]:
-    """Processes that are neither married nor dead, given c's married pairs."""
-    married = {u for e in married_pairs for u in e}
+def _active_set(c: Configuration, g: Graph, married: Container[int]) -> frozenset[int]:
+    """Processes that are neither married nor dead, given c's married nodes."""
     active = set()
     for i, p in zip(c.nodes, c.p):
         if i in married:
@@ -200,30 +197,17 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-class _Failures:
-    """First-counterexample bookkeeping for the audit checks."""
-
-    def __init__(self):
-        self.found: dict[str, CheckResult] = {}
-
-    def hit(self, name, step, detail, snapshot=None):
-        """Record the first failure of ``name``; ``snapshot`` is a callable
-        giving the configuration text, called only for that first one."""
-        if name not in self.found:
-            self.found[name] = CheckResult(
-                name, "fail", counterexample_step=step, detail=detail,
-                snapshot=snapshot and snapshot(),
-            )
-
-
 def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditReport:
     """Replay a trace and evaluate every bound and invariant on it.
 
     Raises CorruptTraceError when a recorded step is malformed (the
     TraceFormatError of ``realize_moves``) or the records do not reproduce
     the recorded final configuration, stability flag or round annotation.
-    Check verdicts carry the first counterexample step and a configuration
-    snapshot.
+
+    Each check's result lives in ``checks`` from before the replay to the
+    report: it starts as a pass, or a skip where the check does not apply,
+    its first counterexample replaces it (with the step and a configuration
+    snapshot), and its measured values are written onto it at the end.
 
     The replay runs on an Execution evaluating ``enabled_rules``, so each
     process's guards are known and, after each step, only the movers and
@@ -239,29 +223,42 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     applicable.
     """
     g = trace.graph
-    n, m = g.n, g.m
     steps_allowed, rounds_allowed = step_bound(g), round_bound(g)
-    fails = _Failures()
+    round_applicable = trace.policy.split(":", 1)[0] in ROUND_BOUND_POLICIES
+    checks = {name: CheckResult(name, "pass") for name in CHECK_NAMES}
+    if not round_applicable:
+        policies = " and ".join(ROUND_BOUND_POLICIES)
+        checks["round_bound"] = CheckResult(
+            "round_bound", "skip", detail=f"bound applies to {policies} only")
+        checks["active_component_shrink"] = CheckResult(
+            "active_component_shrink", "skip", detail=f"checked under {policies} only")
+
+    def hit(name, step, detail, snapshot=None):
+        """Fail ``name`` at its first counterexample; ``snapshot`` is a
+        callable giving the configuration text, called only for that one."""
+        if checks[name].verdict != "fail":
+            checks[name] = CheckResult(
+                name, "fail", counterexample_step=step, detail=detail,
+                snapshot=snapshot and snapshot(),
+            )
 
     execution = Execution(g, trace.initial, semantics, enabled_rules)
     c = execution.config
     for i, rules in execution.enabled.items():
         if len(rules) > 1:
-            fails.hit(
+            hit(
                 "guard_exclusivity", 0,
                 f"node {i} has guards {[r.value for r in rules]} "
                 "in the initial configuration",
                 snapshot=trace.initial.to_text,
             )
-    policy_kind = trace.policy.split(":", 1)[0]
-    round_applicable = policy_kind in ROUND_BOUND_POLICIES
     # the married pairs, and each married process's pair
     married = set(extract_matching(trace.initial, g))
     pair_of = {u: pair for pair in married for u in pair}
     update_counts: Counter = Counter()
     edge_step_counts: Counter = Counter()
     edge_third_step: dict[tuple[int, int], int] = {}
-    boundary_actives = [_active_set(trace.initial, g, married)] if round_applicable else []
+    boundary_actives = [_active_set(trace.initial, g, pair_of)] if round_applicable else []
     boundary_steps = [0]
 
     for record in trace.records:
@@ -278,7 +275,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         for mv in realized:
             i = mv.node
             if mv.rule not in enabled.get(i, ()):
-                fails.hit(
+                hit(
                     "moves_enabled", record.index,
                     f"node {i} executed {mv.rule.value} while not enabled",
                     snapshot=c.to_text,
@@ -286,7 +283,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             if mv.rule is Rule.UPDATE:
                 update_counts[i] += 1
                 if update_counts[i] == 3:
-                    fails.hit(
+                    hit(
                         "update_limit", record.index,
                         f"node {i} executed its third update",
                         snapshot=c.to_text,
@@ -298,7 +295,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             if edge_step_counts[e] == 3:
                 edge_third_step[e] = record.index
             elif edge_step_counts[e] == 4:
-                fails.hit(
+                hit(
                     "edge_move_limit", record.index,
                     f"edge {e} saw a fourth step with a move on it",
                     snapshot=c.to_text,
@@ -315,7 +312,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             broken = set(separated)
             separated = [pair for pair in married if pair in broken]
         for u, v in separated:
-            fails.hit(
+            hit(
                 "marriage_persistence", record.index,
                 f"married pair ({u}, {v}) separated",
                 snapshot=lambda: c.freeze().with_writes(
@@ -339,14 +336,14 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         for i in on:
             rules = execution.enabled[i]
             if len(rules) > 1:
-                fails.hit(
+                hit(
                     "guard_exclusivity", record.index + 1,
                     f"node {i} has guards {[r.value for r in rules]} "
                     f"after step {record.index}",
                     snapshot=c.to_text,
                 )
         if closed and round_applicable:
-            boundary_actives.append(_active_set(c, g, married))
+            boundary_actives.append(_active_set(c, g, pair_of))
             boundary_steps.append(record.index + 1)
 
     final = trace.final  # equal to the replayed configuration past this check
@@ -359,39 +356,18 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         raise CorruptTraceError(
             "corrupt trace: recorded stability flag does not match the replay"
         )
-    rounds = trace.records[-1].round_index if trace.records else 0
-
-    checks: dict[str, CheckResult] = {}
-
-    def settle(name, ok_detail="", measured=None, skip=False, skip_detail=""):
-        if name in fails.found:
-            result = fails.found[name]
-        elif skip:
-            result = CheckResult(name, "skip", detail=skip_detail)
-        else:
-            result = CheckResult(name, "pass", detail=ok_detail)
-        result.measured.update(measured or {})
-        checks[name] = result
-
-    settle("moves_enabled")
-    settle("guard_exclusivity")
-    settle("marriage_persistence")
-    settle(
-        "update_limit",
-        measured={"max_updates_per_node": max(update_counts.values(), default=0)},
-    )
 
     # Sharper reading of the three-step edge limit: an edge may only reach
     # three steps when exactly one endpoint pointed at the other initially,
     # and a process's single pointer makes it the one-sided source of at
-    # most one such edge, capping them at n overall.
-    three_edges = sorted(edge_third_step)
+    # most one such edge, capping them at n overall: an edge past that cap
+    # is one of the two hits below.
     pointer_sources: dict[int, tuple[int, int]] = {}
-    for u, v in three_edges:
+    for u, v in sorted(edge_third_step):
         u_points = trace.initial.p_of(u) == v
         v_points = trace.initial.p_of(v) == u
         if u_points == v_points:
-            fails.hit(
+            hit(
                 "edge_move_limit", edge_third_step[(u, v)],
                 f"edge ({u}, {v}) reached three steps without an initial "
                 "one-sided pointer",
@@ -400,55 +376,38 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             continue
         source = u if u_points else v
         if source in pointer_sources:
-            fails.hit(
+            hit(
                 "edge_move_limit", edge_third_step[(u, v)],
                 f"node {source} is the initial pointer of two edges that "
                 f"reached three steps, {pointer_sources[source]} and ({u}, {v})",
             )
         pointer_sources[source] = (u, v)
-    if len(three_edges) > n:
-        fails.hit(
-            "edge_move_limit", max(edge_third_step.values()),
-            f"{len(three_edges)} edges reached three steps, above n={n}",
-        )
-    settle(
-        "edge_move_limit",
-        measured={
-            "max_steps_per_edge": max(edge_step_counts.values(), default=0),
-            "edges_at_three": len(three_edges),
-        },
-    )
 
     if trace.steps > steps_allowed:
-        fails.hit(
+        hit(
             "step_bound", steps_allowed,
             f"trace used {trace.steps} steps, bound is {steps_allowed}",
         )
-    settle("step_bound", measured={"steps": trace.steps, "bound": steps_allowed})
-
-    if round_applicable and rounds > rounds_allowed:
-        fails.hit(
+    if round_applicable and trace.rounds > rounds_allowed:
+        hit(
             "round_bound", None,
-            f"trace used {rounds} rounds, bound is {rounds_allowed}",
+            f"trace used {trace.rounds} rounds, bound is {rounds_allowed}",
         )
-    settle(
-        "round_bound",
-        measured={"rounds": rounds, "bound": rounds_allowed},
-        skip=not round_applicable,
-        skip_detail=f"bound applies to {' and '.join(ROUND_BOUND_POLICIES)} only",
-    )
 
     matching = extract_matching(final, g)
     if not stabilized:
-        fails.hit(
+        hit(
             "stable_is_maximal", trace.steps,
             "execution did not reach a stable configuration before the step cap",
             snapshot=final.to_text,
         )
+        checks["m_flag_consistency"] = CheckResult(
+            "m_flag_consistency", "skip",
+            detail="only evaluated on stable final configurations")
     else:
         witness = check_maximal(matching, g)
         if witness is not None:
-            fails.hit(
+            hit(
                 "stable_is_maximal", trace.steps,
                 f"stable configuration is not maximal, edge {witness} is addable",
                 snapshot=final.to_text,
@@ -456,30 +415,21 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         for i in g.nodes:
             cls = classify(final, g, i)
             if cls not in (PredicateClass.MARRIED, PredicateClass.DEAD):
-                fails.hit(
+                hit(
                     "stable_is_maximal", trace.steps,
                     f"node {i} classifies {cls.value} in a stable configuration",
                     snapshot=final.to_text,
                 )
-    settle("stable_is_maximal", measured={"matching_size": len(matching)})
-
-    if stabilized:
         for i in g.nodes:
             if final.m_of(i) != pr_married(final, g, i):
-                fails.hit(
+                hit(
                     "m_flag_consistency", trace.steps,
                     f"node {i} has m={final.m_of(i)} but marriage status "
                     f"{pr_married(final, g, i)}",
                     snapshot=final.to_text,
                 )
-    settle(
-        "m_flag_consistency",
-        skip=not stabilized,
-        skip_detail="only evaluated on stable final configurations",
-    )
 
-    shrink_measured = {"windows_ge2": 0, "windows_gt2": 0,
-                       "violations_ge2": 0, "violations_gt2": 0}
+    shrink = {"windows_ge2": 0, "windows_gt2": 0, "violations_ge2": 0, "violations_gt2": 0}
     if round_applicable:
         last = len(boundary_actives) - 1
         for b, active in enumerate(boundary_actives):
@@ -492,33 +442,38 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                         continue  # window cut off by the step cap
                     target = last
                 still = len(comp & boundary_actives[target])
-                shrink_measured["windows_ge2"] += 1
+                shrink["windows_ge2"] += 1
                 violated = still > len(comp) - 2
                 if len(comp) > 2:
-                    shrink_measured["windows_gt2"] += 1
+                    shrink["windows_gt2"] += 1
                     if violated:
-                        shrink_measured["violations_gt2"] += 1
+                        shrink["violations_gt2"] += 1
                 if violated:
-                    shrink_measured["violations_ge2"] += 1
-                    fails.hit(
+                    shrink["violations_ge2"] += 1
+                    hit(
                         "active_component_shrink", boundary_steps[b],
                         f"component of {len(comp)} active processes at round "
                         f"boundary {b} kept {still} active members four rounds on",
                     )
-    settle(
-        "active_component_shrink",
-        measured=shrink_measured,
-        skip=not round_applicable,
-        skip_detail=f"checked under {' and '.join(ROUND_BOUND_POLICIES)} only",
-    )
+
+    for name, measured in (
+        ("update_limit", {"max_updates_per_node": max(update_counts.values(), default=0)}),
+        ("edge_move_limit", {"max_steps_per_edge": max(edge_step_counts.values(), default=0),
+                             "edges_at_three": len(edge_third_step)}),
+        ("step_bound", {"steps": trace.steps, "bound": steps_allowed}),
+        ("round_bound", {"rounds": trace.rounds, "bound": rounds_allowed}),
+        ("stable_is_maximal", {"matching_size": len(matching)}),
+        ("active_component_shrink", shrink),
+    ):
+        checks[name].measured.update(measured)
 
     return AuditReport(
         policy=trace.policy,
-        n=n,
-        m=m,
+        n=g.n,
+        m=g.m,
         steps=trace.steps,
         moves=trace.moves,
-        rounds=rounds,
+        rounds=trace.rounds,
         step_bound=steps_allowed,
         round_bound=rounds_allowed,
         stabilized=stabilized,

@@ -162,6 +162,11 @@ class TestExperiment:
         assert main(["experiment", "--spec", spec]) == EXIT_USAGE
         assert "policies" in capsys.readouterr().err
 
+    def test_unknown_policy_is_usage_error(self, workdir, capsys):
+        spec = self._spec(workdir, policies=["synchronous", "no_such_policy"])
+        assert main(["experiment", "--spec", spec]) == EXIT_USAGE
+        assert "no_such_policy" in capsys.readouterr().err
+
     def test_member_failure_marks_summary_and_exits_one(self, workdir, capsys):
         spec = self._spec(workdir, max_steps=1)
         assert main(["experiment", "--spec", spec, "--out", "s.txt"]) == EXIT_FAIL
@@ -172,11 +177,27 @@ class TestExperiment:
         ({"seeds": ["x"]}, "'seeds' must be a list of integers"),
         ({"policies": "synchronous"}, "'policies' must be a list of strings"),
         ({"graphs": [{"kind": 3, "n": 4}]}, "'kind' must be a string"),
+        ({"graphs": [{"file": 5}]}, "graph entry 'file' must be a string"),
+        # a present key never falls back to its default
+        ({"seeds": False}, "'seeds' must be a list of integers"),
+        ({"seeds": 0}, "'seeds' must be a list of integers"),
+        ({"seeds": {}}, "'seeds' must be a list of integers"),
+        ({"seeds": []}, "needs a nonempty 'seeds' list"),
+        ({"inits": ""}, "'inits' must be a list of strings"),
+        ({"inits": []}, "needs a nonempty 'inits' list"),
     ])
     def test_mistyped_spec_field_is_usage_error(self, workdir, capsys, overrides, fragment):
         spec = self._spec(workdir, **overrides)
         assert main(["experiment", "--spec", spec]) == EXIT_USAGE
         assert fragment in capsys.readouterr().err
+
+    def test_graph_file_entry_labels_rows_by_path(self, workdir):
+        main(["gen", "--kind", "path", "--n", "3", "--out", "p3.g"])
+        spec = self._spec(workdir, graphs=[{"file": "p3.g"}])
+        assert main(["experiment", "--spec", spec, "--out", "s.txt"]) == EXIT_OK
+        *rows, verdict = (workdir / "s.txt").read_text().splitlines()
+        assert len(rows) == 7 and verdict == "experiment: pass runs=6 failures=0"
+        assert all(" graph=p3.g " in f" {row} " for row in rows)
 
     @pytest.mark.parametrize("max_steps", [0, -1, False])
     def test_non_positive_max_steps_is_usage_error(self, workdir, capsys, max_steps):
@@ -425,6 +446,19 @@ class TestVerify:
         assert main(["verify", "--trace", "bad.trace"]) == EXIT_FAIL
         assert "corrupt trace" in capsys.readouterr().err
 
+    def test_failing_audit_exits_one(self, workdir, capsys):
+        """verify reports a failing audit as run does: the same report, the
+        same counterexample line, exit 1."""
+        main(["gen", "--kind", "path", "--n", "4", "--out", "p4.g"])
+        capsys.readouterr()
+        assert main(["run", "--graph", "p4.g", "--policy", "sequential_random",
+                     "--max-steps", "1", "--trace-out", "p4.trace"]) == EXIT_FAIL
+        run = capsys.readouterr()
+        assert main(["verify", "--trace", "p4.trace"]) == EXIT_FAIL
+        verify = capsys.readouterr()
+        assert verify.out.startswith("audit: fail\n") and run.out.endswith(verify.out)
+        assert run.err == verify.err == "counterexample: check=stable_is_maximal step=1\n"
+
     def test_noncanonical_graph_text_is_usage_error(self, workdir, capsys):
         """graph_hash is the digest of the header's graph text as written:
         an equivalent text that is not the canonical one does not match it."""
@@ -450,6 +484,18 @@ class TestVerify:
     def _verify_lines(self, workdir, records):
         text = "\n".join(json.dumps(r) for r in records) + "\n"
         return main(["verify", "--trace", _write(workdir / "bad.trace", text)])
+
+    def test_duplicate_header_is_usage_error(self, workdir, capsys):
+        records = self._valid_lines(workdir, capsys)
+        records.insert(1, records[0])
+        assert self._verify_lines(workdir, records) == EXIT_USAGE
+        assert "line 2: duplicate header" in capsys.readouterr().err
+
+    def test_footer_before_header_is_usage_error(self, workdir, capsys):
+        records = self._valid_lines(workdir, capsys)
+        records.insert(0, records.pop())
+        assert self._verify_lines(workdir, records) == EXIT_USAGE
+        assert "line 1: footer before header" in capsys.readouterr().err
 
     def test_non_string_header_graph_is_usage_error(self, workdir, capsys):
         records = self._valid_lines(workdir, capsys)
