@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 GENERATOR_KINDS = ("path", "cycle", "complete", "star", "random_gnm")
@@ -190,17 +191,21 @@ def read_graph(text: str) -> Graph:
     First nonempty line is the node count; every following nonempty line is
     an edge "u v" with u < v. '#' starts a comment. Nodes are the identifiers
     appearing in edge lines; an edge-free file denotes nodes 0..n-1.
+
+    One pass appends each edge to both endpoints' neighbor lists.
     """
     n = None
-    edges: list[tuple[int, int]] = []
+    adj: defaultdict[int, list[int]] = defaultdict(list)
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         if n is None:
-            if len(parts) != 1 or not parts[0].isdigit():
+            # isdecimal, not isdigit: int() rejects digits such as '²'
+            if len(parts) != 1 or not parts[0].isdecimal():
                 raise GraphFormatError(f"line {lineno}: expected node count")
             n = int(parts[0])
             if n < 1:
@@ -216,21 +221,22 @@ def read_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: self-loop {u}")
         if not 0 <= u < v:
             raise GraphFormatError(f"line {lineno}: edge must satisfy 0 <= u < v")
-        if (u, v) in seen:
+        if (edge := (u, v)) in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
+        seen.add(edge)
+        adj[u].append(v)
+        adj[v].append(u)
     if n is None:
         raise GraphFormatError("line 1: missing node count")
-    nodes = sorted({u for e in edges for u in e})
-    if not edges:
-        nodes = list(range(n))
-    elif len(nodes) != n:
+    if not adj:
+        return Graph(tuple(range(n)), {u: () for u in range(n)})
+    if len(adj) != n:
         raise GraphFormatError(
-            f"node count {n} does not match the {len(nodes)} ids in edge lines"
+            f"node count {n} does not match the {len(adj)} ids in edge lines"
             " (isolated nodes are not representable alongside edges)"
         )
-    return Graph.from_edges(nodes, edges)
+    nodes = tuple(sorted(adj))
+    return Graph(nodes, {u: tuple(sorted(adj[u])) for u in nodes})
 
 
 def write_graph(g: Graph) -> str:

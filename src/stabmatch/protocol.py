@@ -206,43 +206,47 @@ def normalize(g: Graph, raw: Mapping[int, tuple] | Configuration) -> Configurati
 def random_configuration(g: Graph, seed: int) -> Configuration:
     """Seeded well-formed configuration: p uniform over N(i) plus null, m uniform."""
     rng = random.Random(seed)
-    states = {}
-    for i in g.nodes:
-        choices = (None,) + g.adjacency[i]
-        states[i] = ProcessState(rng.choice(choices), rng.random() < 0.5)
-    return Configuration.from_states(g, states)
+    states = [(rng.choice((None,) + g.adjacency[i]), rng.random() < 0.5) for i in g.nodes]
+    return Configuration(g.nodes, *zip(*states))
 
 
 def parse_configuration(text: str, g: Graph) -> Configuration:
     """Parse "id p m" lines (p decimal or '-', m 't'/'f'), one per node.
 
     Out-of-neighborhood pointers are normalized to null so hand-written
-    corrupt initial states remain loadable.
+    corrupt initial states remain loadable. One pass writes each line's
+    state into lists through a node index; an m still None is a missing node.
     """
-    raw: dict[int, tuple] = {}
+    nodes, adjacency = g.nodes, g.adjacency
+    index = {u: k for k, u in enumerate(nodes)}
+    p: list[Optional[int]] = [None] * len(nodes)
+    m: list[Optional[bool]] = [None] * len(nodes)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3:
             raise ConfigFormatError(f"line {lineno}: expected 'id p m'")
         try:
             i = int(parts[0])
-            p = None if parts[1] == "-" else int(parts[1])
+            j = None if parts[1] == "-" else int(parts[1])
         except ValueError:
             raise ConfigFormatError(f"line {lineno}: non-integer field") from None
         if parts[2] not in ("t", "f"):
             raise ConfigFormatError(f"line {lineno}: m must be 't' or 'f'")
-        if i not in g.adjacency:
+        k = index.get(i)
+        if k is None:
             raise ConfigFormatError(f"line {lineno}: node {i} not in graph")
-        if i in raw:
+        if m[k] is not None:
             raise ConfigFormatError(f"line {lineno}: duplicate node {i}")
-        raw[i] = (p, parts[2] == "t")
-    missing = set(g.nodes) - set(raw)
-    if missing:
+        p[k] = j if j in adjacency[i] else None
+        m[k] = parts[2] == "t"
+    if None in m:
+        missing = [u for u, mk in zip(nodes, m) if mk is None]
         raise ConfigFormatError(f"missing state for nodes {sorted(missing)}")
-    return normalize(g, raw)
+    return Configuration(nodes, tuple(p), tuple(m))
 
 
 def pr_married(c: Configuration, g: Graph, i: int) -> bool:

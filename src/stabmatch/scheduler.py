@@ -612,23 +612,18 @@ def write_trace(trace: Trace) -> str:
             }
         )
     ]
+    # a step line is formatted directly, in the bytes _dump gives it: keys
+    # sorted, node ids and targets ints (a null target only in a parsed
+    # trace), rule names plain ASCII, read as _value_ to skip the enum's
+    # value property
     for record in trace.records:
-        moves = []
-        for mv in record.moves:
-            entry = [mv.node, mv.rule.value]
-            if mv.rule is Rule.MARRIAGE:
-                entry.append(mv.target)
-            moves.append(entry)
-        lines.append(
-            _dump(
-                {
-                    "type": "step",
-                    "index": record.index,
-                    "round_index": record.round_index,
-                    "moves": moves,
-                }
-            )
-        )
+        moves = ",".join([
+            f'[{mv.node},"marriage",{"null" if mv.target is None else mv.target}]'
+            if mv.rule is Rule.MARRIAGE else f'[{mv.node},"{mv.rule._value_}"]'
+            for mv in record.moves
+        ])
+        lines.append(f'{{"index":{record.index},"moves":[{moves}],'
+                     f'"round_index":{record.round_index},"type":"step"}}')
     lines.append(
         _dump(
             {

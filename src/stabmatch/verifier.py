@@ -107,16 +107,14 @@ def check_maximal(
     return None
 
 
-def _active_set(c: Configuration, g: Graph, married: Container[int]) -> frozenset[int]:
-    """Processes that are neither married nor dead, given c's married nodes."""
-    active = set()
-    for i, p in zip(c.nodes, c.p):
-        if i in married:
-            continue
-        if p is None and all(j in married for j in g.adjacency[i]):
-            continue
-        active.add(i)
-    return frozenset(active)
+def _active_set(
+    c: Configuration, g: Graph, married: Container[int], nodes: Iterable[int]
+) -> set[int]:
+    """Those of ``nodes`` that are neither married nor dead, given c's
+    married nodes."""
+    index, p, adjacency = c._index, c.p, g.adjacency
+    return {i for i in nodes if i not in married and (
+        p[index[i]] is not None or not all(j in married for j in adjacency[i]))}
 
 
 def _components(nodes: frozenset[int], g: Graph) -> list[frozenset[int]]:
@@ -218,9 +216,11 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     edge steps. A snapshot of the configuration before a step is rebuilt,
     only for a first failure, from the pre-step states the Execution keeps
     until ``advance``. Married pairs are indexed by node, so only the
-    movers' pairs are checked for separation. The active set is computed at
-    round boundaries only when the policy makes active_component_shrink
-    applicable.
+    movers' pairs are checked for separation. When the policy makes
+    active_component_shrink applicable, the active set is kept across steps:
+    at each round boundary only the processes whose activity the round can
+    have changed are decided again (its movers, the endpoints of pairs that
+    married or separated, and their neighbors), and the set is snapshot.
     """
     g = trace.graph
     steps_allowed, rounds_allowed = step_bound(g), round_bound(g)
@@ -258,8 +258,10 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     update_counts: Counter = Counter()
     edge_step_counts: Counter = Counter()
     edge_third_step: dict[tuple[int, int], int] = {}
-    boundary_actives = [_active_set(trace.initial, g, pair_of)] if round_applicable else []
+    active = _active_set(trace.initial, g, pair_of, g.nodes) if round_applicable else set()
+    boundary_actives = [frozenset(active)]
     boundary_steps = [0]
+    undecided: set[int] = set()  # processes to decide at the next boundary
 
     for record in trace.records:
         try:
@@ -320,12 +322,16 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             )
             married.discard((u, v))
             del pair_of[u], pair_of[v]
+        flipped = [u for pair in separated for u in pair]  # then those that wed
         for i in moved:
             j = p[index[i]]
-            if j is not None and p[index[j]] == i:
+            if j is not None and p[index[j]] == i and i not in pair_of:
                 pair = (min(i, j), max(i, j))
                 married.add(pair)
                 pair_of[i] = pair_of[j] = pair
+                flipped += pair
+        if round_applicable:
+            undecided.update(moved, flipped, *(g.adjacency[u] for u in flipped))
 
         if record.round_index != execution.round:
             raise CorruptTraceError(
@@ -343,7 +349,10 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     snapshot=c.to_text,
                 )
         if closed and round_applicable:
-            boundary_actives.append(_active_set(c, g, pair_of))
+            active.difference_update(undecided)
+            active |= _active_set(c, g, pair_of, undecided)
+            undecided.clear()
+            boundary_actives.append(frozenset(active))
             boundary_steps.append(record.index + 1)
 
     final = trace.final  # equal to the replayed configuration past this check

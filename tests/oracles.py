@@ -5,9 +5,12 @@ trying every superset, rounds are recomputed with a full eligibility scan at
 every configuration, the five predicates, the four guards and the
 resolution of a recorded step are transcribed literally, and the
 reference daemon sorts the enabled set and rebuilds its pending and owed
-bookkeeping from scratch on every step, and the reference search fires
-every branch with apply_step on a frozen configuration. If an oracle and
-the implementation ever disagree, the test fails and one of them is wrong.
+bookkeeping from scratch on every step, the reference search fires
+every branch with apply_step on a frozen configuration, the active sets are
+rescanned over every process at every round boundary, and the reference
+parsers build an edge list and a state dict before the graph or the
+configuration. If an oracle and the implementation ever disagree, the test
+fails and one of them is wrong.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from stabmatch.graph import Graph
+from stabmatch.graph import Graph, GraphFormatError
 from stabmatch.protocol import (
+    ConfigFormatError,
     Configuration,
     ProcessState,
     RuleSemantics,
@@ -27,6 +31,7 @@ from stabmatch.protocol import (
     enabled_nodes,
     enabled_rule,
     marriage_suitors,
+    normalize,
 )
 from stabmatch.scheduler import (
     Move,
@@ -637,3 +642,155 @@ def _reconstruct_witness(c0, g, memo, semantics) -> tuple[WitnessStep, ...]:
         steps.append(_witness_step((subset, choices)))
         c, _ = apply_step(c, g, subset, semantics, marriage_choices=choices)
     return tuple(steps)
+
+
+def reference_read_graph(text: str) -> Graph:
+    """The edge-list parser as it was before it built the adjacency in one
+    pass: an edge list and a seen set, then ``Graph.from_edges``. Its count
+    line check is the earlier ``isdigit``, so it raises ValueError, not
+    GraphFormatError, on a count such as '²'."""
+    n = None
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if n is None:
+            if len(parts) != 1 or not parts[0].isdigit():
+                raise GraphFormatError(f"line {lineno}: expected node count")
+            n = int(parts[0])
+            if n < 1:
+                raise GraphFormatError(f"line {lineno}: node count must be >= 1")
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer node id") from None
+        if u == v:
+            raise GraphFormatError(f"line {lineno}: self-loop {u}")
+        if not 0 <= u < v:
+            raise GraphFormatError(f"line {lineno}: edge must satisfy 0 <= u < v")
+        if (u, v) in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        edges.append((u, v))
+    if n is None:
+        raise GraphFormatError("line 1: missing node count")
+    nodes = sorted({u for e in edges for u in e})
+    if not edges:
+        nodes = list(range(n))
+    elif len(nodes) != n:
+        raise GraphFormatError(
+            f"node count {n} does not match the {len(nodes)} ids in edge lines"
+            " (isolated nodes are not representable alongside edges)"
+        )
+    return Graph.from_edges(nodes, edges)
+
+
+def reference_parse_configuration(text: str, g: Graph) -> Configuration:
+    """The configuration parser as it was before it wrote state lists in
+    one pass: a dict of raw states, then ``normalize``."""
+    raw: dict[int, tuple] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ConfigFormatError(f"line {lineno}: expected 'id p m'")
+        try:
+            i = int(parts[0])
+            p = None if parts[1] == "-" else int(parts[1])
+        except ValueError:
+            raise ConfigFormatError(f"line {lineno}: non-integer field") from None
+        if parts[2] not in ("t", "f"):
+            raise ConfigFormatError(f"line {lineno}: m must be 't' or 'f'")
+        if i not in g.adjacency:
+            raise ConfigFormatError(f"line {lineno}: node {i} not in graph")
+        if i in raw:
+            raise ConfigFormatError(f"line {lineno}: duplicate node {i}")
+        raw[i] = (p, parts[2] == "t")
+    missing = set(g.nodes) - set(raw)
+    if missing:
+        raise ConfigFormatError(f"missing state for nodes {sorted(missing)}")
+    return normalize(g, raw)
+
+
+def shrink_tallies(trace: Trace, semantics=STANDARD):
+    """The active_component_shrink tallies and first counterexample (its
+    step and detail, or None), recomputed from scratch: every configuration
+    by ``replay_configurations``, the round boundaries from
+    ``rescan_rounds``, and at each boundary the active set (neither married
+    nor dead by ``literal_predicates``) rescanned over every process.
+
+    A round closes after a step whose annotation the next step raises,
+    after a step that leaves no process enabled, and after the last step
+    when every process its round started eligible has since moved or been
+    disabled, as ``rescan_rounds`` reads rounds."""
+    g = trace.graph
+    configs = replay_configurations(g, trace.initial, [r.moves for r in trace.records],
+                                    semantics)
+    _, annotations = rescan_rounds(trace, semantics)
+
+    def eligible(c):
+        return {i for i in g.nodes if literal_guards(c, g, i, semantics)}
+
+    after = [eligible(c) for c in configs[1:]]
+    last = len(annotations) - 1
+    closes = [not after[k] or k < last and annotations[k + 1] > annotations[k]
+              for k in range(last + 1)]
+    if annotations and not closes[-1]:
+        start = annotations.index(annotations[-1])
+        owed = eligible(configs[start])
+        for k in range(start, last + 1):
+            moved = {mv.node for mv in trace.records[k].moves}
+            owed = {i for i in owed if i not in moved and i in after[k]}
+        closes[-1] = not owed
+    boundaries = [0] + [k + 1 for k, closed in enumerate(closes) if closed]
+
+    def active(c):
+        return {i for i in g.nodes
+                if not any(literal_predicates(c, g, i)[name] for name in ("married", "dead"))}
+
+    actives = [active(configs[b]) for b in boundaries]
+    stable = not eligible(configs[-1])
+    tallies = {"windows_ge2": 0, "windows_gt2": 0, "violations_ge2": 0, "violations_gt2": 0}
+    first = None
+    last = len(actives) - 1
+    for b, nodes in enumerate(actives):
+        comps = []
+        left = set(nodes)
+        while left:
+            comp = {min(left)}
+            frontier = list(comp)
+            while frontier:
+                u = frontier.pop()
+                for v in g.adjacency[u]:
+                    if v in left and v not in comp:
+                        comp.add(v)
+                        frontier.append(v)
+            left -= comp
+            comps.append(comp)
+        for comp in comps:
+            if len(comp) < 2:
+                continue
+            target = b + 4
+            if target > last:
+                if not stable:
+                    continue
+                target = last
+            still = len(comp & actives[target])
+            violated = still > len(comp) - 2
+            tallies["windows_ge2"] += 1
+            tallies["violations_ge2"] += violated
+            if len(comp) > 2:
+                tallies["windows_gt2"] += 1
+                tallies["violations_gt2"] += violated
+            if violated and first is None:
+                first = (boundaries[b], f"component of {len(comp)} active processes at round "
+                         f"boundary {b} kept {still} active members four rounds on")
+    return tallies, first

@@ -173,6 +173,8 @@ class TestFileFormat:
     @pytest.mark.parametrize("text,fragment", [
         ("", "missing node count"),
         ("x\n0 1\n", "expected node count"),
+        ("²\n", "line 1: expected node count"),
+        ("# count\n1²\n0 1\n", "line 2: expected node count"),
         ("2\n0\n", "expected 'u v'"),
         ("2\n0 a\n", "non-integer"),
         ("2\n1 1\n", "self-loop"),

@@ -49,6 +49,13 @@ def _unknown_mover() -> str:
     return "\n".join(json.dumps(r) for r in records) + "\n"
 
 
+def _with_header_graph(graph_text: str) -> str:
+    """TRACE with its header's graph text replaced."""
+    records = [json.loads(line) for line in TRACE.splitlines()]
+    records[0]["graph"] = graph_text
+    return "\n".join(json.dumps(r) for r in records) + "\n"
+
+
 SPEC = {
     "graphs": [{"kind": "random_gnm", "n": 6, "m": 8, "seed": 1}],
     "policies": ["distributed_fair"],
@@ -124,3 +131,12 @@ def test_non_integer_spec_numbers_are_usage_errors(input_path, capsys, graph, se
     input_path.write_text(json.dumps({**SPEC, "graphs": [graph], "seeds": seeds}))
     assert main(["experiment", "--spec", str(input_path)]) == EXIT_USAGE
     assert fragment in capsys.readouterr().err
+
+
+def test_superscript_graph_count_is_a_usage_error(input_path, capsys):
+    """'²' passes str.isdigit but not int(): the header's graph must be
+    rejected as a graph format error, not end in a ValueError traceback."""
+    input_path.write_text(_with_header_graph("²\n"))
+    assert main(["verify", "--trace", str(input_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: line 1: expected node count\n"

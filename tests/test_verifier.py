@@ -11,7 +11,10 @@ from stabmatch.protocol import (
     ProcessState,
     Rule,
     RuleSemantics,
+    STANDARD,
+    marriage_suitors,
     random_configuration,
+    seduction_candidates,
 )
 from stabmatch.scheduler import (
     DaemonPolicy,
@@ -34,7 +37,7 @@ from stabmatch.verifier import (
 )
 
 from .conftest import SMALL_CONNECTED, config_of, small_graph
-from .oracles import brute_force_maximal, replay_configurations, rescan_rounds
+from .oracles import brute_force_maximal, replay_configurations, rescan_rounds, shrink_tallies
 
 BROKEN = RuleSemantics(seduction_requires_larger_id=False)
 
@@ -349,6 +352,91 @@ def test_components_keep_the_order_of_their_smallest_members(n, extra, gseed, da
                          if g.m else ())
     nodes = frozenset(data.draw(st.sets(st.sampled_from(g.nodes))))
     assert _components(nodes, g) == _components_by_smallest_left(nodes, g)
+
+
+def _shrink_outcome(trace, semantics):
+    """The audit's active_component_shrink tallies and first counterexample,
+    in the form ``shrink_tallies`` gives them."""
+    check = audit_trace(trace, semantics).checks["active_component_shrink"]
+    first = None if check.verdict == "pass" else (check.counterexample_step, check.detail)
+    return check.measured, first
+
+
+@given(n=st.integers(2, 12), extra=st.integers(0, 12), gseed=st.integers(0, 10**6),
+       cseed=st.integers(0, 1000), pseed=st.integers(0, 1000),
+       policy=st.sampled_from(("synchronous", "distributed_fair")),
+       semantics=st.sampled_from((STANDARD, BROKEN)),
+       cap=st.one_of(st.none(), st.integers(1, 30)))
+@settings(max_examples=150, deadline=None)
+def test_shrink_tallies_match_a_rescan(n, extra, gseed, cseed, pseed, policy, semantics, cap):
+    """The audit keeps the active set across steps and decides again, at a
+    round boundary, only the processes the round can have changed; the
+    oracle replays the trace itself and rescans every process at every
+    boundary. Capped runs end unstable, which cuts windows off."""
+    g = generate("random_gnm", n, min(n - 1 + extra, n * (n - 1) // 2), gseed)
+    t = run(g, random_configuration(g, cseed), DaemonPolicy(policy, seed=pseed),
+            max_steps=cap, semantics=semantics)
+    assert _shrink_outcome(t, semantics) == shrink_tallies(t, semantics)
+
+
+@st.composite
+def forged_round_traces(draw):
+    """Traces of random moves, each structurally possible but not
+    necessarily enabled, under a policy whose rounds the audit checks: the
+    active sets stay large and violations are common."""
+    n = draw(st.integers(2, 9))
+    g = generate("random_gnm", n, min(n - 1 + draw(st.integers(0, 8)), n * (n - 1) // 2),
+                 draw(st.integers(0, 10**6)))
+    c0 = c = random_configuration(g, draw(st.integers(0, 1000)))
+    steps = []
+    for _ in range(draw(st.integers(1, 14))):
+        moves = []
+        for i in sorted(draw(st.sets(st.sampled_from(g.nodes), min_size=1))):
+            options = [Rule.UPDATE]
+            if c.p_of(i) is not None:
+                options.append(Rule.ABANDONMENT)
+            if marriage_suitors(c, g, i):
+                options.append(Rule.MARRIAGE)
+            if seduction_candidates(c, g, i):
+                options.append(Rule.SEDUCTION)
+            moves.append(Move(i, draw(st.sampled_from(options))))
+        steps.append(moves)
+        c = replay_step(c, g, moves)
+    return forge_trace(g, c0, steps, draw(st.sampled_from(("synchronous", "distributed_fair"))))
+
+
+@given(t=forged_round_traces())
+@settings(max_examples=200, deadline=None)
+def test_forged_shrink_tallies_match_a_rescan(t):
+    assert _shrink_outcome(t, STANDARD) == shrink_tallies(t)
+
+
+@pytest.mark.parametrize("policy", ["synchronous", "distributed_fair"])
+def test_shrink_counterexample_matches_a_rescan(triangle, policy):
+    """A forged trace that keeps the triangle active: 0 and 1 court 2, then
+    both abandon it. Each step closes a round, so every window sees the
+    whole component still active four rounds on."""
+    court = [Move(0, Rule.SEDUCTION), Move(1, Rule.SEDUCTION)]
+    drop = [Move(0, Rule.ABANDONMENT), Move(1, Rule.ABANDONMENT)]
+    t = forge_trace(triangle, Configuration.all_null(triangle), [court, drop] * 6, policy)
+    measured, first = _shrink_outcome(t, STANDARD)
+    assert first is not None and measured["violations_gt2"] > 0
+    assert (measured, first) == shrink_tallies(t)
+
+
+def test_a_mover_abandoning_into_death_leaves_the_active_set():
+    """Node 1 courts 3 as 3 marries 2, then abandons 3 in the last step.
+    With both its neighbors married it is then dead; no pair married or
+    separated in that round, so only its being a mover gets it decided
+    again."""
+    g = Graph.from_edges(range(4), [(0, 2), (1, 2), (1, 3), (2, 3)])
+    c0 = Configuration((0, 1, 2, 3), (2, None, 0, 2), (True, False, True, True))
+    U, A, S, M = Rule.UPDATE, Rule.ABANDONMENT, Rule.SEDUCTION, Rule.MARRIAGE
+    steps = [[Move(3, A)], [Move(0, A), Move(3, U)], [Move(2, S)],
+             [Move(0, U), Move(1, S), Move(3, M)], [Move(1, A), Move(3, U)]]
+    t = forge_trace(g, c0, steps, "synchronous")
+    assert _shrink_outcome(t, STANDARD) == shrink_tallies(t)
+    assert shrink_tallies(t)[1] is None
 
 
 class TestExhaustiveSearch:
