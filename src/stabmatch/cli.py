@@ -208,7 +208,7 @@ def cmd_experiment(args) -> int:
 
     loaded = [_graph_from_spec(entry) for entry in graphs]
     rows = []
-    failures = 0
+    failures = runs = 0
     for label, g in loaded:
         cell_steps = []
         cell_rounds = []
@@ -224,6 +224,7 @@ def cmd_experiment(args) -> int:
                     trace = run(g, c0, policy, max_steps=max_steps)
                     report = audit_trace(trace)
                     ok = report.all_pass
+                    runs += 1
                     failures += 0 if ok else 1
                     cell_steps.append(trace.steps)
                     cell_rounds.append(trace.rounds)
@@ -241,8 +242,7 @@ def cmd_experiment(args) -> int:
             f"round_bound={round_bound(g)}"
         )
     verdict = "pass" if failures == 0 else "fail"
-    total = sum(1 for r in rows if not r.startswith("aggregate"))
-    rows.append(f"experiment: {verdict} runs={total} failures={failures}")
+    rows.append(f"experiment: {verdict} runs={runs} failures={failures}")
     _write(args.out or None, "\n".join(rows) + "\n")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 

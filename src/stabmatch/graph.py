@@ -252,7 +252,7 @@ def write_graph(g: Graph) -> str:
     edges = g.edges()
     if not edges and list(g.nodes) != list(range(g.n)):
         raise ValueError("edge-free graph with non-contiguous ids is not representable")
-    if edges and len({u for e in edges for u in e}) != g.n:
+    if edges and not all(g.adjacency.get(u) for u in g.nodes):
         raise ValueError("graph with isolated nodes is not representable")
     lines.extend(f"{u} {v}" for u, v in edges)
     return "\n".join(lines) + "\n"

@@ -18,10 +18,12 @@ each and in no fixed order, the movers and those of their neighbors whose
 guard reads a state the step changed, and updates the map and the rounds
 from those results. So a step costs time in proportion to the guards it
 can change, not to n; a frozen Configuration is built only for the trace's
-initial and final configurations. ``apply_step`` fires a step that ``run``
-or ``trace_from_schedule`` chose through ``protocol.command_target``, which
-owns every pick of a married suitor or a courted neighbor. A recorded step
-is resolved by ``realize_moves``, which takes those picks from
+initial and final configurations. ``run`` and ``trace_from_schedule`` hand
+each chosen step to ``Execution.fire``, which writes it through
+``apply_step`` and records it; the Execution then builds the Trace.
+``apply_step`` writes what ``protocol.command_target`` returns, which owns
+every pick of a married suitor or a courted neighbor. A recorded step is
+resolved by ``realize_moves``, which takes those picks from
 ``command_target``, and written in place by ``apply_realized``.
 """
 
@@ -256,7 +258,8 @@ class Execution:
     ``previous_state`` gives a mover's pre-step state. A round closes at the
     earliest step after which every process eligible at the round's first
     configuration has moved or had its guard disabled; ``owed`` holds those
-    the current round still waits for.
+    the current round still waits for. ``fire`` writes, records and advances
+    a chosen step in one call; ``records`` holds the steps it fired.
     """
 
     def __init__(self, g: Graph, c0: Configuration, semantics: RuleSemantics, guards):
@@ -272,6 +275,7 @@ class Execution:
                 self.enabled[i] = result
         self.round = 1
         self.owed = set(self.enabled)
+        self.records = []
 
     def advance(self, moved: Iterable[int]):
         """Account for a step by ``moved``, already written into ``config``.
@@ -320,6 +324,20 @@ class Execution:
             self.round += 1
             self.owed = set(enabled)
         return on, off, closed
+
+    def fire(self, chosen: Iterable[int], choices: Optional[Mapping[int, int]] = None):
+        """Fire ``chosen`` through ``apply_step`` with the enabled rules held
+        here, record the step and ``advance``; returns what ``advance`` does."""
+        _, moves = apply_step(self.config, self.graph, chosen, self.semantics,
+                              marriage_choices=choices, rules=self.enabled)
+        self.records.append(StepRecord(len(self.records), moves, self.round))
+        return self.advance([mv.node for mv in moves])
+
+    def trace(self, policy: str, seed: int, max_steps: int) -> "Trace":
+        """The fired steps as a Trace from ``config.base`` to the current
+        configuration."""
+        return Trace(self.graph, policy, seed, self.config.base, tuple(self.records),
+                     self.config.freeze(), not self.enabled, max_steps)
 
     def previous_state(self, i: int) -> ProcessState:
         """Process i's state as of the last ``advance``: a mover's pre-step state."""
@@ -519,8 +537,8 @@ def run(
 ) -> Trace:
     """Iterate select/apply until no process is enabled or the cap is hit.
 
-    Each step is written into the Execution's configuration in place, and
-    the Execution re-evaluates the guards the step can change; from what it
+    The Execution fires each step: it writes the step in place, records it
+    and re-evaluates the guards the step can change; from what it
     reports the loop updates, in place, the enabled set with its daemon
     orders and the pending-since map the fair daemon reads, so a step costs
     time in proportion to the processes it touches.
@@ -534,31 +552,16 @@ def run(
     enabled = EnabledSet(g, policy.strategy, execution.enabled)
     pending = state.pending_since
     pending.update((i, 0) for i in enabled)
-    records = []
-    while enabled and len(records) < max_steps:
+    while enabled and len(execution.records) < max_steps:
         chosen = select(policy, enabled, state)
-        _, moves = apply_step(
-            execution.config, g, chosen, semantics, rules=execution.enabled
-        )
-        records.append(StepRecord(len(records), moves, execution.round))
-        moved = {mv.node for mv in moves}
-        on, off, _ = execution.advance(moved)
+        on, off, _ = execution.fire(chosen)
         enabled.update(on, off)
         for i in off:
             pending.pop(i, None)
         for i in on:
-            if i in moved or i not in pending:
-                pending[i] = len(records)
-    return Trace(
-        graph=g,
-        policy=policy.describe(),
-        seed=policy.seed,
-        initial=c0,
-        records=tuple(records),
-        final=execution.config.freeze(),
-        stable=not enabled,
-        max_steps=max_steps,
-    )
+            if i in chosen or i not in pending:
+                pending[i] = len(execution.records)
+    return execution.trace(policy.describe(), policy.seed, max_steps)
 
 
 def trace_from_schedule(
@@ -574,24 +577,9 @@ def trace_from_schedule(
     search witnesses and interactive sessions become replayable artifacts.
     """
     execution = Execution(g, c0, semantics, enabled_rule)
-    records = []
     for chosen, choices in schedule:
-        _, moves = apply_step(
-            execution.config, g, chosen, semantics,
-            marriage_choices=choices, rules=execution.enabled,
-        )
-        records.append(StepRecord(len(records), moves, execution.round))
-        execution.advance([mv.node for mv in moves])
-    return Trace(
-        graph=g,
-        policy=policy_desc,
-        seed=0,
-        initial=c0,
-        records=tuple(records),
-        final=execution.config.freeze(),
-        stable=not execution.enabled,
-        max_steps=max(len(records), 1),
-    )
+        execution.fire(chosen, choices)
+    return execution.trace(policy_desc, 0, max(len(execution.records), 1))
 
 
 def write_trace(trace: Trace) -> str:
@@ -728,6 +716,14 @@ def parse_trace(text: str) -> Trace:
         for k, record in enumerate(records):
             if record.index != k:
                 raise TraceFormatError(f"step indices out of order at {record.index}")
+        # every writer caps a trace at one step or more, and at no fewer
+        # steps than it holds
+        max_steps = header.get("max_steps", default_step_cap(g))
+        if "max_steps" in header and max_steps < max(len(records), 1):
+            raise TraceFormatError(
+                f"trace field 'max_steps' is {max_steps!r}, which is below 1 or "
+                f"the trace's {len(records)} steps"
+            )
         return Trace(
             graph=g,
             policy=header["policy"],
@@ -736,7 +732,7 @@ def parse_trace(text: str) -> Trace:
             records=tuple(records),
             final=final,
             stable=footer["stable"],
-            max_steps=header.get("max_steps", default_step_cap(g)),
+            max_steps=max_steps,
         )
     except KeyError as exc:
         raise TraceFormatError(f"trace record missing field {exc}") from exc

@@ -216,7 +216,8 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     edge steps. A snapshot of the configuration before a step is rebuilt,
     only for a first failure, from the pre-step states the Execution keeps
     until ``advance``. Married pairs are indexed by node, so only the
-    movers' pairs are checked for separation. When the policy makes
+    movers' pairs are checked for separation; once the replay has reproduced
+    the final configuration they are its matching. When the policy makes
     active_component_shrink applicable, the active set is kept across steps:
     at each round boundary only the processes whose activity the round can
     have changed are decided again (its movers, the endpoints of pairs that
@@ -367,30 +368,17 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         )
 
     # Sharper reading of the three-step edge limit: an edge may only reach
-    # three steps when exactly one endpoint pointed at the other initially,
-    # and a process's single pointer makes it the one-sided source of at
-    # most one such edge, capping them at n overall: an edge past that cap
-    # is one of the two hits below.
-    pointer_sources: dict[int, tuple[int, int]] = {}
+    # three steps when exactly one endpoint pointed at the other initially.
+    # That endpoint's single pointer names one partner, so no two such edges
+    # share it, and at most n edges reach three steps.
     for u, v in sorted(edge_third_step):
-        u_points = trace.initial.p_of(u) == v
-        v_points = trace.initial.p_of(v) == u
-        if u_points == v_points:
+        if (trace.initial.p_of(u) == v) == (trace.initial.p_of(v) == u):
             hit(
                 "edge_move_limit", edge_third_step[(u, v)],
                 f"edge ({u}, {v}) reached three steps without an initial "
                 "one-sided pointer",
                 snapshot=trace.initial.to_text,
             )
-            continue
-        source = u if u_points else v
-        if source in pointer_sources:
-            hit(
-                "edge_move_limit", edge_third_step[(u, v)],
-                f"node {source} is the initial pointer of two edges that "
-                f"reached three steps, {pointer_sources[source]} and ({u}, {v})",
-            )
-        pointer_sources[source] = (u, v)
 
     if trace.steps > steps_allowed:
         hit(
@@ -403,7 +391,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             f"trace used {trace.rounds} rounds, bound is {rounds_allowed}",
         )
 
-    matching = extract_matching(final, g)
     if not stabilized:
         hit(
             "stable_is_maximal", trace.steps,
@@ -414,7 +401,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             "m_flag_consistency", "skip",
             detail="only evaluated on stable final configurations")
     else:
-        witness = check_maximal(matching, g)
+        witness = check_maximal(married, g)
         if witness is not None:
             hit(
                 "stable_is_maximal", trace.steps,
@@ -429,7 +416,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     f"node {i} classifies {cls.value} in a stable configuration",
                     snapshot=final.to_text,
                 )
-        for i in g.nodes:
             if final.m_of(i) != pr_married(final, g, i):
                 hit(
                     "m_flag_consistency", trace.steps,
@@ -471,7 +457,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                              "edges_at_three": len(edge_third_step)}),
         ("step_bound", {"steps": trace.steps, "bound": steps_allowed}),
         ("round_bound", {"rounds": trace.rounds, "bound": rounds_allowed}),
-        ("stable_is_maximal", {"matching_size": len(matching)}),
+        ("stable_is_maximal", {"matching_size": len(married)}),
         ("active_component_shrink", shrink),
     ):
         checks[name].measured.update(measured)
@@ -670,7 +656,7 @@ class _Livelock(Exception):
 
 def exhaustive_search(
     g: Graph,
-    initial: Union[Configuration, str, Iterable[Configuration]],
+    initial: Union[Configuration, str],
     branch_marriage: bool = False,
     budget: int = 200_000,
     semantics: RuleSemantics = STANDARD,
@@ -680,10 +666,9 @@ def exhaustive_search(
     processes, and every suitor choice when branch_marriage) to find the
     longest schedule to stability.
 
-    ``initial`` is a configuration, the string "all" for every well-formed
-    configuration, or an iterable of configurations. The memo is shared
-    across initial states, so the all-configurations mode costs one sweep of
-    the reachable state space. A repeated configuration on the current
+    ``initial`` is a configuration, or the string "all" for every
+    well-formed configuration. The memo is shared across initial states, so
+    the all-configurations mode costs one sweep of the reachable state space. A repeated configuration on the current
     schedule proves a livelock and aborts the search with its witness.
     ``progress``, if given, is called with the explored-state count and the
     memo size after every 4 096 explored states.
@@ -698,9 +683,7 @@ def exhaustive_search(
     if budget < 1:
         raise ValueError("budget must be positive")
     codec = _StateCodec(g)
-    if isinstance(initial, Configuration):
-        initial = [initial]
-    initials = codec.every_state() if initial == "all" else [codec.encode(c) for c in initial]
+    initials = codec.every_state() if initial == "all" else [codec.encode(initial)]
 
     memo: dict[int, tuple[int, Optional[int], bool]] = {}
     explored = 0

@@ -8,8 +8,9 @@ import pytest
 
 from stabmatch.cli import EXIT_FAIL, EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, main
 from stabmatch.graph import read_graph
-from stabmatch.protocol import parse_configuration
+from stabmatch.protocol import Configuration, parse_configuration, random_configuration
 from stabmatch.scheduler import parse_trace
+from stabmatch.verifier import exhaustive_search
 
 TWO_SUITORS_GRAPH = "3\n1 3\n2 3\n"
 TWO_SUITORS_INIT = "1 3 f\n2 3 f\n3 - f\n"
@@ -31,6 +32,10 @@ class TestGen:
         assert main(["gen", "--kind", "path", "--n", "3", "--out", "p3.g"]) == EXIT_OK
         assert (workdir / "p3.g").read_text() == "3\n0 1\n1 2\n"
         assert "n=3 m=2" in capsys.readouterr().out
+
+    def test_stdout_with_counts_on_stderr(self, workdir, capsys):
+        assert main(["gen", "--kind", "path", "--n", "3"]) == EXIT_OK
+        assert capsys.readouterr() == ("3\n0 1\n1 2\n", "n=3 m=2\n")
 
     def test_deterministic_files(self, workdir):
         for name in ("a.g", "b.g"):
@@ -206,6 +211,11 @@ class TestExperiment:
         assert "error: experiment spec 'max_steps' must be a positive integer" in (
             capsys.readouterr().err)
 
+    def test_non_json_spec_is_usage_error(self, workdir, capsys):
+        spec = _write(workdir / "spec.json", "graphs: path\n")
+        assert main(["experiment", "--spec", spec]) == EXIT_USAGE
+        assert "error: bad experiment spec: " in capsys.readouterr().err
+
     def test_top_level_list_is_usage_error(self, workdir, capsys):
         spec = _write(workdir / "spec.json", json.dumps([{"kind": "path", "n": 4}]))
         assert main(["experiment", "--spec", spec]) == EXIT_USAGE
@@ -237,6 +247,19 @@ class TestSearch:
         out = capsys.readouterr().out
         assert "search: ok" in out
         assert "bound: 8" in out
+
+    @pytest.mark.parametrize("init, c0", [
+        ([], Configuration.all_null),
+        (["--init", "random:3"], lambda g: random_configuration(g, 3)),
+    ], ids=["default-allnull", "random-seed"])
+    def test_single_initial_configuration(self, workdir, capsys, init, c0):
+        main(["gen", "--kind", "cycle", "--n", "4", "--out", "c4.g"])
+        g = read_graph((workdir / "c4.g").read_text())
+        capsys.readouterr()
+        assert main(["search", "--graph", "c4.g", *init]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == exhaustive_search(g, c0(g)).to_text()
+        assert "initial_configurations: 1\n" in out
 
     def test_budget_exhaustion_exits_two(self, workdir):
         main(["gen", "--kind", "cycle", "--n", "3", "--out", "c3.g"])
@@ -523,6 +546,10 @@ class TestVerify:
         (0, "seed", True),
         (0, "max_steps", "abc"),
         (0, "max_steps", True),
+        # every writer caps a trace at one step or more, and at no fewer
+        # steps than its four
+        (0, "max_steps", 3),
+        (0, "max_steps", -5),
         (-1, "moves", 99),
         (-1, "rounds", 99),
         (-1, "stable", "x"),

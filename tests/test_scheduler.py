@@ -400,6 +400,22 @@ class TestTraceFromSchedule:
             r.round_index for r in t.records
         ]
 
+    def test_empty_schedule_gives_a_one_step_cap(self, p2):
+        """No step fired: the trace is its initial configuration, unstable
+        here, and its cap is the least a header may hold."""
+        c0 = Configuration.all_null(p2)
+        t = trace_from_schedule(p2, c0, [])
+        assert (t.initial, t.final, t.records, t.stable, t.max_steps) == (c0, c0, (), False, 1)
+        text = write_trace(t)
+        assert text == (
+            '{"graph":"2\\n0 1\\n","graph_hash":"1e7a4f32fb9185df",'
+            '"init":"0 - f\\n1 - f\\n","m":1,"max_steps":1,"n":2,'
+            '"policy":"scripted","seed":0,"type":"header"}\n'
+            '{"final":"0 - f\\n1 - f\\n","moves":0,"rounds":0,"stable":false,'
+            '"steps":0,"type":"footer"}\n'
+        )
+        assert parse_trace(text) == t
+
     def test_step_record_invariants(self):
         g = generate("random_gnm", 9, 13, 3)
         t = run(g, Configuration.all_null(g), DaemonPolicy("distributed_random", seed=8))

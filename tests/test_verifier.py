@@ -12,11 +12,14 @@ from stabmatch.protocol import (
     Rule,
     RuleSemantics,
     STANDARD,
+    enabled_rules,
     marriage_suitors,
     random_configuration,
     seduction_candidates,
 )
 from stabmatch.scheduler import (
+    HEURISTIC_STRATEGIES,
+    POLICY_KINDS,
     DaemonPolicy,
     Move,
     StepRecord,
@@ -321,6 +324,69 @@ class TestForgedTraces:
             audit_trace(dataclasses.replace(t, records=(first, *t.records[1:])))
 
 
+class TestWrongGuards:
+    """The audit's guard_exclusivity, stable_is_maximal and
+    m_flag_consistency checks read the configuration and the audit's own
+    guard evaluation, never the trace's claims, so a wrong guard patched
+    into the audit makes them fail on traces the real guards accept."""
+
+    @staticmethod
+    def _stable_record_free(g, c0):
+        return Trace(graph=g, policy="forged", seed=0, initial=c0, records=(),
+                     final=c0, stable=True, max_steps=1)
+
+    def test_no_guard_anywhere_fails_maximality_and_m_flags(self, p2, monkeypatch):
+        """(null, t), (null, f) on P2 is not stable: node 1 can court 0.
+        With no guard anywhere the audit takes it for stable, and finds the
+        edge (0, 1) addable and node 0's m flag wrong."""
+        c0 = config_of(p2, {0: (None, True)})
+        trace = self._stable_record_free(p2, c0)
+        with pytest.raises(CorruptTraceError, match="stability"):
+            audit_trace(trace)
+        monkeypatch.setattr("stabmatch.verifier.enabled_rules", lambda *_: ())
+        report = audit_trace(trace)
+        maximal, flags = report.checks["stable_is_maximal"], report.checks["m_flag_consistency"]
+        assert (maximal.verdict, maximal.counterexample_step, maximal.snapshot) == (
+            "fail", 0, c0.to_text())
+        assert maximal.detail == "stable configuration is not maximal, edge (0, 1) is addable"
+        assert (flags.verdict, flags.counterexample_step, flags.snapshot) == (
+            "fail", 0, c0.to_text())
+        assert flags.detail == "node 0 has m=True but marriage status False"
+        assert {c.name for c in report.failures()} == {"stable_is_maximal", "m_flag_consistency"}
+
+    def test_no_guard_anywhere_fails_a_condemned_node(self, p3, monkeypatch):
+        """0 and 1 are married, flagged, and 2 points at 1: the matching is
+        maximal and every m flag right, but 2 classifies condemned."""
+        c0 = config_of(p3, {0: (1, True), 1: (0, True), 2: (1, False)})
+        monkeypatch.setattr("stabmatch.verifier.enabled_rules", lambda *_: ())
+        report = audit_trace(self._stable_record_free(p3, c0))
+        maximal = report.checks["stable_is_maximal"]
+        assert (maximal.verdict, maximal.counterexample_step, maximal.snapshot) == (
+            "fail", 0, c0.to_text())
+        assert maximal.detail == "node 2 classifies condemned in a stable configuration"
+        assert report.checks["m_flag_consistency"].verdict == "pass"
+
+    @pytest.mark.parametrize("node, step, detail", [
+        (0, 0, "node 0 has guards ['seduction', 'abandonment'] in the initial configuration"),
+        (1, 1, "node 1 has guards ['marriage', 'abandonment'] after step 0"),
+    ], ids=["initial", "after-step"])
+    def test_a_second_guard_fails_exclusivity(self, p2, monkeypatch, node, step, detail):
+        """Synchronous P2 from all-null: 0 courts 1, 1 marries 0, both
+        update. Node 0 is enabled from the start, node 1 from step 1."""
+        t = run(p2, Configuration.all_null(p2), DaemonPolicy("synchronous"))
+
+        def guards(c, g, i, semantics=STANDARD):
+            rules = enabled_rules(c, g, i, semantics)
+            return rules + (Rule.ABANDONMENT,) if i == node and rules else rules
+
+        monkeypatch.setattr("stabmatch.verifier.enabled_rules", guards)
+        report = audit_trace(t)
+        check = report.checks["guard_exclusivity"]
+        assert (check.verdict, check.counterexample_step, check.detail) == ("fail", step, detail)
+        assert check.snapshot == pre_step_text(t, step)
+        assert [c.name for c in report.failures()] == ["guard_exclusivity"]
+
+
 def _components_by_smallest_left(nodes, g):
     """The components in the order the audit first listed them: repeatedly
     the component of the smallest node not yet placed."""
@@ -619,3 +685,43 @@ class TestAuditProperty:
         report = audit_trace(t)
         assert t.stable
         assert report.all_pass, [c.line() for c in report.failures()]
+
+
+ALL_POLICIES = [
+    f"{kind}:{strategy}" if kind.endswith("adversarial_heuristic") else kind
+    for kind in POLICY_KINDS
+    for strategy in (HEURISTIC_STRATEGIES if kind.endswith("adversarial_heuristic") else (None,))
+]
+
+
+@st.composite
+def run_traces(draw):
+    """A run under any policy and strategy, capped or not."""
+    n = draw(st.integers(2, 12))
+    g = generate("random_gnm", n, min(n - 1 + draw(st.integers(0, 8)), n * (n - 1) // 2),
+                 draw(st.integers(0, 10**6)))
+    policy = DaemonPolicy.parse(draw(st.sampled_from(ALL_POLICIES)), draw(st.integers(0, 1000)))
+    return run(g, random_configuration(g, draw(st.integers(0, 1000))), policy,
+               max_steps=draw(st.one_of(st.none(), st.integers(1, 30))))
+
+
+@st.composite
+def stabilized_forged_traces(draw):
+    """Random forged moves, then a run from where they end to stability:
+    marriages forged apart and together before the protocol takes over."""
+    t = draw(forged_round_traces())
+    tail = run(t.graph, t.final, DaemonPolicy("sequential_random", seed=draw(st.integers(0, 99))))
+    return forge_trace(t.graph, t.initial,
+                       [r.moves for r in t.records] + [r.moves for r in tail.records], t.policy)
+
+
+@given(t=st.one_of(run_traces(), stabilized_forged_traces()))
+@settings(max_examples=200, deadline=None)
+def test_audit_matching_is_the_final_configurations(t):
+    """The audit reads its matching off the married pairs it tracks across
+    the replay; they are the final configuration's pairs."""
+    matching = extract_matching(t.final, t.graph)
+    check = audit_trace(t).checks["stable_is_maximal"]
+    assert check.measured == {"matching_size": len(matching)}
+    if t.stable:
+        assert (check.verdict == "pass") == (check_maximal(matching, t.graph) is None)
