@@ -42,7 +42,6 @@ from .verifier import (
     check_maximal,
     exhaustive_search,
     extract_matching,
-    is_stable,
     witness_trace,
 )
 

@@ -23,7 +23,7 @@ from .protocol import (
     Configuration,
     MutableConfiguration,
     classify,
-    enabled_rule,
+    enabled_nodes,
     parse_configuration,
     random_configuration,
 )
@@ -303,11 +303,11 @@ def cmd_search(args) -> int:
     return EXIT_OK if result.ok else EXIT_FAIL
 
 
-def _format_state(c: Configuration, g: Graph) -> str:
+def _format_state(c: Configuration, g: Graph, enabled: dict) -> str:
     lines = ["node  p     m  class      enabled"]
     for i in g.nodes:
         p = c.p_of(i)
-        rule = enabled_rule(c, g, i)
+        rule = enabled.get(i)
         lines.append(
             f"{i:<5} {'-' if p is None else p:<5} "
             f"{'t' if c.m_of(i) else 'f'}  {classify(c, g, i).value:<10} "
@@ -325,8 +325,8 @@ def cmd_step(args) -> int:
     print("interactive stepper; enter node ids, 'all', 'rand', 'undo', "
           "'save FILE', or 'quit'")
     while True:
-        print(_format_state(c, g))
-        enabled = [i for i in g.nodes if enabled_rule(c, g, i) is not None]
+        enabled = enabled_nodes(c, g)
+        print(_format_state(c, g, enabled))
         if not enabled:
             print("stable configuration reached")
         print("> ", end="", flush=True)
@@ -360,7 +360,7 @@ def cmd_step(args) -> int:
                 print("no enabled process")
                 continue
             chosen = tuple(
-                sorted(rng.sample(enabled, rng.randint(1, len(enabled))))
+                sorted(rng.sample(list(enabled), rng.randint(1, len(enabled))))
             )
         else:
             try:
@@ -379,7 +379,7 @@ def cmd_step(args) -> int:
         if not chosen:
             continue
         history.append((c, chosen))
-        c, moves = apply_step(c, g, chosen)
+        c, moves = apply_step(c, g, chosen, rules=enabled)
         print("fired: " + ", ".join(f"{mv.node}:{mv.rule.value}" for mv in moves))
     return EXIT_OK
 
@@ -529,10 +529,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GraphFormatError, ConfigFormatError, TraceFormatError, OSError) as exc:
+    except (UsageError, GraphFormatError, ConfigFormatError, TraceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

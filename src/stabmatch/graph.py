@@ -86,12 +86,6 @@ class Graph:
             (u, v) for u, vs in self.adjacency.items() for v in vs if u < v
         )
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Neighbors of ``i`` sorted ascending by node key."""
-        if i not in self.adjacency:
-            raise KeyError(f"node not in graph: {i}")
-        return self.adjacency[i]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, ())
 

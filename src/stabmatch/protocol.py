@@ -37,9 +37,6 @@ class PredicateClass(enum.Enum):
     DEAD = "dead"
     FREE = "free"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ProcessState:

@@ -8,8 +8,7 @@ distributed daemon models, in random, adversarial-heuristic and fair
 flavors. All randomness flows from the policy seed, so a (graph, initial
 configuration, policy) triple always reproduces the same trace bit for bit.
 
-Every replay of steps, whether ``run`` choosing them, ``trace_from_schedule``
-following a script or the audit checking a recorded trace, goes through one
+``run``, ``trace_from_schedule`` and the audit step through one
 ``Execution``. It owns the current configuration, a MutableConfiguration
 that each step's writes update in place, the map from each enabled process
 to its guard result, the round index and the set of processes the current
@@ -25,6 +24,11 @@ each chosen step to ``Execution.fire``, which writes it through
 every pick of a married suitor or a courted neighbor. A recorded step is
 resolved by ``realize_moves``, which takes those picks from
 ``command_target``, and written in place by ``apply_realized``.
+
+Three replays need no rounds and keep no Execution: ``export-dot
+--at-step`` writes into a MutableConfiguration with ``replay_step``, and
+the search's witness replay and ``stabmatch step`` fire ``apply_step`` on
+frozen Configurations, which the search encodes and ``step`` keeps to undo.
 """
 
 from __future__ import annotations
@@ -140,15 +144,15 @@ def _strategy_key(g: Graph, strategy: Optional[str]):
 class EnabledSet:
     """The enabled processes, kept in the orders the daemons pick from.
 
-    ``nodes`` is sorted by node key; for a heuristic strategy ``ranked``
-    holds the strategy's sort keys in ascending order, so its preferred node
-    is ``ranked[0][-1]``. ``update`` keeps both orders from a step's dirty
-    processes, by bisection when few change, so the execution loop does not
-    re-sort the whole set before every pick.
+    ``nodes`` is sorted by node key; for the heuristic strategy it is built
+    with, which must be the policy's, ``ranked`` holds the strategy's sort
+    keys in ascending order, so its preferred node is ``ranked[0][-1]``.
+    ``update`` keeps both orders from a step's dirty processes, by bisection
+    when few change, so the execution loop does not re-sort the whole set
+    before every pick.
     """
 
     def __init__(self, g: Graph, strategy: Optional[str], nodes: Iterable[int]):
-        self.strategy = strategy
         self._members = set(nodes)
         self.nodes = sorted(self._members)
         self._key = _strategy_key(g, strategy)
@@ -189,19 +193,15 @@ class EnabledSet:
 
 
 def select(
-    policy: DaemonPolicy, enabled: Iterable[int], history: SchedulerState
+    policy: DaemonPolicy, enabled: EnabledSet, history: SchedulerState
 ) -> frozenset[int]:
     """Choose the nonempty subset of enabled processes that fires next.
 
-    ``run`` passes its EnabledSet, whose node order and strategy order are
-    maintained incrementally, so a sequential or min/max pick reads the
-    front of a sorted list instead of sorting and scanning every candidate;
-    any other iterable is sorted here first. Random kinds draw in node-key
-    order: ``rng.choice`` over the sorted candidates, or one ``rng.random()``
-    per candidate.
+    ``enabled`` is in the policy's strategy order, which ``run`` keeps
+    across steps, so a sequential or min/max pick reads the front of a
+    sorted list. Random kinds draw in node-key order: ``rng.choice`` over
+    the sorted candidates, or one ``rng.random()`` per candidate.
     """
-    if not isinstance(enabled, EnabledSet) or enabled.strategy != policy.strategy:
-        enabled = EnabledSet(history.graph, policy.strategy, enabled)
     candidates = enabled.nodes
     if not candidates:
         raise ValueError("select requires a nonempty enabled set")
@@ -480,15 +480,11 @@ def realize_moves(
 
 
 def apply_realized(
-    c: Configuration, g: Graph, realized: Iterable[Move]
-) -> Configuration:
-    """Apply the writes of realized moves simultaneously.
-
-    Every (index, p, m) write is computed from ``c``'s state lists before any
-    is made; a MutableConfiguration gets them written into its lists in
-    place and is returned, a frozen Configuration gives a new one through
-    ``with_writes``.
-    """
+    c: MutableConfiguration, g: Graph, realized: Iterable[Move]
+) -> MutableConfiguration:
+    """Write the realized moves into ``c`` in place, simultaneously: every
+    (index, p, m) write is computed from ``c``'s state lists before any is
+    made. Returns ``c``."""
     index, p, m = c._index, c.p, c.m
     writes = []
     for mv in realized:
@@ -498,17 +494,15 @@ def apply_realized(
             writes.append((k, j, j is not None and p[index[j]] == i))
         else:  # abandonment realizes its dropped partner, the write is null
             writes.append((k, None if mv.rule is Rule.ABANDONMENT else mv.target, m[k]))
-    if isinstance(c, MutableConfiguration):
-        for k, pk, mk in writes:
-            p[k], m[k] = pk, mk
-        return c
-    return c.with_writes({c.nodes[k]: ProcessState(pk, mk) for k, pk, mk in writes})
+    for k, pk, mk in writes:
+        p[k], m[k] = pk, mk
+    return c
 
 
 def replay_step(
-    c: Configuration, g: Graph, moves: Iterable[Move], semantics: RuleSemantics = STANDARD
-) -> Configuration:
-    """Re-apply a recorded step's commands to a configuration."""
+    c: MutableConfiguration, g: Graph, moves: Iterable[Move], semantics: RuleSemantics = STANDARD
+) -> MutableConfiguration:
+    """Re-apply a recorded step's commands to ``c`` in place."""
     return apply_realized(c, g, realize_moves(c, g, moves, semantics))
 
 
@@ -699,14 +693,22 @@ def parse_trace(text: str) -> Trace:
             raise TraceFormatError(f"trace field {key!r} must be {kinds[kind]}")
     try:
         g = read_graph(header["graph"])
-        initial = parse_configuration(header["init"], g)
-        final = parse_configuration(footer["final"], g)
+        trace = Trace(
+            graph=g,
+            policy=header["policy"],
+            seed=header["seed"],
+            initial=parse_configuration(header["init"], g),
+            records=tuple(records),
+            final=parse_configuration(footer["final"], g),
+            stable=footer["stable"],
+            max_steps=header.get("max_steps", default_step_cap(g)),
+        )
         for record, key, value in (
             (header, "n", g.n), (header, "m", g.m),
             (header, "graph_hash", text_digest(header["graph"])),
-            (footer, "steps", len(records)),
-            (footer, "moves", sum(len(r.moves) for r in records)),
-            (footer, "rounds", records[-1].round_index if records else 0),
+            (footer, "steps", trace.steps),
+            (footer, "moves", trace.moves),
+            (footer, "rounds", trace.rounds),
         ):
             if type(record[key]) is not type(value) or record[key] != value:
                 raise TraceFormatError(
@@ -718,21 +720,11 @@ def parse_trace(text: str) -> Trace:
                 raise TraceFormatError(f"step indices out of order at {record.index}")
         # every writer caps a trace at one step or more, and at no fewer
         # steps than it holds
-        max_steps = header.get("max_steps", default_step_cap(g))
-        if "max_steps" in header and max_steps < max(len(records), 1):
+        if "max_steps" in header and trace.max_steps < max(trace.steps, 1):
             raise TraceFormatError(
-                f"trace field 'max_steps' is {max_steps!r}, which is below 1 or "
-                f"the trace's {len(records)} steps"
+                f"trace field 'max_steps' is {trace.max_steps!r}, which is below 1 or "
+                f"the trace's {trace.steps} steps"
             )
-        return Trace(
-            graph=g,
-            policy=header["policy"],
-            seed=header["seed"],
-            initial=initial,
-            records=tuple(records),
-            final=final,
-            stable=footer["stable"],
-            max_steps=max_steps,
-        )
+        return trace
     except KeyError as exc:
         raise TraceFormatError(f"trace record missing field {exc}") from exc

@@ -27,7 +27,6 @@ from .protocol import (
     classify,
     command_target,
     enabled_nodes,
-    enabled_rule,
     enabled_rules,
     marriage_suitors,
     pr_married,
@@ -62,11 +61,6 @@ ROUND_BOUND_POLICIES = ("synchronous", "distributed_fair")
 
 class CorruptTraceError(ValueError):
     """Raised when a trace's records do not reproduce its recorded outcome."""
-
-
-def is_stable(c: Configuration, g: Graph, semantics: RuleSemantics = STANDARD) -> bool:
-    """True iff no process has an enabled rule."""
-    return all(enabled_rule(c, g, i, semantics) is None for i in g.nodes)
 
 
 def extract_matching(c: Configuration, g: Graph) -> frozenset[tuple[int, int]]:
@@ -245,14 +239,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
 
     execution = Execution(g, trace.initial, semantics, enabled_rules)
     c = execution.config
-    for i, rules in execution.enabled.items():
-        if len(rules) > 1:
-            hit(
-                "guard_exclusivity", 0,
-                f"node {i} has guards {[r.value for r in rules]} "
-                "in the initial configuration",
-                snapshot=trace.initial.to_text,
-            )
     # the married pairs, and each married process's pair
     married = set(extract_matching(trace.initial, g))
     pair_of = {u: pair for pair in married for u in pair}
@@ -264,7 +250,19 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     boundary_steps = [0]
     undecided: set[int] = set()  # processes to decide at the next boundary
 
-    for record in trace.records:
+    # the processes whose guards were just evaluated, and when
+    fresh, at, when = execution.enabled, 0, "in the initial configuration"
+    for record in (*trace.records, None):
+        for i in fresh:
+            rules = execution.enabled[i]
+            if len(rules) > 1:
+                hit(
+                    "guard_exclusivity", at,
+                    f"node {i} has guards {[r.value for r in rules]} {when}",
+                    snapshot=c.to_text,
+                )
+        if record is None:
+            break
         try:
             realized = realize_moves(c, g, record.moves, semantics)
         except TraceFormatError as exc:
@@ -339,16 +337,8 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 f"corrupt trace: step {record.index} recorded round "
                 f"{record.round_index}, recomputed {execution.round}"
             )
-        on, _, closed = execution.advance(moved)
-        for i in on:
-            rules = execution.enabled[i]
-            if len(rules) > 1:
-                hit(
-                    "guard_exclusivity", record.index + 1,
-                    f"node {i} has guards {[r.value for r in rules]} "
-                    f"after step {record.index}",
-                    snapshot=c.to_text,
-                )
+        fresh, _, closed = execution.advance(moved)
+        at, when = record.index + 1, f"after step {record.index}"
         if closed and round_applicable:
             active.difference_update(undecided)
             active |= _active_set(c, g, pair_of, undecided)

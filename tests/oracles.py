@@ -3,14 +3,16 @@
 These deliberately avoid the package's fast paths: maximality is decided by
 trying every superset, rounds are recomputed with a full eligibility scan at
 every configuration, the five predicates, the four guards and the
-resolution of a recorded step are transcribed literally, and the
-reference daemon sorts the enabled set and rebuilds its pending and owed
-bookkeeping from scratch on every step, the reference search fires
-every branch with apply_step on a frozen configuration, the active sets are
-rescanned over every process at every round boundary, and the reference
-parsers build an edge list and a state dict before the graph or the
-configuration. If an oracle and the implementation ever disagree, the test
-fails and one of them is wrong.
+resolution of a recorded step are transcribed literally (the round,
+starvation and sequential-schedule oracles replay and fire steps through
+these transcriptions, never through the engine), the reference daemon
+sorts the enabled set and rebuilds its pending and owed bookkeeping from
+scratch on every step, the reference search fires every branch with
+apply_step on a frozen configuration, the active sets are rescanned over
+every process at every round boundary, and the reference parsers build an
+edge list and a state dict before the graph or the configuration. If an
+oracle and the implementation ever disagree, the test fails and one of
+them is wrong.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from stabmatch.scheduler import (
     TraceFormatError,
     apply_step,
     default_step_cap,
-    replay_step,
     step_bound,
 )
 from stabmatch.verifier import SearchResult, WitnessStep, check_maximal, extract_matching
@@ -96,18 +97,16 @@ def brute_force_maximal(mt, g):
 
 def rescan_rounds(trace: Trace, semantics=None):
     """Round partition recomputed with full eligibility scans at every
-    configuration, O(steps * n * degree)."""
-    from stabmatch.protocol import STANDARD
-
+    configuration, O(steps * n * degree): the configurations replayed by
+    ``replay_configurations``, eligibility decided by ``literal_guards``."""
     semantics = semantics or STANDARD
     g = trace.graph
 
     def eligible(c):
-        return {i for i in g.nodes if enabled_rule(c, g, i, semantics) is not None}
+        return {i for i in g.nodes if literal_guards(c, g, i, semantics)}
 
-    configs = [trace.initial]
-    for record in trace.records:
-        configs.append(replay_step(configs[-1], g, record.moves, semantics))
+    configs = replay_configurations(g, trace.initial, [r.moves for r in trace.records],
+                                    semantics)
 
     annotations = []
     round_index = 1
@@ -130,8 +129,6 @@ def replay_configurations(g, c0: Configuration, step_moves, semantics=None):
     points at the recorded suitor (or the suitor of largest identifier),
     seduction at the courtable neighbor of largest identifier, abandonment
     at null."""
-    from stabmatch.protocol import STANDARD, ProcessState, Rule
-
     semantics = semantics or STANDARD
     ident = g.ident
     configs = [c0]
@@ -163,28 +160,26 @@ def replay_configurations(g, c0: Configuration, step_moves, semantics=None):
 def all_sequential_step_counts(g, c0: Configuration, limit=200):
     """Step counts of every sequential schedule from c0, by full recursion.
 
-    Branches over every single enabled process and every marriage suitor.
+    Branches over every single enabled process (``literal_guards``) and
+    every marriage suitor, each step fired by ``literal_realize``.
     ``limit`` guards against runaway recursion on a broken protocol.
     """
-    from stabmatch.protocol import Rule, marriage_suitors
-    from stabmatch.scheduler import apply_step
-
     counts = set()
 
     def walk(c, depth):
         assert depth <= limit, "sequential schedule exceeded the recursion guard"
-        enabled = [i for i in g.nodes if enabled_rule(c, g, i) is not None]
-        if not enabled:
+        moves = []
+        for i in g.nodes:
+            for rule in literal_guards(c, g, i):
+                if rule is Rule.MARRIAGE:
+                    moves += [Move(i, rule, j) for j in g.adjacency[i] if c.p_of(j) == i]
+                else:
+                    moves.append(Move(i, rule))
+        if not moves:
             counts.add(depth)
-            return
-        for i in enabled:
-            if enabled_rule(c, g, i) is Rule.MARRIAGE:
-                for suitor in marriage_suitors(c, g, i):
-                    c2, _ = apply_step(c, g, [i], marriage_choices={i: suitor})
-                    walk(c2, depth + 1)
-            else:
-                c2, _ = apply_step(c, g, [i])
-                walk(c2, depth + 1)
+        for mv in moves:
+            _, c2 = literal_realize(c, g, [mv])
+            walk(c2, depth + 1)
 
     walk(c0, 0)
     return counts
@@ -293,20 +288,20 @@ def literal_realize(c, g, moves, semantics=STANDARD):
 
 def starvation_streaks(trace: Trace):
     """Longest run of consecutive steps each node stayed enabled, unselected
-    and undisturbed, recomputed from the configurations."""
+    and undisturbed, recomputed from the configurations that
+    ``replay_configurations`` replays, eligibility by ``literal_guards``."""
     g = trace.graph
-    c = trace.initial
+    configs = replay_configurations(g, trace.initial, [r.moves for r in trace.records])
     streak = {i: 0 for i in g.nodes}
     worst = {i: 0 for i in g.nodes}
-    for record in trace.records:
+    for record, c in zip(trace.records, configs):
         moved = {mv.node for mv in record.moves}
         for i in g.nodes:
-            if enabled_rule(c, g, i) is None or i in moved:
+            if not literal_guards(c, g, i) or i in moved:
                 streak[i] = 0
             else:
                 streak[i] += 1
                 worst[i] = max(worst[i], streak[i])
-        c = replay_step(c, g, record.moves)
     return worst
 
 

@@ -14,6 +14,7 @@ from stabmatch.verifier import exhaustive_search
 
 TWO_SUITORS_GRAPH = "3\n1 3\n2 3\n"
 TWO_SUITORS_INIT = "1 3 f\n2 3 f\n3 - f\n"
+STABLE_TWO_SUITORS = "1 - f\n2 3 t\n3 2 t\n"
 
 
 @pytest.fixture
@@ -355,6 +356,42 @@ class TestStep:
         trace = parse_trace((workdir / "empty.trace").read_text())
         assert trace.steps == 0
 
+    @pytest.mark.parametrize("init, command, printed", [
+        (TWO_SUITORS_INIT, "undo", "nothing to undo"),
+        (TWO_SUITORS_INIT, "save", "usage: save FILE"),
+        (TWO_SUITORS_INIT, "foo", "unrecognized input: foo"),
+        (TWO_SUITORS_INIT, "9", "unknown node: 9"),
+        (STABLE_TWO_SUITORS, "rand", "no enabled process"),
+    ])
+    def test_input_that_fires_nothing_prints_why(
+        self, workdir, capsys, monkeypatch, init, command, printed
+    ):
+        _write(workdir / "two.g", TWO_SUITORS_GRAPH)
+        _write(workdir / "two.cfg", init)
+        self._feed(monkeypatch, f"{command}\nquit\n")
+        assert main(["step", "--graph", "two.g", "--init", "two.cfg"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"> {printed}\n" in out and "fired:" not in out
+
+    def test_rand_fires_a_seeded_subset_of_the_enabled(self, workdir, capsys, monkeypatch):
+        _write(workdir / "two.g", TWO_SUITORS_GRAPH)
+        _write(workdir / "two.cfg", TWO_SUITORS_INIT)
+        outs = []
+        for _ in range(2):
+            self._feed(monkeypatch, "rand\nquit\n")
+            assert main(["step", "--graph", "two.g", "--init", "two.cfg", "--seed", "4"]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "fired: 3:marriage" in outs[0]
+
+    def test_all_at_a_stable_configuration_fires_nothing(self, workdir, capsys, monkeypatch):
+        _write(workdir / "two.g", TWO_SUITORS_GRAPH)
+        _write(workdir / "two.cfg", STABLE_TWO_SUITORS)
+        self._feed(monkeypatch, "all\nquit\n")
+        assert main(["step", "--graph", "two.g", "--init", "two.cfg"]) == EXIT_OK
+        out = capsys.readouterr().out
+        # the prompt comes back on the same stable configuration
+        assert out.count("stable configuration reached\n> ") == 2 and "fired:" not in out
+
     def test_saved_walk_replays_to_same_final(self, workdir, capsys, monkeypatch):
         _write(workdir / "two.g", TWO_SUITORS_GRAPH)
         _write(workdir / "two.cfg", TWO_SUITORS_INIT)
@@ -489,6 +526,24 @@ class TestVerify:
         records[0]["graph"] += "# the same graph\n"
         assert self._verify_lines(workdir, records) == EXIT_USAGE
         assert "'graph_hash'" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped(self, workdir, capsys):
+        main(["gen", "--kind", "path", "--n", "2", "--out", "p2.g"])
+        main(["run", "--graph", "p2.g", "--policy", "sequential_random",
+              "--seed", "1", "--trace-out", "p2.trace"])
+        capsys.readouterr()
+        assert main(["verify", "--trace", "p2.trace"]) == EXIT_OK
+        plain = capsys.readouterr()
+        lines = (workdir / "p2.trace").read_text().splitlines()
+        _write(workdir / "blank.trace", "\n".join([lines[0], "", "  ", *lines[1:]]) + "\n")
+        assert main(["verify", "--trace", "blank.trace"]) == EXIT_OK
+        assert capsys.readouterr() == plain
+
+    def test_header_without_graph_is_usage_error(self, workdir, capsys):
+        records = self._valid_lines(workdir, capsys)
+        del records[0]["graph"]
+        assert self._verify_lines(workdir, records) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: trace record missing field 'graph'\n"
 
     def test_malformed_trace_usage_error(self, workdir, capsys):
         _write(workdir / "junk.trace", "not a trace\n")

@@ -16,23 +16,18 @@ from .oracles import distance2_violations
 
 
 class TestNeighbors:
+    """A node's neighbors are its adjacency row, sorted ascending."""
+
     def test_path_middle(self, p3):
-        assert p3.neighbors(1) == (0, 2)
+        assert p3.adjacency[1] == (0, 2)
 
     def test_single_node(self):
         g = Graph.from_edges([7], [])
-        assert g.neighbors(7) == ()
+        assert g.adjacency[7] == ()
 
     def test_triangle_row(self):
         g = Graph.from_edges([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
-        assert g.neighbors(2) == (1, 3)
-
-    def test_unknown_node(self, p3):
-        with pytest.raises(KeyError, match="node not in graph"):
-            p3.neighbors(9)
-
-    def test_stable_across_calls(self, triangle):
-        assert triangle.neighbors(0) == triangle.neighbors(0)
+        assert g.adjacency[2] == (1, 3)
 
 
 class TestConstruction:
@@ -47,6 +42,17 @@ class TestConstruction:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
             Graph.from_edges([], [])
+
+    @pytest.mark.parametrize("nodes, adjacency, ident, fragment", [
+        ((0, 1), {0: (1,), 1: (0,)}, {0: 0}, "ident must assign"),
+        ((-1, 1), {-1: (1,), 1: (-1,)}, {}, "nonnegative"),
+        ((0, 1), {0: (0, 1), 1: (0,)}, {}, "self-loop at node 0"),
+        ((0, 1), {0: (1, 2), 1: (0,)}, {}, "edge endpoint 2 not a node"),
+        ((0, 1), {0: (1,), 1: ()}, {}, r"adjacency not symmetric at \(0, 1\)"),
+    ])
+    def test_direct_construction_rejects(self, nodes, adjacency, ident, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            Graph(nodes, adjacency, ident)
 
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges([0, 1], [(0, 1), (1, 0)])
@@ -110,6 +116,14 @@ class TestGenerate:
     def test_gnm_too_few_edges_for_connectivity(self):
         with pytest.raises(ValueError, match="connect"):
             generate("random_gnm", 5, 3)
+
+    def test_gnm_needs_m(self):
+        with pytest.raises(ValueError, match="random_gnm needs m"):
+            generate("random_gnm", 5)
+
+    def test_fixed_family_rejects_a_different_m(self):
+        with pytest.raises(ValueError, match="path with n=4 has 3 edges, not m=5"):
+            generate("path", 4, m=5)
 
     def test_cycle_needs_three(self):
         with pytest.raises(ValueError):
@@ -193,6 +207,11 @@ class TestFileFormat:
     def test_write_rejects_isolated_mix(self):
         g = Graph.from_edges([0, 1, 5], [(0, 1)])
         with pytest.raises(ValueError, match="not representable"):
+            write_graph(g)
+
+    def test_write_rejects_edge_free_noncontiguous_ids(self):
+        g = Graph((0, 2), {0: (), 2: ()})
+        with pytest.raises(ValueError, match="non-contiguous"):
             write_graph(g)
 
     def test_write_rejects_custom_ident(self):

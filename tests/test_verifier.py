@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from stabmatch.graph import Graph, generate
 from stabmatch.protocol import (
     Configuration,
+    MutableConfiguration,
     ProcessState,
     Rule,
     RuleSemantics,
     STANDARD,
+    enabled_nodes,
     enabled_rules,
     marriage_suitors,
     random_configuration,
@@ -35,7 +37,6 @@ from stabmatch.verifier import (
     check_maximal,
     exhaustive_search,
     extract_matching,
-    is_stable,
     witness_trace,
 )
 
@@ -52,10 +53,10 @@ def forge_trace(g, c0, step_moves, policy="forged", semantics=None):
     from stabmatch.protocol import STANDARD, enabled_rule
 
     semantics = semantics or STANDARD
-    c = c0
+    c = MutableConfiguration(c0)
     for moves in step_moves:
-        c = replay_step(c, g, moves, semantics)
-    final = c
+        replay_step(c, g, moves, semantics)
+    final = c.freeze()
     stable = all(enabled_rule(final, g, i, semantics) is None for i in g.nodes)
     provisional = Trace(
         graph=g, policy=policy, seed=0, initial=c0,
@@ -82,16 +83,18 @@ def pre_step_text(trace, step, semantics=None):
 
 
 class TestIsStable:
+    """A configuration is stable when ``enabled_nodes`` finds no process enabled."""
+
     def test_married_pair_with_correct_flags(self, p2):
-        assert is_stable(config_of(p2, {0: (1, True), 1: (0, True)}), p2)
+        assert enabled_nodes(config_of(p2, {0: (1, True), 1: (0, True)}), p2) == {}
 
     def test_courted_center_not_stable(self, two_suitors):
         g, c0 = two_suitors
-        assert not is_stable(c0, g)
+        assert enabled_nodes(c0, g) != {}
 
     def test_single_node_all_null(self):
         g = Graph.from_edges([0], [])
-        assert is_stable(Configuration.all_null(g), g)
+        assert enabled_nodes(Configuration.all_null(g), g) == {}
 
 
 class TestExtractMatching:
@@ -453,7 +456,8 @@ def forged_round_traces(draw):
     n = draw(st.integers(2, 9))
     g = generate("random_gnm", n, min(n - 1 + draw(st.integers(0, 8)), n * (n - 1) // 2),
                  draw(st.integers(0, 10**6)))
-    c0 = c = random_configuration(g, draw(st.integers(0, 1000)))
+    c0 = random_configuration(g, draw(st.integers(0, 1000)))
+    c = MutableConfiguration(c0)
     steps = []
     for _ in range(draw(st.integers(1, 14))):
         moves = []
@@ -467,7 +471,7 @@ def forged_round_traces(draw):
                 options.append(Rule.SEDUCTION)
             moves.append(Move(i, draw(st.sampled_from(options))))
         steps.append(moves)
-        c = replay_step(c, g, moves)
+        replay_step(c, g, moves)
     return forge_trace(g, c0, steps, draw(st.sampled_from(("synchronous", "distributed_fair"))))
 
 
@@ -576,6 +580,10 @@ class TestExhaustiveSearch:
         assert [explored for explored, _ in calls] == list(range(4096, result.explored + 1, 4096))
         assert calls and all(0 < memo_size < explored for explored, memo_size in calls)
         assert result == exhaustive_search(g, "all", branch_marriage=True)
+
+    def test_zero_budget_rejected(self, p2):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            exhaustive_search(p2, Configuration.all_null(p2), budget=0)
 
     def test_sequential_oracle_agrees_on_p2(self, p2):
         from .oracles import all_sequential_step_counts
