@@ -243,10 +243,10 @@ def write_graph(g: Graph) -> str:
     if any(g.ident[u] != u for u in g.nodes):
         raise ValueError("custom identifier maps are not representable")
     lines = [str(g.n)]
-    edges = g.edges()
-    if not edges and list(g.nodes) != list(range(g.n)):
+    has_edges = any(g.adjacency.values())
+    if not has_edges and list(g.nodes) != list(range(g.n)):
         raise ValueError("edge-free graph with non-contiguous ids is not representable")
-    if edges and not all(g.adjacency.get(u) for u in g.nodes):
+    if has_edges and not all(g.adjacency.get(u) for u in g.nodes):
         raise ValueError("graph with isolated nodes is not representable")
-    lines.extend(f"{u} {v}" for u, v in edges)
+    lines.extend(f"{u} {v}" for u, vs in sorted(g.adjacency.items()) for v in vs if u < v)
     return "\n".join(lines) + "\n"

@@ -58,6 +58,9 @@ class RuleSemantics:
 
 
 STANDARD = RuleSemantics()
+UPDATE, MARRIAGE, SEDUCTION, ABANDONMENT = Rule  # Rule.X is slow: EnumType has __getattr__
+# each subset of the rules in Rule order, at its bit mask: update 1 to abandonment 8
+_RULE_SETS = tuple(tuple(r for b, r in enumerate(Rule) if mask >> b & 1) for mask in range(16))
 
 
 class ConfigFormatError(ValueError):
@@ -293,24 +296,26 @@ def enabled_rules(
 
     The guards are designed to be mutually exclusive, so this should never
     return more than one rule; the verifier audits exactly that, which is why
-    this function must not short-circuit.
+    this function must not short-circuit: every guard's conjunction is
+    decided and sets its bit, and the rules are read from ``_RULE_SETS``.
     """
-    index, p, m = c._index, c.p, c.m
-    k = index[i]
-    pi, mi = p[k], m[k]
-    married = pi is not None and p[index[pi]] == i
-    suitors = marriage_suitors(c, g, i) if mi == married and pi is None else ()
-    out = []
-    if mi != married:
-        out.append(Rule.UPDATE)
-    if mi == married and pi is None and suitors:
-        out.append(Rule.MARRIAGE)
-    if mi == married and pi is None and not suitors and seduction_candidates(c, g, i, semantics):
-        out.append(Rule.SEDUCTION)
-    if mi == married and pi is not None and p[kj := index[pi]] != i and (
-            m[kj] or g.ident[pi] <= g.ident[i]):
-        out.append(Rule.ABANDONMENT)
-    return tuple(out)
+    index, p, m, ident = c._index, c.p, c.m, g.ident
+    pi, mi = p[k := index[i]], m[k]
+    flag_right = mi == (pi is not None and p[index[pi]] == i)
+    held = 0 if flag_right else 1
+    if flag_right and pi is None:
+        if marriage_suitors(c, g, i):
+            held |= 2
+        else:
+            above = ident[i] if semantics.seduction_requires_larger_id else -1
+            for j in g.adjacency[i]:
+                if p[kj := index[j]] is None and not m[kj] and ident[j] > above:
+                    held |= 4
+                    break
+    if flag_right and pi is not None and p[kj := index[pi]] != i and (
+            m[kj] or ident[pi] <= ident[i]):
+        held |= 8
+    return _RULE_SETS[held]
 
 
 def enabled_rule(
@@ -322,19 +327,19 @@ def enabled_rule(
     k = index[i]
     j = p[k]
     if m[k] != (j is not None and p[index[j]] == i):
-        return Rule.UPDATE
+        return UPDATE
     if j is None:
         adjacency, ident = g.adjacency[i], g.ident
         for u in adjacency:
             if p[index[u]] == i:
-                return Rule.MARRIAGE
+                return MARRIAGE
         above = ident[i] if semantics.seduction_requires_larger_id else -1
         for u in adjacency:
             if p[ku := index[u]] is None and not m[ku] and ident[u] > above:
-                return Rule.SEDUCTION
+                return SEDUCTION
         return None
     if p[kj := index[j]] != i and (m[kj] or g.ident[j] <= g.ident[i]):
-        return Rule.ABANDONMENT
+        return ABANDONMENT
     return None
 
 
@@ -358,9 +363,9 @@ def command_target(
     index, p, m, ident = c._index, c.p, c.m, g.ident
     k = index[i]
     j, mi = p[k], m[k]
-    if rule is Rule.UPDATE:
+    if rule is UPDATE:
         return ProcessState(j, j is not None and p[index[j]] == i)
-    if rule is Rule.MARRIAGE:
+    if rule is MARRIAGE:
         if marriage_choice is None:
             best = None
             for u in g.adjacency[i]:
@@ -373,7 +378,7 @@ def command_target(
         if ku is None or p[ku] != i or marriage_choice not in g.adjacency[i]:
             raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
         return ProcessState(marriage_choice, mi)
-    if rule is Rule.SEDUCTION:
+    if rule is SEDUCTION:
         cands = seduction_candidates(c, g, i, semantics)
         if not cands:
             raise ValueError(f"seduction at node {i} has no candidate")

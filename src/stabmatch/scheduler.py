@@ -36,11 +36,12 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Optional
 
 from .graph import Graph, read_graph, text_digest, write_graph
 from .protocol import (
+    ABANDONMENT, MARRIAGE, SEDUCTION, UPDATE,
     Configuration,
     MutableConfiguration,
     ProcessState,
@@ -345,7 +346,7 @@ class Execution:
         return ProcessState(self._p[k], self._m[k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One process executing one rule; target is the chosen suitor for
     marriage moves and None otherwise."""
@@ -354,12 +355,27 @@ class Move:
     rule: Rule
     target: Optional[int] = None
 
+    def __init__(self, node: int, rule: Rule, target: Optional[int] = None):
+        _set_node(self, node)
+        _set_rule(self, rule)
+        _set_target(self, target)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     index: int
     moves: tuple[Move, ...]
     round_index: int
+
+    def __init__(self, index: int, moves: tuple[Move, ...], round_index: int):
+        _set_index(self, index)
+        _set_moves(self, moves)
+        _set_round_index(self, round_index)
+
+
+# built per move and per step: each field is set by its slot's setter, not object.__setattr__
+_set_node, _set_rule, _set_target, _set_index, _set_moves, _set_round_index = (
+    getattr(cls, f.name).__set__ for cls in (Move, StepRecord) for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -423,10 +439,10 @@ def apply_step(
         rule = enabled_rule(c, g, i, semantics) if rules is None else rules.get(i)
         if rule is None:
             raise ValueError(f"node {i} has no enabled rule")
-        choice = (marriage_choices or {}).get(i)
+        choice = None if marriage_choices is None else marriage_choices.get(i)
         state = command_target(c, g, i, rule, semantics, marriage_choice=choice)
         writes[i] = state
-        moves.append(Move(i, rule, state.p if rule is Rule.MARRIAGE else None))
+        moves.append(Move(i, rule, state.p if rule is MARRIAGE else None))
     return c.with_writes(writes), tuple(moves)
 
 
@@ -456,24 +472,22 @@ def realize_moves(
         if i in moved:
             raise TraceFormatError(f"node {i} recorded twice in one step")
         moved.add(i)
-        if rule is Rule.UPDATE:
+        if rule is UPDATE:
             out.append(mv if target is None else Move(i, rule))
-        elif rule is Rule.MARRIAGE or rule is Rule.SEDUCTION:
+        elif rule is MARRIAGE or rule is SEDUCTION:
             try:
                 state = command_target(c, g, i, rule, semantics, marriage_choice=target)
             except ValueError:
                 raise TraceFormatError(
-                    f"seduction recorded at node {i} with no candidate" if rule is Rule.SEDUCTION
+                    f"seduction recorded at node {i} with no candidate" if rule is SEDUCTION
                     else f"marriage recorded at node {i} with no suitor" if target is None
                     else f"marriage target {target} is not a suitor of {i}") from None
-            out.append(Move(i, rule, state.p))
-        elif rule is Rule.ABANDONMENT:
+            out.append(mv if state.p == target else Move(i, rule, state.p))
+        else:  # abandonment: a Move's rule is one of the four
             old = c.p[index[i]]
             if old is None:
                 raise TraceFormatError(f"abandonment recorded at node {i} with a null pointer")
             out.append(Move(i, rule, old))
-        else:
-            raise TraceFormatError(f"unknown rule in record: {rule}")
     if not out:
         raise TraceFormatError("step recorded with no moves")
     return tuple(out)
@@ -489,11 +503,11 @@ def apply_realized(
     writes = []
     for mv in realized:
         i, k = mv.node, index[mv.node]
-        if mv.rule is Rule.UPDATE:
+        if mv.rule is UPDATE:
             j = p[k]
             writes.append((k, j, j is not None and p[index[j]] == i))
         else:  # abandonment realizes its dropped partner, the write is null
-            writes.append((k, None if mv.rule is Rule.ABANDONMENT else mv.target, m[k]))
+            writes.append((k, None if mv.rule is ABANDONMENT else mv.target, m[k]))
     for k, pk, mk in writes:
         p[k], m[k] = pk, mk
     return c
@@ -601,7 +615,7 @@ def write_trace(trace: Trace) -> str:
     for record in trace.records:
         moves = ",".join([
             f'[{mv.node},"marriage",{"null" if mv.target is None else mv.target}]'
-            if mv.rule is Rule.MARRIAGE else f'[{mv.node},"{mv.rule._value_}"]'
+            if mv.rule is MARRIAGE else f'[{mv.node},"{mv.rule._value_}"]'
             for mv in record.moves
         ])
         lines.append(f'{{"index":{record.index},"moves":[{moves}],'

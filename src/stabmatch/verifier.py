@@ -11,12 +11,12 @@ predicates so agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Optional, Union
 
 from .graph import Graph
 from .protocol import (
+    UPDATE,
     Configuration,
     MutableConfiguration,
     PredicateClass,
@@ -90,15 +90,14 @@ def check_maximal(
     """Brute-force maximality scan, independent of the protocol predicates.
 
     Returns None when every edge of the graph has a matched endpoint,
-    otherwise the first edge that could still be added to the matching.
+    otherwise the first edge that could still be added to the matching,
+    found in the nodes' ascending order, each through its sorted adjacency.
     """
     mt = set(tuple(e) for e in mt)
     validate_matching(mt, g)
     matched = {u for e in mt for u in e}
-    for u, v in g.edges():
-        if u not in matched and v not in matched:
-            return (u, v)
-    return None
+    return next(((u, v) for u, vs in sorted(g.adjacency.items()) if u not in matched
+                 for v in vs if v > u and v not in matched), None)
 
 
 def _active_set(
@@ -114,19 +113,18 @@ def _active_set(
 def _components(nodes: frozenset[int], g: Graph) -> list[frozenset[int]]:
     """Maximal connected components of the induced subgraph on ``nodes``,
     in the order of their smallest members."""
-    seen: set[int] = set()
+    left = set(nodes)  # those not yet placed in a component
     comps = []
     for start in sorted(nodes):
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for u in comp:
-            for v in g.adjacency[u]:
-                if v in nodes and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-        comps.append(frozenset(comp))
+        if start in left:
+            left.remove(start)
+            comp = [start]
+            for u in comp:
+                for v in g.adjacency[u]:
+                    if v in left:
+                        left.remove(v)
+                        comp.append(v)
+            comps.append(frozenset(comp))
     return comps
 
 
@@ -202,20 +200,22 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     snapshot), and its measured values are written onto it at the end.
 
     The replay runs on an Execution evaluating ``enabled_rules``, so each
-    process's guards are known and, after each step, only the movers and
-    the neighbors whose guards read a changed state are re-evaluated, once
-    each. Each step is resolved and written into the Execution's state
-    lists in place by ``realize_moves`` and ``apply_realized``, and one
-    pass over its realized moves checks enabledness and counts updates and
-    edge steps. A snapshot of the configuration before a step is rebuilt,
-    only for a first failure, from the pre-step states the Execution keeps
-    until ``advance``. Married pairs are indexed by node, so only the
-    movers' pairs are checked for separation; once the replay has reproduced
-    the final configuration they are its matching. When the policy makes
-    active_component_shrink applicable, the active set is kept across steps:
-    at each round boundary only the processes whose activity the round can
-    have changed are decided again (its movers, the endpoints of pairs that
-    married or separated, and their neighbors), and the set is snapshot.
+    process's guards are known and, after each step, only the movers and the
+    neighbors whose guards read a changed state are re-evaluated, once each.
+    ``realize_moves`` resolves each step, handing back a recorded move that
+    is already concrete, and ``apply_realized`` writes it into the
+    Execution's state lists in place. One pass over the realized moves
+    checks each against its node's held rules, counts updates per node and
+    collects the step's edges; each edge's step count then rises once. A
+    snapshot of the configuration before a step is rebuilt, only for a first
+    failure, from the pre-step states the Execution keeps until ``advance``.
+    Married pairs are indexed by node, so only the movers' pairs are checked
+    for separation; once the replay has reproduced the final configuration
+    they are its matching. When the policy makes active_component_shrink
+    applicable, the active set is kept across steps: at each round boundary
+    only the processes whose activity the round can have changed are decided
+    again (its movers, the endpoints of pairs that married or separated, and
+    their neighbors), and the set is snapshot.
     """
     g = trace.graph
     steps_allowed, rounds_allowed = step_bound(g), round_bound(g)
@@ -242,8 +242,8 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     # the married pairs, and each married process's pair
     married = set(extract_matching(trace.initial, g))
     pair_of = {u: pair for pair in married for u in pair}
-    update_counts: Counter = Counter()
-    edge_step_counts: Counter = Counter()
+    update_counts: dict[int, int] = {}
+    edge_step_counts: dict[tuple[int, int], int] = {}
     edge_third_step: dict[tuple[int, int], int] = {}
     active = _active_set(trace.initial, g, pair_of, g.nodes) if round_applicable else set()
     boundary_actives = [frozenset(active)]
@@ -274,28 +274,29 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         enabled = execution.enabled
         step_edges = set()
         for mv in realized:
-            i = mv.node
-            if mv.rule not in enabled.get(i, ()):
+            i, rule = mv.node, mv.rule
+            if rule not in enabled.get(i, ()):
                 hit(
                     "moves_enabled", record.index,
-                    f"node {i} executed {mv.rule.value} while not enabled",
+                    f"node {i} executed {rule.value} while not enabled",
                     snapshot=c.to_text,
                 )
-            if mv.rule is Rule.UPDATE:
-                update_counts[i] += 1
-                if update_counts[i] == 3:
+            if rule is UPDATE:
+                count = update_counts[i] = update_counts.get(i, 0) + 1
+                if count == 3:
                     hit(
                         "update_limit", record.index,
                         f"node {i} executed its third update",
                         snapshot=c.to_text,
                     )
             else:
-                step_edges.add((min(i, mv.target), max(i, mv.target)))
+                j = mv.target
+                step_edges.add((i, j) if i < j else (j, i))
         for e in step_edges:
-            edge_step_counts[e] += 1
-            if edge_step_counts[e] == 3:
+            count = edge_step_counts[e] = edge_step_counts.get(e, 0) + 1
+            if count == 3:
                 edge_third_step[e] = record.index
-            elif edge_step_counts[e] == 4:
+            elif count == 4:
                 hit(
                     "edge_move_limit", record.index,
                     f"edge {e} saw a fourth step with a move on it",
@@ -325,7 +326,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         for i in moved:
             j = p[index[i]]
             if j is not None and p[index[j]] == i and i not in pair_of:
-                pair = (min(i, j), max(i, j))
+                pair = (i, j) if i < j else (j, i)
                 married.add(pair)
                 pair_of[i] = pair_of[j] = pair
                 flipped += pair

@@ -9,8 +9,9 @@ these transcriptions, never through the engine), the reference daemon
 sorts the enabled set and rebuilds its pending and owed bookkeeping from
 scratch on every step, the reference search fires every branch with
 apply_step on a frozen configuration, the active sets are rescanned over
-every process at every round boundary, and the reference parsers build an
-edge list and a state dict before the graph or the configuration. If an
+every process at every round boundary, the reference parsers build an
+edge list and a state dict before the graph or the configuration, and the
+reference maximality scan walks the sorted edge list. If an
 oracle and the implementation ever disagree, the test fails and one of
 them is wrong.
 """
@@ -44,7 +45,8 @@ from stabmatch.scheduler import (
     default_step_cap,
     step_bound,
 )
-from stabmatch.verifier import SearchResult, WitnessStep, check_maximal, extract_matching
+from stabmatch.verifier import (
+    SearchResult, WitnessStep, check_maximal, extract_matching, validate_matching)
 
 
 def nodes_within_two_hops(g, u):
@@ -93,6 +95,19 @@ def brute_force_maximal(mt, g):
         if e not in mt and is_matching(mt | {e}, g):
             return False
     return True
+
+
+def edge_list_check_maximal(mt, g) -> Optional[tuple[int, int]]:
+    """``verifier.check_maximal`` as it was before it scanned the sorted
+    adjacency: the first addable edge of the sorted ``Graph.edges()`` list.
+    Kept verbatim."""
+    mt = set(tuple(e) for e in mt)
+    validate_matching(mt, g)
+    matched = {u for e in mt for u in e}
+    for u, v in g.edges():
+        if u not in matched and v not in matched:
+            return (u, v)
+    return None
 
 
 def rescan_rounds(trace: Trace, semantics=None):

@@ -159,6 +159,19 @@ class TestFileFormat:
         g = Graph.from_edges([0, 1, 2], [(1, 2), (0, 1)])
         assert write_graph(g) == "3\n0 1\n1 2\n"
 
+    @given(n=st.integers(1, 30), extra=st.integers(0, 40), seed=st.integers(0, 10**6),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_lines_are_sorted_whatever_the_adjacency_order(self, n, extra, seed, data):
+        """The edge lines come from each node's sorted adjacency, the nodes
+        ascending: the sorted edge list, also for a graph built directly
+        with its node tuple and adjacency dict in another order."""
+        g = generate("random_gnm", n, min(n - 1 + extra, n * (n - 1) // 2), seed)
+        order = data.draw(st.permutations(g.nodes))
+        direct = Graph(tuple(order), {u: g.adjacency[u] for u in order})
+        expected = "".join(f"{u} {v}\n" for u, v in g.edges())
+        assert write_graph(direct) == write_graph(g) == f"{n}\n{expected}"
+
     def test_comments_and_blank_lines(self):
         g = read_graph("# a path\n3\n\n0 1  # first edge\n1 2\n")
         assert g.edges() == [(0, 1), (1, 2)]

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,6 +16,7 @@ from stabmatch.protocol import (
     ProcessState,
     Rule,
     enabled_rule,
+    random_configuration,
 )
 from stabmatch.scheduler import (
     HEURISTIC_STRATEGIES,
@@ -20,6 +24,7 @@ from stabmatch.scheduler import (
     EnabledSet,
     Move,
     SchedulerState,
+    StepRecord,
     Trace,
     TraceFormatError,
     apply_realized,
@@ -427,6 +432,55 @@ class TestTraceFromSchedule:
         for record in t.records:
             nodes = [mv.node for mv in record.moves]
             assert nodes and len(nodes) == len(set(nodes))
+
+
+class TestRecordTypes:
+    """Move and StepRecord are slotted and write each field through its
+    slot's setter; they keep the frozen dataclass contract, as
+    ProcessState does."""
+
+    @pytest.mark.parametrize("cls, names, args, text", [
+        (Move, ["node", "rule", "target"], (3, Rule.MARRIAGE, 5),
+         "Move(node=3, rule=<Rule.MARRIAGE: 'marriage'>, target=5)"),
+        (StepRecord, ["index", "moves", "round_index"], (0, (Move(1, Rule.UPDATE),), 2),
+         "StepRecord(index=0, moves=(Move(node=1, rule=<Rule.UPDATE: 'update'>, "
+         "target=None),), round_index=2)"),
+        (ProcessState, ["p", "m"], (4, True), "ProcessState(p=4, m=True)"),
+    ])
+    def test_fields_equality_hash_repr_and_frozen(self, cls, names, args, text):
+        record = cls(*args)
+        assert [f.name for f in dataclasses.fields(cls)] == names and repr(record) == text
+        assert tuple(getattr(record, name) for name in names) == args
+        assert record == cls(**dict(zip(names, args))) and record != cls(*args[:-1], None)
+        assert record != args  # a record equals only a record of its own type
+        # a frozen dataclass hashes the tuple of its fields
+        assert hash(record) == hash(cls(*args)) == hash(args)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], 9)
+        assert dataclasses.replace(record, **{names[0]: 9}) == cls(9, *args[1:])
+        assert pickle.loads(pickle.dumps(record)) == copy.copy(record) == record
+
+    def test_move_target_defaults_to_none(self):
+        assert Move(2, Rule.UPDATE) == Move(2, Rule.UPDATE, None) == Move(
+            node=2, rule=Rule.UPDATE)
+        assert Move(2, Rule.UPDATE).target is None
+
+    def test_recorded_moves_that_are_already_concrete_are_returned_as_is(self):
+        """realize_moves hands back the recorded Move for an update and for a
+        marriage with its suitor, and a new one only where it resolves a
+        target: a seduction's courted neighbor, an abandonment's partner."""
+        g = generate("random_gnm", 30, 60, 2)
+        t = run(g, random_configuration(g, 3), DaemonPolicy("distributed_random", seed=3))
+        c, kept = MutableConfiguration(t.initial), set()
+        for record in t.records:
+            realized = realize_moves(c, g, record.moves)
+            for recorded, mv in zip(record.moves, realized):
+                assert mv == recorded if recorded.rule in (
+                    Rule.UPDATE, Rule.MARRIAGE) else mv.target is not None
+                if mv is recorded:
+                    kept.add(mv.rule)
+            apply_realized(c, g, realized)
+        assert kept == {Rule.UPDATE, Rule.MARRIAGE}
 
 
 class TestTraceCounters:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,7 +42,13 @@ from stabmatch.verifier import (
 )
 
 from .conftest import SMALL_CONNECTED, config_of, small_graph
-from .oracles import brute_force_maximal, replay_configurations, rescan_rounds, shrink_tallies
+from .oracles import (
+    brute_force_maximal,
+    edge_list_check_maximal,
+    replay_configurations,
+    rescan_rounds,
+    shrink_tallies,
+)
 
 BROKEN = RuleSemantics(seduction_requires_larger_id=False)
 
@@ -143,6 +150,41 @@ class TestCheckMaximal:
             mt = extract_matching(random_configuration(g, seed), g)
             assert (check_maximal(mt, g) is None) == brute_force_maximal(mt, g)
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_addable_edge_matches_the_edge_list_scan(self, data):
+        """The adjacency scan returns the edge the sorted edge list gave
+        first, and rejects an invalid matching with the same message: on
+        sparse node keys, custom identifier maps, and graphs built by
+        ``Graph(...)`` directly with the nodes and the adjacency dict in no
+        particular order."""
+        keys = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True))
+        pairs = list(itertools.combinations(sorted(keys), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        ident = data.draw(st.sampled_from(({}, {u: u * 7 % 5 for u in keys})))
+        if data.draw(st.booleans()):
+            g = Graph(tuple(keys), {
+                u: tuple(sorted({v for e in edges if u in e for v in e} - {u})) for u in keys
+            }, ident)
+        else:
+            g = Graph.from_edges(keys, edges, ident)
+        if data.draw(st.booleans()):  # any pairs: not edges, shared endpoints, reversed
+            mt = data.draw(st.sets(st.tuples(st.sampled_from(keys), st.sampled_from(keys))))
+        else:  # a matching: drawn edges kept while disjoint
+            mt, used = set(), set()
+            for u, v in data.draw(st.lists(st.sampled_from(sorted(edges)))) if edges else ():
+                if u not in used and v not in used:
+                    mt.add((u, v))
+                    used.update((u, v))
+        try:
+            expected = edge_list_check_maximal(mt, g)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                check_maximal(mt, g)
+            assert str(raised.value) == str(exc)
+        else:
+            assert check_maximal(mt, g) == expected
+
 
 class TestAuditOnLegitimateTraces:
     @pytest.mark.parametrize("name", sorted(SMALL_CONNECTED))
@@ -231,6 +273,33 @@ class TestAuditOnLegitimateTraces:
         assert report.all_pass
         assert all(count == (1 if reads else 0) for reads, count in calls)
         assert any(reads for reads, _ in calls)
+
+
+@pytest.mark.parametrize("policy, semantics", [
+    (DaemonPolicy("sequential_random", seed=2), STANDARD),
+    (DaemonPolicy("synchronous"), STANDARD),
+    (DaemonPolicy("distributed_random", seed=2), BROKEN),
+], ids=["sequential", "synchronous", "stripped"])
+def test_the_audit_evaluates_as_many_guards_as_the_run(monkeypatch, policy, semantics):
+    """The audit replays on the same Execution as the run, so it evaluates
+    enabled_rules exactly where the run evaluated enabled_rule: a cheaper
+    audit must come from a cheaper evaluation, never from a skipped one."""
+    from stabmatch import scheduler, verifier
+
+    counts = {"run": 0, "audit": 0}
+
+    def counted(name, guards):
+        def count(*args):
+            counts[name] += 1
+            return guards(*args)
+        return count
+
+    g = generate("random_gnm", 40, 100, 4)
+    monkeypatch.setattr(scheduler, "enabled_rule", counted("run", scheduler.enabled_rule))
+    t = run(g, random_configuration(g, 5), policy, semantics=semantics)
+    monkeypatch.setattr(verifier, "enabled_rules", counted("audit", verifier.enabled_rules))
+    audit_trace(t, semantics)
+    assert counts["audit"] == counts["run"] > g.n
 
 
 class TestForgedTraces:
