@@ -289,15 +289,10 @@ def cmd_search(args) -> int:
     if args.progress:
         _search_status(result.explored, result.memo_size, time.perf_counter() - start)
     sys.stdout.write(result.to_text())
-    if args.witness_out:
-        if result.livelock:
-            start, desc = result.livelock_initial, "livelock-witness"
-            steps = result.livelock_prefix + result.livelock_cycle
-        else:
-            start, steps, desc = result.witness_initial, result.witness, "search-witness"
-        if start is not None:
-            trace = witness_trace(g, start, steps, policy_desc=desc)
-            _write(args.witness_out, write_trace(trace))
+    if args.witness_out and result.witness_initial is not None:
+        trace = witness_trace(g, result.witness_initial, result.witness,
+                              policy_desc="search-witness")
+        _write(args.witness_out, write_trace(trace))
     if not result.complete:
         return EXIT_INCOMPLETE
     return EXIT_OK if result.ok else EXIT_FAIL

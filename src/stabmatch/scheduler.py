@@ -7,6 +7,10 @@ decides the subset; six policy kinds cover the sequential, synchronous and
 distributed daemon models, in random, adversarial-heuristic and fair
 flavors. All randomness flows from the policy seed, so a (graph, initial
 configuration, policy) triple always reproduces the same trace bit for bit.
+A run's daemon state is one ``SchedulerState``: the rng, the victim, the
+step at which each enabled process's streak began, and the enabled set in
+the policy's strategy order. ``select`` reads only the policy and that
+state.
 
 ``run``, ``trace_from_schedule`` and the audit step through one
 ``Execution``. It owns the current configuration, a MutableConfiguration
@@ -36,7 +40,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional
 
 from .graph import Graph, read_graph, text_digest, write_graph
@@ -71,7 +75,7 @@ class TraceFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DaemonPolicy:
-    """Value description of a daemon; runtime state lives in SchedulerState.
+    """Value description of a daemon; a run's state lives in SchedulerState.
 
     kind: one of POLICY_KINDS. Adversarial kinds take a strategy:
       min_id       always schedule the smallest enabled identifier
@@ -80,8 +84,8 @@ class DaemonPolicy:
       starve_one   withhold the largest-identifier node whenever possible
     Sequential kinds fire singletons, synchronous fires the full enabled
     set, distributed kinds fire arbitrary nonempty subsets. The fair kind
-    force-includes the longest-pending process so no process is ever
-    passed over indefinitely.
+    force-includes the longest-pending process, the smaller identifier on a
+    tie, so no process is ever passed over indefinitely.
     """
 
     kind: str
@@ -110,21 +114,6 @@ class DaemonPolicy:
         return self.kind if self.strategy is None else f"{self.kind}:{self.strategy}"
 
 
-@dataclass
-class SchedulerState:
-    """Per-run mutable scheduling history consumed by select()."""
-
-    graph: Graph
-    rng: random.Random
-    victim: int
-    pending_since: dict[int, int] = field(default_factory=dict)
-
-
-def make_state(policy: DaemonPolicy, g: Graph) -> SchedulerState:
-    victim = max(g.nodes, key=lambda i: g.ident[i])
-    return SchedulerState(g, random.Random(policy.seed), victim)
-
-
 def _strategy_key(g: Graph, strategy: Optional[str]):
     """Sort key under which a heuristic strategy's preferred node comes first.
 
@@ -142,109 +131,102 @@ def _strategy_key(g: Graph, strategy: Optional[str]):
     return lambda i: (ident[i], i)  # min_id, and starve_one's sequential pick
 
 
-class EnabledSet:
-    """The enabled processes, kept in the orders the daemons pick from.
+class SchedulerState:
+    """One run's daemon state, the only input ``select`` reads besides the
+    policy.
 
-    ``nodes`` is sorted by node key; for the heuristic strategy it is built
-    with, which must be the policy's, ``ranked`` holds the strategy's sort
-    keys in ascending order, so its preferred node is ``ranked[0][-1]``.
-    ``update`` keeps both orders from a step's dirty processes, by bisection
-    when few change, so the execution loop does not re-sort the whole set
-    before every pick.
+    ``pending_since`` maps each enabled process to the step at which its
+    current enabled streak began, so its keys are the enabled set.
+    ``order`` holds the same processes sorted under the policy's strategy
+    key: node keys without a strategy, else ``_strategy_key``'s tuples,
+    whose last entry is the node. ``rng`` draws every random choice from
+    the policy seed; ``victim`` is the largest identifier, which
+    ``starve_one`` withholds.
     """
 
-    def __init__(self, g: Graph, strategy: Optional[str], nodes: Iterable[int]):
-        self._members = set(nodes)
-        self.nodes = sorted(self._members)
-        self._key = _strategy_key(g, strategy)
-        self.ranked = [] if self._key is None else sorted(map(self._key, self.nodes))
+    def __init__(self, policy: DaemonPolicy, g: Graph, enabled: Iterable[int]):
+        self.graph = g
+        self.rng = random.Random(policy.seed)
+        self.victim = max(g.nodes, key=lambda i: g.ident[i])
+        self.pending_since = dict.fromkeys(enabled, 0)
+        self._key = _strategy_key(g, policy.strategy)
+        self.order = self._sorted()
 
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def update(self, added: Iterable[int], removed: Iterable[int]) -> None:
-        """Apply one step's re-evaluation: ``added`` are the dirty processes
-        now enabled, ``removed`` those now disabled, whether or not their
-        membership changed."""
-        members = self._members
-        added = [i for i in added if i not in members]
-        removed = [i for i in removed if i in members]
-        members.update(added)
-        members.difference_update(removed)
+    def _sorted(self) -> list:
         key = self._key
-        if 8 * (len(added) + len(removed)) > len(members):
+        return sorted(self.pending_since if key is None else map(key, self.pending_since))
+
+    def update(self, on: Iterable[int], off: Iterable[int], chosen: frozenset[int],
+               step: int) -> None:
+        """Apply one step's re-evaluation: ``on`` are the re-evaluated
+        processes now enabled, ``off`` those now disabled, whether or not
+        their membership changed, and ``chosen`` the step's movers. One in
+        ``on`` that was chosen or not yet pending starts a streak at
+        ``step``, one in ``off`` is dropped; ``order`` follows by bisection
+        when few processes change."""
+        pending = self.pending_since
+        removed = [i for i in off if pending.pop(i, None) is not None]
+        added = [i for i in on if i not in pending]
+        for i in on:
+            if i in chosen or i not in pending:
+                pending[i] = step
+        if 8 * (len(added) + len(removed)) > len(pending):
             # a step that changes much of the set (a concurrent daemon's):
             # one sort is cheaper than many bisected inserts
-            self.nodes = sorted(members)
-            if key is not None:
-                self.ranked = sorted(map(key, self.nodes))
+            self.order = self._sorted()
             return
-        nodes, ranked = self.nodes, self.ranked
+        order, key = self.order, self._key
         for i in removed:
-            del nodes[bisect_left(nodes, i)]
-            if key is not None:
-                del ranked[bisect_left(ranked, key(i))]
+            del order[bisect_left(order, i if key is None else key(i))]
         for i in added:
-            insort(nodes, i)
-            if key is not None:
-                insort(ranked, key(i))
+            insort(order, i if key is None else key(i))
 
 
-def select(
-    policy: DaemonPolicy, enabled: EnabledSet, history: SchedulerState
-) -> frozenset[int]:
+def select(policy: DaemonPolicy, state: SchedulerState) -> frozenset[int]:
     """Choose the nonempty subset of enabled processes that fires next.
 
-    ``enabled`` is in the policy's strategy order, which ``run`` keeps
-    across steps, so a sequential or min/max pick reads the front of a
-    sorted list. Random kinds draw in node-key order: ``rng.choice`` over
-    the sorted candidates, or one ``rng.random()`` per candidate.
+    ``state.order`` is kept in the policy's strategy order across steps, so
+    a sequential or min/max pick reads the front of a sorted list. Random
+    kinds draw in node-key order: ``rng.choice`` over the sorted
+    candidates, or one ``rng.random()`` per candidate.
     """
-    candidates = enabled.nodes
-    if not candidates:
+    order = state.order
+    if not order:
         raise ValueError("select requires a nonempty enabled set")
-    g = history.graph
     if policy.kind == "sequential_random":
-        return frozenset((history.rng.choice(candidates),))
+        return frozenset((state.rng.choice(order),))
     if policy.kind == "synchronous":
-        return frozenset(candidates)
+        return frozenset(order)
     if policy.kind == "distributed_random":
         while True:
-            chosen = [i for i in candidates if history.rng.random() < 0.5]
+            chosen = [i for i in order if state.rng.random() < 0.5]
             if chosen:
                 return frozenset(chosen)
     if policy.kind == "distributed_fair":
-        chosen = {i for i in candidates if history.rng.random() < 0.5}
-        oldest = min(
-            candidates,
-            key=lambda i: (history.pending_since.get(i, 0), g.ident[i]),
-        )
-        chosen.add(oldest)
+        chosen = {i for i in order if state.rng.random() < 0.5}
+        pending, ident = state.pending_since, state.graph.ident
+        chosen.add(min(order, key=lambda i: (pending[i], ident[i])))
         return frozenset(chosen)
     # adversarial heuristics; the sequential kind fires the single most
     # preferred node, the smallest identifier among the strategy's picks
-    ranked = enabled.ranked
     sequential = policy.kind == "sequential_adversarial_heuristic"
     if policy.strategy == "starve_one":
-        victim = history.victim
+        victim = state.victim
         if sequential:
-            pick = ranked[0][-1]
-            if pick == victim and len(ranked) > 1:
-                pick = ranked[1][-1]
+            pick = order[0][-1]
+            if pick == victim and len(order) > 1:
+                pick = order[1][-1]
             return frozenset((pick,))
-        return frozenset(i for i in candidates if i != victim) or frozenset((victim,))
+        return frozenset(i for i in state.pending_since if i != victim) or frozenset((victim,))
     if policy.strategy == "max_degree" and not sequential:
-        top = ranked[0][0]
+        top = order[0][0]
         picks = []
-        for key in ranked:
+        for key in order:
             if key[0] != top:
                 break
             picks.append(key[-1])
         return frozenset(picks)
-    return frozenset((ranked[0][-1],))
+    return frozenset((order[0][-1],))
 
 
 class Execution:
@@ -543,32 +525,24 @@ def run(
     max_steps: Optional[int] = None,
     semantics: RuleSemantics = STANDARD,
 ) -> Trace:
-    """Iterate select/apply until no process is enabled or the cap is hit.
+    """Iterate select/fire until no process is enabled or the cap is hit.
 
-    The Execution fires each step: it writes the step in place, records it
-    and re-evaluates the guards the step can change; from what it
-    reports the loop updates, in place, the enabled set with its daemon
-    orders and the pending-since map the fair daemon reads, so a step costs
-    time in proportion to the processes it touches.
+    Each step is ``select`` from the run's one SchedulerState, then
+    ``Execution.fire``, which writes the step in place, records it and
+    re-evaluates the guards the step can change, then ``state.update`` from
+    what the Execution reports; so a step costs time in proportion to the
+    processes it touches.
     """
     if max_steps is None:
         max_steps = default_step_cap(g)
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    state = make_state(policy, g)
     execution = Execution(g, c0, semantics, enabled_rule)
-    enabled = EnabledSet(g, policy.strategy, execution.enabled)
-    pending = state.pending_since
-    pending.update((i, 0) for i in enabled)
-    while enabled and len(execution.records) < max_steps:
-        chosen = select(policy, enabled, state)
+    state = SchedulerState(policy, g, execution.enabled)
+    while execution.enabled and len(execution.records) < max_steps:
+        chosen = select(policy, state)
         on, off, _ = execution.fire(chosen)
-        enabled.update(on, off)
-        for i in off:
-            pending.pop(i, None)
-        for i in on:
-            if i in chosen or i not in pending:
-                pending[i] = len(execution.records)
+        state.update(on, off, chosen, len(execution.records))
     return execution.trace(policy.describe(), policy.seed, max_steps)
 
 

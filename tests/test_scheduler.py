@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,6 @@ from stabmatch.protocol import (
 from stabmatch.scheduler import (
     HEURISTIC_STRATEGIES,
     DaemonPolicy,
-    EnabledSet,
     Move,
     SchedulerState,
     StepRecord,
@@ -30,7 +30,6 @@ from stabmatch.scheduler import (
     apply_realized,
     apply_step,
     default_step_cap,
-    make_state,
     parse_trace,
     realize_moves,
     replay_step,
@@ -88,10 +87,9 @@ class TestDaemonPolicy:
             DaemonPolicy.parse("synchronous:max_id")
 
 
-def _select(policy, g, nodes, state=None):
-    """``select`` from ``nodes``, kept in the policy's strategy order."""
-    return select(policy, EnabledSet(g, policy.strategy, nodes),
-                  state or make_state(policy, g))
+def _select(policy, g, nodes):
+    """``select`` on a fresh state of ``policy`` whose enabled set is ``nodes``."""
+    return select(policy, SchedulerState(policy, g, nodes))
 
 
 class TestSelect:
@@ -107,19 +105,16 @@ class TestSelect:
 
     def test_distributed_random_nonempty_subset(self, p3):
         policy = DaemonPolicy("distributed_random", seed=1)
-        state = make_state(policy, p3)
+        state = SchedulerState(policy, p3, {0, 1, 2})
         for _ in range(50):
-            s = _select(policy, p3, {0, 1, 2}, state)
+            s = select(policy, state)
             assert s and s <= {0, 1, 2}
 
     def test_min_id_and_max_id(self, p3):
-        state = make_state(DaemonPolicy("sequential_adversarial_heuristic", "min_id"), p3)
-        assert _select(
-            DaemonPolicy("sequential_adversarial_heuristic", "min_id"), p3, {0, 2}, state
-        ) == {0}
-        assert _select(
-            DaemonPolicy("sequential_adversarial_heuristic", "max_id"), p3, {0, 2}, state
-        ) == {2}
+        assert _select(DaemonPolicy("sequential_adversarial_heuristic", "min_id"),
+                       p3, {0, 2}) == {0}
+        assert _select(DaemonPolicy("sequential_adversarial_heuristic", "max_id"),
+                       p3, {0, 2}) == {2}
 
     def test_max_degree_prefers_hub(self):
         g = generate("star", 4)
@@ -128,10 +123,26 @@ class TestSelect:
 
     def test_starve_one_avoids_victim(self, p3):
         policy = DaemonPolicy("distributed_adversarial_heuristic", "starve_one")
-        state = make_state(policy, p3)
+        state = SchedulerState(policy, p3, {0, 1, 2})
         assert state.victim == 2
-        assert _select(policy, p3, {0, 1, 2}, state) == {0, 1}
-        assert _select(policy, p3, {2}, state) == {2}
+        assert select(policy, state) == {0, 1}
+        assert _select(policy, p3, {2}) == {2}
+
+    def test_distributed_fair_includes_the_longest_pending(self):
+        # identifiers run against the node keys, so a tie on pending_since
+        # that went to the smaller node key would pick the wrong process
+        g = generate("random_gnm", 12, 20, 2)
+        g = Graph(g.nodes, g.adjacency, {u: 12 - u for u in g.nodes})
+        rng = random.Random(5)
+        for seed in range(300):
+            members = rng.sample(g.nodes, rng.randint(1, 12))
+            policy = DaemonPolicy("distributed_fair", seed=seed)
+            state = SchedulerState(policy, g, members)
+            for i in members:
+                state.pending_since[i] = rng.randint(0, 2)
+            oldest = min(members, key=lambda i: (state.pending_since[i], g.ident[i]))
+            chosen = select(policy, state)
+            assert oldest in chosen and chosen <= set(members)
 
     def test_empty_enabled_rejected(self, p3):
         policy = DaemonPolicy("synchronous")
@@ -139,39 +150,56 @@ class TestSelect:
             _select(policy, p3, set())
 
 
-class TestEnabledSet:
+class TestSchedulerState:
     @settings(max_examples=60, deadline=None)
     @given(
-        strategy=st.sampled_from((None,) + HEURISTIC_STRATEGIES),
         initial=st.sets(st.integers(0, 59)),
         batches=st.lists(
             st.tuples(st.sets(st.integers(0, 59), max_size=8),
+                      st.sets(st.integers(0, 59), max_size=8),
                       st.sets(st.integers(0, 59), max_size=8)),
             max_size=30,
         ),
     )
-    def test_orders_match_a_full_sort_after_every_update(self, strategy, initial, batches):
-        # small batches on a large set take the bisection path, large
-        # batches on a small set the re-sort path
+    # two small batches on 30 members take the bisection path, the third
+    # the re-sort path
+    @example(initial=set(range(0, 60, 2)),
+             batches=[({1, 3}, {0}, {0, 1}), ({5, 2}, {4}, {2, 4}),
+                      ({7, 9, 11, 13, 15}, {6, 8}, {6})])
+    def test_order_and_pending_match_a_fresh_state_after_every_update(self, initial, batches):
         g = generate("random_gnm", 60, 150, 4)
         g = Graph(g.nodes, g.adjacency, {u: u % 7 for u in g.nodes})
-        fresh = EnabledSet(g, strategy, initial)
-        members = set(initial)
-        for added, removed in batches:
-            removed = removed - added
-            fresh.update(added, removed)
-            members = (members | added) - removed
-            reference = EnabledSet(g, strategy, members)
-            assert fresh.nodes == reference.nodes == sorted(members)
-            assert fresh.ranked == reference.ranked
-            assert len(fresh) == len(members)
+        for strategy in (None,) + HEURISTIC_STRATEGIES:
+            kind = "synchronous" if strategy is None else "distributed_adversarial_heuristic"
+            policy = DaemonPolicy(kind, strategy)
+            state = SchedulerState(policy, g, initial)
+            assert state.pending_since == dict.fromkeys(initial, 0)
+            members = set(initial)
+            for step, (on, off, chosen) in enumerate(batches, start=1):
+                off = off - on
+                chosen = chosen & (on | off)  # the movers are re-evaluated
+                before = dict(state.pending_since)
+                state.update(on, off, chosen, step)
+                members = (members | on) - off
+                assert state.pending_since.keys() == members
+                for i in members:
+                    restarts = i in on and (i in chosen or i not in before)
+                    assert state.pending_since[i] == (step if restarts else before[i])
+                assert state.order == SchedulerState(policy, g, members).order
+                if strategy is None:
+                    assert state.order == sorted(members)
 
     def test_heuristic_order_breaks_identifier_ties_by_node_key(self):
         g = Graph.from_edges(range(4), [(0, 1), (1, 2), (2, 3)],
                              ident={0: 5, 1: 2, 2: 9, 3: 2})
-        assert EnabledSet(g, "min_id", [0, 1, 3]).ranked[0][-1] == 1
-        assert EnabledSet(g, "max_id", [0, 1, 2]).ranked[0][-1] == 2
-        assert EnabledSet(g, "max_degree", [0, 1, 2, 3]).ranked[0][-1] == 1
+
+        def front(strategy, nodes):
+            policy = DaemonPolicy("sequential_adversarial_heuristic", strategy)
+            return SchedulerState(policy, g, nodes).order[0][-1]
+
+        assert front("min_id", [0, 1, 3]) == 1
+        assert front("max_id", [0, 1, 2]) == 2
+        assert front("max_degree", [0, 1, 2, 3]) == 1
 
 
 class TestApplyStep:
