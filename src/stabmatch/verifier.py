@@ -11,8 +11,10 @@ predicates so agreement between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Optional, Union
+from typing import Callable, Container, Iterable, Iterator, Optional, Union
 
 from .graph import Graph
 from .protocol import (
@@ -516,9 +518,10 @@ class SearchResult:
 class _StateCodec:
     """A graph's configurations as ints. Node i's field holds the slot of
     its pointer in its sorted adjacency (0 for null) times 2, plus its m
-    flag; the fields sit side by side, first node lowest. Node i's view is
-    the union of the fields of i and its neighbors: everything its guard
-    and command read."""
+    flag; the fields sit side by side, last node lowest. ``reads[k]`` maps
+    node k's field value to the mask of the fields its guard and command
+    read: its own and its pointee's, its own alone for (null, m set), its
+    closed neighborhood for (null, m clear)."""
 
     def __init__(self, g: Graph):
         self.nodes = g.nodes
@@ -526,23 +529,23 @@ class _StateCodec:
         self.field = {}  # node -> its field's bits in place
         self.bits = {}  # node -> {(p, m): its bits in place}
         shift = 0
-        for i in g.nodes:
+        for i in reversed(g.nodes):
             table = tuple((p, m) for p in (None,) + g.adjacency[i] for m in (False, True))
             width = (len(table) - 1).bit_length()
-            self.decoders.append((shift, (1 << width) - 1, table))
+            self.decoders.insert(0, (shift, (1 << width) - 1, table))
             self.field[i] = ((1 << width) - 1) << shift
             self.bits[i] = {pm: v << shift for v, pm in enumerate(table)}
             shift += width
-        self.full = (1 << shift) - 1
-        # per node, in node order: the view mask
-        self.view = [
-            self.field[i] | sum(self.field[j] for j in g.adjacency[i]) for i in g.nodes]
+        field, self.reads = self.field, []
+        for i, (_, _, table) in zip(g.nodes, self.decoders):
+            nbrs = sum(field[j] for j in g.adjacency[i])
+            self.reads.append(tuple(field[i] | field.get(p, 0 if m else nbrs) for p, m in table))
 
-    def view_caches(self) -> list[Optional[dict]]:
-        """Per node, in node order, an empty cache of its results by view,
-        or None for a node that sees every field: the search's memo already
-        keys its whole state."""
-        return [None if view == self.full else {} for view in self.view]
+    def caches(self) -> list[tuple]:
+        """Per node: its field's shift and mask, its ``reads``, and an empty
+        dict of its results by what it reads."""
+        return [(shift, mask, reads, {})
+                for (shift, mask, _), reads in zip(self.decoders, self.reads)]
 
     def encode(self, c: Configuration) -> int:
         try:
@@ -559,13 +562,12 @@ class _StateCodec:
         return Configuration(self.nodes, *zip(*(
             table[state >> shift & mask] for shift, mask, table in self.decoders)))
 
-    def every_state(self) -> list[int]:
-        """Every well-formed configuration, the first node's state varying
-        slowest, each node's from (null, false) up its adjacency."""
-        states = [0]
-        for shift, _, table in self.decoders:
-            states = [s | v << shift for s in states for v in range(len(table))]
-        return states
+    def every_state(self) -> Iterator[int]:
+        """Every well-formed configuration, one at a time and ascending:
+        the first node's varies slowest, each from (null, false) up its
+        adjacency."""
+        return map(sum, itertools.product(*(
+            [v << shift for v in range(len(table))] for shift, _, table in self.decoders)))
 
 
 def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=None):
@@ -577,15 +579,15 @@ def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=N
     A node's entry is ``()`` when it is disabled, otherwise ``(i, deltas,
     pairs)``: its command's write as the XOR of its field's old and new
     bits, one per suitor when marriages branch, and the marriage pairs they
-    label. Its view fixes the entry, so ``caches`` (from
-    ``codec.view_caches()``) keeps it under ``state & view``. Only on a
-    miss is ``state`` decoded into the MutableConfiguration ``c``, and only
-    the missed nodes' guards (``enabled_nodes``) and commands are evaluated:
-    ``command_target``, or for a branched marriage a write of each suitor
-    from ``marriage_suitors``. ``labels``, if given, receives each
-    branch's WitnessStep."""
-    entries = [None if cache is None else cache.get(state & view)
-               for view, cache in zip(codec.view, caches)]
+    label. The fields the node reads fix the entry and key its cache
+    (``codec.caches()``). Only on a miss is ``state`` decoded into the
+    MutableConfiguration ``c``, and only the missed nodes' guards
+    (``enabled_nodes``) and commands are evaluated: ``command_target``, or
+    for a branched marriage a write of each suitor from
+    ``marriage_suitors``. ``labels``, if given, receives each branch's
+    WitnessStep."""
+    entries = [cache.get(state & reads[state >> shift & mask])
+               for shift, mask, reads, cache in caches]
     if None in entries:
         codec.decode_into(state, c)
         nodes = codec.nodes
@@ -607,8 +609,8 @@ def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=N
                 bits, old = codec.bits[i], state & codec.field[i]
                 entry = (i, [old ^ bits[w.p, w.m] for w in writes], pairs)
             entries[k] = entry
-            if caches[k] is not None:
-                caches[k][state & codec.view[k]] = entry
+            shift, mask, reads, cache = caches[k]
+            cache[state & reads[state >> shift & mask]] = entry
     succs = [state]  # per subset so far, in mask order: each choice's successor
     steps = [((), ())]  # the same subsets and choices, for labels
     for entry in entries:
@@ -658,15 +660,16 @@ def exhaustive_search(
     longest schedule to stability.
 
     ``initial`` is a configuration, or the string "all" for every
-    well-formed configuration. The memo is shared across initial states, so
-    the all-configurations mode costs one sweep of the reachable state space. A repeated configuration on the current
-    schedule proves a livelock and aborts the search with its witness.
-    ``progress``, if given, is called with the explored-state count and the
-    memo size after every 4 096 explored states.
+    well-formed configuration, drawn one at a time. The memo is shared
+    across initial states, so this mode costs one sweep of the reachable
+    state space. A repeated configuration on the current schedule proves a
+    livelock and aborts the search with its witness. ``progress``, if
+    given, is called with the explored-state count and the memo size after
+    every 4 096 explored states.
 
     A state is one int (``_StateCodec``). When first reached, its
     successors come from each node's guard and command result, cached per
-    search under the node's view of the state; a miss decodes the state into
+    search under the fields the node reads; a miss decodes the state into
     one reused MutableConfiguration and evaluates the missed nodes there
     (``_successors``). The memo maps a state to its worst step count, the
     index of that branch and whether all leaves are maximal.
@@ -674,12 +677,16 @@ def exhaustive_search(
     if budget < 1:
         raise ValueError("budget must be positive")
     codec = _StateCodec(g)
-    initials = codec.every_state() if initial == "all" else [codec.encode(initial)]
+    if initial == "all":
+        initials = codec.every_state()
+        initial_count = math.prod(len(table) for _, _, table in codec.decoders)
+    else:
+        initials, initial_count = [codec.encode(initial)], 1
 
     memo: dict[int, tuple[int, Optional[int], bool]] = {}
     explored = 0
     decoded = MutableConfiguration(Configuration.all_null(g))
-    caches = codec.view_caches()
+    caches = codec.caches()
 
     def reach(state):
         """Count a new state: its expansion, or None once memoized as stable."""
@@ -762,11 +769,15 @@ def exhaustive_search(
         livelock_initial = codec.decode(s0)
         livelock_steps = replay(livelock_initial, lambda _, k: path[k])
 
-    done = [s0 for s0 in initials if s0 in memo]
-    worst = max(done, key=lambda s0: memo[s0][0], default=None)  # the first worst
+    # the explored starts (under "all", every memoized state) and the first
+    # worst: states ascend in every_state's order
+    done = memo.items() if initial == "all" else [
+        (s0, memo[s0]) for s0 in initials if s0 in memo]
+    worst_steps = max((entry[0] for _, entry in done), default=0)
+    worst = min((s0 for s0, entry in done if entry[0] == worst_steps), default=None)
     witness_initial = None if worst is None else codec.decode(worst)
     return SearchResult(
-        worst_steps=0 if worst is None else memo[worst][0],
+        worst_steps=worst_steps,
         witness_initial=witness_initial,
         witness=() if worst is None else replay(witness_initial, lambda state, _: memo[state][1]),
         explored=explored,
@@ -776,9 +787,9 @@ def exhaustive_search(
         livelock_initial=livelock_initial,
         livelock_prefix=livelock_steps[:cycle_at],
         livelock_cycle=livelock_steps[cycle_at:],
-        all_leaves_maximal=livelock_initial is None and all(memo[s0][2] for s0 in done),
+        all_leaves_maximal=livelock_initial is None and all(entry[2] for _, entry in done),
         bound=step_bound(g),
-        initial_count=len(initials),
+        initial_count=initial_count,
         memo_size=len(memo),
     )
 

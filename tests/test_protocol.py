@@ -299,6 +299,30 @@ class TestLocality:
         if rule is not None:
             assert command_target(c, g, i, rule) == command_target(mutated, g, i, rule)
 
+    @given(graph_and_config(), st.data(), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_unread_neighbors_are_invisible(self, gc, data, strip):
+        """With a pointer a process reads only its own and its pointee's
+        state, and with a null pointer and m set only its own, under both
+        semantics: the search caches its results under that read set."""
+        g, c = gc
+        semantics = RuleSemantics(seduction_requires_larger_id=not strip)
+        i = g.nodes[0]
+        pi = c.p_of(i)
+        if pi is None and not c.m_of(i):
+            return
+        writes = {}
+        for x in g.adjacency[i]:
+            if x != pi:
+                p = data.draw(st.sampled_from([None, *g.adjacency[x]]))
+                writes[x] = ProcessState(p, data.draw(st.booleans()))
+        mutated = c.with_writes(writes)
+        rule = enabled_rule(c, g, i, semantics)
+        assert enabled_rule(mutated, g, i, semantics) == rule
+        if rule is not None:
+            assert command_target(c, g, i, rule, semantics) == command_target(
+                mutated, g, i, rule, semantics)
+
 
 class TestMonotoneMarriage:
     @given(graph_and_config())

@@ -5,13 +5,14 @@ search's witnesses against the audit and the oracle replay."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabmatch import protocol, scheduler, verifier
-from stabmatch.graph import Graph
+from stabmatch.graph import Graph, generate
 from stabmatch.protocol import (
     STANDARD,
     Configuration,
@@ -110,7 +111,7 @@ def test_successors_follow_the_reference_branch_order(instance):
     assert codec.decode(state) == c0
     labels = []
     succs = verifier._successors(MutableConfiguration(c0), g, semantics, branch_marriage,
-                                 codec, codec.view_caches(), state, labels)
+                                 codec, codec.caches(), state, labels)
     branches = list(_branches(c0, g, enabled_nodes(c0, g, semantics), branch_marriage))
     assert labels == [_witness_step(branch) for branch in branches]
     assert [codec.decode(succ) for succ in succs] == [
@@ -148,12 +149,16 @@ def test_livelock_cycle_returns_to_its_start(g):
 
 
 # n = 5 graphs where every closed neighborhood leaves some node out, so
-# each node's guard and command results are cached under its view of the
+# even a null-pointer node's results are cached under less than the whole
 # state; C5 and the bull are labeled as in the benchmark's search workload
 P5 = Graph.from_edges(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
 C5 = Graph.from_edges(range(5), [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)])
 BULL = Graph.from_edges(range(5), [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
 P3_K2 = Graph.from_edges(range(5), [(0, 1), (1, 2), (3, 4)])
+# n = 4 graphs labeled as in the benchmark's search workload, where a
+# null-pointer node with m clear reads every field (all of K4, the paw's 3)
+K4 = Graph.from_edges(range(4), itertools.combinations(range(4), 2))
+PAW = Graph.from_edges(range(4), [(0, 1), (0, 3), (1, 3), (2, 3)])
 
 
 @pytest.mark.parametrize("g, semantics, branch_marriage", [
@@ -176,10 +181,14 @@ def test_pinned_five_node_searches_and_their_audited_witnesses(g, explored, wors
     assert audit_trace(trace).all_pass
 
 
-def test_c5_evaluates_each_guard_once_per_view(monkeypatch):
-    """C5 has 5 nodes of 6 states each, so 5 * 6**3 = 1 080 (node, closed
-    neighborhood) views; the search evaluates each node's guard once per
-    view, and the witness replay once more per fired move."""
+@pytest.mark.parametrize("g, per_node, total", [
+    (C5, 4 * 6 + 1 + 6**2, 329), (K4, 6 * 8 + 1 + 8**3, 2264)], ids=["C5", "K4"])
+def test_each_guard_is_evaluated_once_per_read_set(monkeypatch, g, per_node, total):
+    """A node is evaluated once per value of the fields it reads: its own
+    field with its pointee's (C5: 4 pointer values * 6 pointee states; K4:
+    6 * 8), its own alone with a null pointer and m set (1), its closed
+    neighborhood with a null pointer and m clear (C5: 6**2 neighbor states;
+    K4: 8**3). The witness replay evaluates once more per fired move."""
     calls = []
     guard = protocol.enabled_rule
 
@@ -189,21 +198,20 @@ def test_c5_evaluates_each_guard_once_per_view(monkeypatch):
 
     for module in (protocol, scheduler):
         monkeypatch.setattr(module, "enabled_rule", counted)
-    codec = verifier._StateCodec(C5)
-    assert all(cache == {} for cache in codec.view_caches())
-    result = exhaustive_search(C5, "all", branch_marriage=True)
-    assert result.explored == 7776
-    for i in C5.nodes:
+    result = exhaustive_search(g, "all", branch_marriage=True)
+    assert result.explored == result.memo_size == result.initial_count
+    for i in g.nodes:
         fired = sum(i in ws.chosen for ws in result.witness)
-        assert calls.count(i) == 6**3 + fired
-    assert len(calls) <= 1080 + 5 * result.worst_steps
+        assert calls.count(i) == per_node + fired
+    assert len(calls) == total
 
 
 def test_each_stable_leaf_is_checked_in_its_own_configuration(monkeypatch):
     """A state whose nodes all hit their caches is not decoded to find its
     successors, so a stable leaf must be decoded for its maximality check.
     In P3 plus a disjoint K2, stable parts of the two components combine:
-    a stable state is reached whose every node's view was seen before."""
+    a stable state is reached whose every node's read fields were seen
+    before."""
     g = P3_K2
     leaves = []
     extract = verifier.extract_matching
@@ -220,29 +228,69 @@ def test_each_stable_leaf_is_checked_in_its_own_configuration(monkeypatch):
     assert set(leaves) == set(stable)
 
 
-def test_a_node_that_sees_every_field_is_not_cached():
-    k4 = Graph.from_edges(range(4), itertools.combinations(range(4), 2))
-    assert verifier._StateCodec(k4).view_caches() == [None] * 4
-    paw = Graph.from_edges(range(4), [(0, 1), (0, 3), (1, 3), (2, 3)])
-    assert [cache is None for cache in verifier._StateCodec(paw).view_caches()] == [
-        False, False, False, True]
+def test_read_masks_by_own_field_value():
+    """Per node and own field value, (null, f), (null, t), then each
+    neighbor as pointer with m false and true: the nodes whose fields the
+    guard and command read."""
+    def read_nodes(g):
+        codec = verifier._StateCodec(g)
+        return [[{j for j in g.nodes if mask & codec.field[j]} for mask in reads]
+                for reads in codec.reads]
+
+    assert read_nodes(K4)[0] == [
+        {0, 1, 2, 3}, {0}, {0, 1}, {0, 1}, {0, 2}, {0, 2}, {0, 3}, {0, 3}]
+    assert read_nodes(PAW) == [
+        [{0, 1, 3}, {0}, {0, 1}, {0, 1}, {0, 3}, {0, 3}],
+        [{0, 1, 3}, {1}, {1, 0}, {1, 0}, {1, 3}, {1, 3}],
+        [{2, 3}, {2}, {2, 3}, {2, 3}],
+        [{0, 1, 2, 3}, {3}, {3, 0}, {3, 0}, {3, 1}, {3, 1}, {3, 2}, {3, 2}],
+    ]
+
+
+@pytest.mark.parametrize("g", [PAW, P3_K2], ids=["paw", "P3+K2"])
+def test_every_state_ascends_in_the_reference_order(g):
+    """The search takes the least memoized state as the first worst start,
+    so the ints must ascend in the reference's order of configurations."""
+    codec = verifier._StateCodec(g)
+    states = list(codec.every_state())
+    assert states == sorted(states)
+    assert [codec.decode(state) for state in states] == list(all_wellformed_configurations(g))
+
+
+def test_an_all_configurations_search_streams_its_starts():
+    """Under a budget the starts are drawn one at a time: C8 has 1 679 616
+    well-formed configurations, and listing them took 75 MB."""
+    g = generate("cycle", 8)
+    tracemalloc.start()
+    try:
+        result = exhaustive_search(g, "all", budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (result.explored, result.memo_size, result.initial_count, result.worst_steps) == (
+        101, 91, 1_679_616, 8)
+    assert not result.complete
+    assert result.witness_initial.to_text() == (
+        "0 7 f\n1 2 t\n2 1 t\n3 4 t\n4 3 t\n5 - f\n6 - f\n7 - f\n")
+    assert len(result.witness) == 8
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_instances(), st.randoms(use_true_random=False))
 def test_cached_successors_equal_fresh_ones(instance, rng):
-    """States visited in a random order through one set of view caches give
+    """States visited in a random order through one set of caches give
     the successors and labels that fresh caches give."""
     g, _, branch_marriage, semantics = instance
     codec = verifier._StateCodec(g)
-    states = codec.every_state()
+    states = list(codec.every_state())
     states = rng.sample(states, min(len(states), 200))
-    caches = codec.view_caches()
+    caches = codec.caches()
     c = MutableConfiguration(Configuration.all_null(g))
     for state in states + states[:20]:
         cached, fresh = [], []
         got = verifier._successors(
             c, g, semantics, branch_marriage, codec, caches, state, cached)
         want = verifier._successors(
-            c, g, semantics, branch_marriage, codec, codec.view_caches(), state, fresh)
+            c, g, semantics, branch_marriage, codec, codec.caches(), state, fresh)
         assert (got, cached) == (want, fresh)
