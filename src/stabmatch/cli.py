@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import statistics
 import sys
@@ -45,6 +44,7 @@ from .scheduler import (
 from .verifier import (
     CorruptTraceError,
     audit_trace,
+    configuration_count,
     exhaustive_search,
     extract_matching,
     witness_trace,
@@ -272,8 +272,7 @@ def cmd_search(args) -> int:
     if args.init == "all":
         initial = "all"
         # every well-formed configuration is a start, each explored once
-        states = math.prod(2 * (len(g.adjacency[i]) + 1) for i in g.nodes)
-        if states > args.budget:
+        if (states := configuration_count(g)) > args.budget:
             print(
                 f"warning: all-configurations search over {states} configurations "
                 f"exceeds --budget {args.budget}; raise it for a complete search",
@@ -345,8 +344,11 @@ def cmd_step(args) -> int:
                 continue
             schedule = [(chosen, None) for _, chosen in history]
             trace = trace_from_schedule(g, c0, schedule, policy_desc="interactive")
-            _write(tokens[1], write_trace(trace))
-            print(f"saved {len(history)} steps to {tokens[1]}")
+            try:
+                _write(tokens[1], write_trace(trace))
+                print(f"saved {len(history)} steps to {tokens[1]}")
+            except OSError as exc:
+                print(f"cannot write {tokens[1]}: {exc}")
             continue
         if tokens[0] == "all":
             chosen = tuple(enabled)

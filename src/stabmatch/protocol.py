@@ -3,8 +3,10 @@
 Every process ``i`` owns a pointer ``p`` (a neighbor or null) and a boolean
 flag ``m`` advertising to neighbors whether ``i`` is married. A move reads
 the pre-step states of the process and its neighbors and rewrites only the
-process's own state. Guards and commands only read a configuration, so they
-take either a frozen ``Configuration`` (kept and compared: trace endpoints,
+process's own state. Each guard is written once, in ``_guard``, whose
+verdict ``enabled_rule`` and ``enabled_rules`` return; ``command_target`` is
+the one command. Guards and commands only read a configuration, so they take
+either a frozen ``Configuration`` (kept and compared: trace endpoints,
 search witnesses) or the ``MutableConfiguration`` a replay writes in place
 or a search decodes into. The guards, evaluated after every step, read its
 ``p`` and ``m`` through its node index ``_index``, not through ``p_of``.
@@ -59,8 +61,7 @@ class RuleSemantics:
 
 STANDARD = RuleSemantics()
 UPDATE, MARRIAGE, SEDUCTION, ABANDONMENT = Rule  # Rule.X is slow: EnumType has __getattr__
-# each subset of the rules in Rule order, at its bit mask: update 1 to abandonment 8
-_RULE_SETS = tuple(tuple(r for b, r in enumerate(Rule) if mask >> b & 1) for mask in range(16))
+_HELD = {None: (), **{rule: (rule,) for rule in Rule}}  # enabled_rules' results, one shared each
 
 
 class ConfigFormatError(ValueError):
@@ -289,43 +290,10 @@ def seduction_candidates(
     )
 
 
-def enabled_rules(
-    c: Configuration, g: Graph, i: int, semantics: RuleSemantics = STANDARD
-) -> tuple[Rule, ...]:
-    """Every rule whose guard holds at i, evaluated independently.
-
-    The guards are designed to be mutually exclusive, so this should never
-    return more than one rule; the verifier audits exactly that, which is why
-    this function must not short-circuit: every guard's conjunction is
-    decided and sets its bit, and the rules are read from ``_RULE_SETS``.
-    """
-    index, p, m, ident = c._index, c.p, c.m, g.ident
-    pi, mi = p[k := index[i]], m[k]
-    flag_right = mi == (pi is not None and p[index[pi]] == i)
-    held = 0 if flag_right else 1
-    if flag_right and pi is None:
-        if marriage_suitors(c, g, i):
-            held |= 2
-        else:
-            above = ident[i] if semantics.seduction_requires_larger_id else -1
-            for j in g.adjacency[i]:
-                if p[kj := index[j]] is None and not m[kj] and ident[j] > above:
-                    held |= 4
-                    break
-    if flag_right and pi is not None and p[kj := index[pi]] != i and (
-            m[kj] or ident[pi] <= ident[i]):
-        held |= 8
-    return _RULE_SETS[held]
-
-
-def enabled_rule(
-    c: Configuration, g: Graph, i: int, semantics: RuleSemantics = STANDARD
-) -> Optional[Rule]:
-    """The enabled rule at i, or None. Guard order is fixed for reporting.
-    The marriage and seduction guards stop at the first suitor or candidate."""
+def _guard(c: Configuration, g: Graph, i: int, semantics: RuleSemantics) -> Optional[Rule]:
+    """The four guards in reporting order, each clause written once."""
     index, p, m = c._index, c.p, c.m
-    k = index[i]
-    j = p[k]
+    j = p[k := index[i]]
     if m[k] != (j is not None and p[index[j]] == i):
         return UPDATE
     if j is None:
@@ -343,6 +311,25 @@ def enabled_rule(
     return None
 
 
+def enabled_rules(
+    c: Configuration, g: Graph, i: int, semantics: RuleSemantics = STANDARD
+) -> tuple[Rule, ...]:
+    """``enabled_rule`` as a tuple, ``()`` or one rule, for the audit. At most
+    one guard holds, as each conjunction holds a clause every other negates;
+    ``tests/oracles.literal_guards`` decides the four apart and checks it."""
+    return _HELD[_guard(c, g, i, semantics)]
+
+
+def enabled_rule(
+    c: Configuration, g: Graph, i: int, semantics: RuleSemantics = STANDARD
+) -> Optional[Rule]:
+    """The enabled rule at i, or None. At most one guard holds, as each
+    conjunction holds a clause every other negates (update: a wrong flag;
+    abandonment: a pointer; seduction: no suitor), so ``_guard`` returns the
+    first; ``tests/oracles.literal_guards`` decides the four apart to check it."""
+    return _guard(c, g, i, semantics)
+
+
 def command_target(
     c: Configuration,
     g: Graph,
@@ -354,35 +341,27 @@ def command_target(
     """The new state the rule's command writes for i. No guard is evaluated:
     every caller already holds the rule enabled at i.
 
-    This is the one pick of a move's neighbor: the suitor
-    ``marriage_choice``, by default the largest identifier (the first of
-    equals), and the largest of ``seduction_candidates``. Raises ValueError
-    when the command has nothing to act on: no suitor, a choice that is no
-    suitor, no candidate, or an abandonment with a null pointer.
+    This is the one command: the run and the search's branches write through
+    it, and the audit's replay takes its picks from it: the suitor
+    ``marriage_choice``, by default the largest of ``marriage_suitors`` (the
+    first of equals), and the largest of ``seduction_candidates``. Raises
+    ValueError when the command has nothing to act on: no suitor, a choice
+    that is no suitor, no candidate, or a null pointer to abandon.
     """
     index, p, m, ident = c._index, c.p, c.m, g.ident
-    k = index[i]
-    j, mi = p[k], m[k]
+    j, mi = p[k := index[i]], m[k]
     if rule is UPDATE:
         return ProcessState(j, j is not None and p[index[j]] == i)
-    if rule is MARRIAGE:
-        if marriage_choice is None:
-            best = None
-            for u in g.adjacency[i]:
-                if p[index[u]] == i and (best is None or ident[u] > ident[best]):
-                    best = u
-            if best is None:
-                raise ValueError(f"marriage at node {i} has no suitor")
-            return ProcessState(best, mi)
-        ku = index.get(marriage_choice)
-        if ku is None or p[ku] != i or marriage_choice not in g.adjacency[i]:
+    if rule is MARRIAGE and marriage_choice is not None:
+        if marriage_choice not in g.adjacency[i] or p[index[marriage_choice]] != i:
             raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
         return ProcessState(marriage_choice, mi)
-    if rule is SEDUCTION:
-        cands = seduction_candidates(c, g, i, semantics)
-        if not cands:
-            raise ValueError(f"seduction at node {i} has no candidate")
-        return ProcessState(max(cands, key=ident.__getitem__), mi)
+    if rule is MARRIAGE or rule is SEDUCTION:
+        marrying = rule is MARRIAGE
+        picks = marriage_suitors(c, g, i) if marrying else seduction_candidates(c, g, i, semantics)
+        if not picks:
+            raise ValueError(f"{rule} at node {i} has no {'suitor' if marrying else 'candidate'}")
+        return ProcessState(max(picks, key=ident.__getitem__), mi)
     if j is None:
         raise ValueError(f"abandonment at node {i} has a null pointer")
     return ProcessState(None, mi)

@@ -232,10 +232,10 @@ def select(policy: DaemonPolicy, state: SchedulerState) -> frozenset[int]:
 class Execution:
     """One execution replayed step by step, its guards kept current.
 
-    ``enabled`` maps each enabled process to its ``guards`` result, which is
-    ``enabled_rule`` or, where every guard that holds is needed,
-    ``enabled_rules``. ``config`` is a MutableConfiguration copied from
-    ``c0``, which the caller writes each step's movers into before calling
+    ``enabled`` maps each enabled process to its ``guards`` result:
+    ``enabled_rule``'s, or the same verdict as ``enabled_rules``' tuple, the
+    audit's form. ``config`` is a MutableConfiguration copied from ``c0``,
+    which the caller writes each step's movers into before calling
     ``advance``; the Execution keeps each process's state as of the last
     ``advance``, so it knows what every mover changed, and until then
     ``previous_state`` gives a mover's pre-step state. A round closes at the

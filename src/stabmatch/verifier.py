@@ -18,12 +18,11 @@ from typing import Callable, Container, Iterable, Iterator, Optional, Union
 
 from .graph import Graph
 from .protocol import (
+    MARRIAGE,
     UPDATE,
     Configuration,
     MutableConfiguration,
     PredicateClass,
-    ProcessState,
-    Rule,
     RuleSemantics,
     STANDARD,
     classify,
@@ -515,6 +514,11 @@ class SearchResult:
         return "\n".join(lines) + "\n"
 
 
+def configuration_count(g: Graph) -> int:
+    """How many well-formed configurations g has: 2(deg + 1) per process."""
+    return math.prod(2 * (len(g.adjacency[i]) + 1) for i in g.nodes)
+
+
 class _StateCodec:
     """A graph's configurations as ints. Node i's field holds the slot of
     its pointer in its sorted adjacency (0 for null) times 2, plus its m
@@ -582,10 +586,9 @@ def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=N
     label. The fields the node reads fix the entry and key its cache
     (``codec.caches()``). Only on a miss is ``state`` decoded into the
     MutableConfiguration ``c``, and only the missed nodes' guards
-    (``enabled_nodes``) and commands are evaluated: ``command_target``, or
-    for a branched marriage a write of each suitor from
-    ``marriage_suitors``. ``labels``, if given, receives each branch's
-    WitnessStep."""
+    (``enabled_nodes``) and commands (``command_target``, for a branched
+    marriage once per suitor of ``marriage_suitors``) are evaluated.
+    ``labels``, if given, receives each branch's WitnessStep."""
     entries = [cache.get(state & reads[state >> shift & mask])
                for shift, mask, reads, cache in caches]
     if None in entries:
@@ -595,19 +598,15 @@ def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=N
         rules = enabled_nodes(c, g, semantics, [nodes[k] for k in missed])
         for k in missed:
             i = nodes[k]
-            rule = rules.get(i)
-            if rule is None:
-                entry = ()
-            else:
-                if branch_marriage and rule is Rule.MARRIAGE:
-                    suitors, mi = marriage_suitors(c, g, i), c.m_of(i)
-                    writes = [ProcessState(j, mi) for j in suitors]
-                    pairs = [((i, j),) for j in suitors]
-                else:
-                    writes = [command_target(c, g, i, rule, semantics)]
-                    pairs = ((),)
+            entry = ()
+            if (rule := rules.get(i)) is not None:
+                choices = (marriage_suitors(c, g, i) if branch_marriage and rule is MARRIAGE
+                           else (None,))
+                writes = [command_target(c, g, i, rule, semantics, marriage_choice=j)
+                          for j in choices]
                 bits, old = codec.bits[i], state & codec.field[i]
-                entry = (i, [old ^ bits[w.p, w.m] for w in writes], pairs)
+                entry = (i, [old ^ bits[w.p, w.m] for w in writes],
+                         [() if j is None else ((i, j),) for j in choices])
             entries[k] = entry
             shift, mask, reads, cache = caches[k]
             cache[state & reads[state >> shift & mask]] = entry
@@ -679,7 +678,7 @@ def exhaustive_search(
     codec = _StateCodec(g)
     if initial == "all":
         initials = codec.every_state()
-        initial_count = math.prod(len(table) for _, _, table in codec.decoders)
+        initial_count = configuration_count(g)
     else:
         initials, initial_count = [codec.encode(initial)], 1
 

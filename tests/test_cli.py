@@ -348,6 +348,19 @@ class TestStep:
         out = capsys.readouterr().out
         assert "node 1 has no enabled rule" in out
 
+    def test_an_unwritable_save_keeps_the_session(self, workdir, capsys, monkeypatch):
+        """A save that cannot write prints why, like any other bad input;
+        the session goes on and a later save writes a trace that verifies."""
+        _write(workdir / "two.g", TWO_SUITORS_GRAPH)
+        _write(workdir / "two.cfg", TWO_SUITORS_INIT)
+        self._feed(monkeypatch, "save nodir/s.trace\n" + "all\n" * 9 + "save s.trace\nquit\n")
+        assert main(["step", "--graph", "two.g", "--init", "two.cfg"]) == EXIT_OK
+        out = capsys.readouterr().out
+        trace = parse_trace((workdir / "s.trace").read_text())
+        assert "> cannot write nodir/s.trace: " in out
+        assert f"> saved {trace.steps} steps to s.trace\n" in out and trace.stable
+        assert main(["verify", "--trace", "s.trace"]) == EXIT_OK
+
     def test_undo_restores_state(self, workdir, capsys, monkeypatch):
         _write(workdir / "two.g", TWO_SUITORS_GRAPH)
         _write(workdir / "two.cfg", TWO_SUITORS_INIT)

@@ -121,18 +121,6 @@ class TestEnabledRule:
             assert enabled_rule(c, g, i) == (rules[0] if rules else None)
 
 
-    def test_rule_sets_hold_every_subset_at_its_mask(self):
-        """enabled_rules reads its result at the mask of the guards that
-        hold, so each mask must give exactly its rules, in Rule order: a
-        second guard that holds is reported, never dropped."""
-        from stabmatch.protocol import _RULE_SETS
-
-        bit = {Rule.UPDATE: 1, Rule.MARRIAGE: 2, Rule.SEDUCTION: 4, Rule.ABANDONMENT: 8}
-        assert len(_RULE_SETS) == 16
-        for mask, held in enumerate(_RULE_SETS):
-            assert held == tuple(r for r in Rule if mask & bit[r])
-        assert _RULE_SETS[0b1001] == (Rule.UPDATE, Rule.ABANDONMENT)
-
     @given(graph_and_config(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_guards_match_their_literal_transcription(self, gc, data):

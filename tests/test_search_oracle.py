@@ -255,6 +255,7 @@ def test_every_state_ascends_in_the_reference_order(g):
     states = list(codec.every_state())
     assert states == sorted(states)
     assert [codec.decode(state) for state in states] == list(all_wellformed_configurations(g))
+    assert verifier.configuration_count(g) == len(states)
 
 
 def test_an_all_configurations_search_streams_its_starts():

@@ -245,34 +245,27 @@ class TestAuditOnLegitimateTraces:
         assert report.all_pass and not report.connected
         assert "graph: disconnected" in report.to_text()
 
-    def test_each_guard_evaluation_lists_the_suitors_once(self, monkeypatch):
-        """The marriage and seduction guards both read a process's suitors;
-        one audit must compute them exactly once in each enabled_rules call
-        whose process reads them (null pointer, flag equal to its marriage
-        status) and never in any other."""
-        from stabmatch import protocol, verifier
+    def test_only_a_default_marriage_lists_the_suitors(self, monkeypatch):
+        """The guards scan for a suitor themselves; the suitors are listed
+        only for command_target's default pick. So a run lists them once
+        per marriage move, and the audit of its trace, whose every marriage
+        names its suitor, never."""
+        from stabmatch import protocol
 
+        calls = []
+        marriage_suitors = protocol.marriage_suitors
+
+        def counted(c, g, i):
+            calls.append(i)
+            return marriage_suitors(c, g, i)
+
+        monkeypatch.setattr(protocol, "marriage_suitors", counted)
         g = generate("random_gnm", 60, 150, 3)
         t = run(g, random_configuration(g, 1), DaemonPolicy("sequential_random", seed=1))
-        calls = []  # per enabled_rules call: [reads suitors, marriage_suitors calls]
-        enabled_rules, marriage_suitors = protocol.enabled_rules, protocol.marriage_suitors
-
-        def counted_rules(c, g, i, semantics):
-            # a null pointer means unmarried, so the flag must be false
-            reads = c.p_of(i) is None and not c.m_of(i)
-            calls.append([reads, 0])
-            return enabled_rules(c, g, i, semantics)
-
-        def counted_suitors(*args):
-            calls[-1][1] += 1
-            return marriage_suitors(*args)
-
-        monkeypatch.setattr(verifier, "enabled_rules", counted_rules)
-        monkeypatch.setattr(protocol, "marriage_suitors", counted_suitors)
-        report = audit_trace(t)
-        assert report.all_pass
-        assert all(count == (1 if reads else 0) for reads, count in calls)
-        assert any(reads for reads, _ in calls)
+        marriages = [mv.node for r in t.records for mv in r.moves if mv.rule is Rule.MARRIAGE]
+        assert marriages and calls == marriages
+        calls.clear()
+        assert audit_trace(t).all_pass and calls == []
 
 
 @pytest.mark.parametrize("policy, semantics", [
@@ -620,21 +613,29 @@ class TestExhaustiveSearch:
         branched = exhaustive_search(g, c0, branch_marriage=True)
         assert branched.worst_steps >= plain.worst_steps
 
-    def test_branched_marriages_are_written_without_command_target(self, monkeypatch):
-        """With branch_marriage, a marriage branch writes each suitor from
-        marriage_suitors; command_target is called for the other rules only."""
+    def test_branched_marriages_are_written_through_command_target(self, monkeypatch):
+        """With branch_marriage, each suitor of marriage_suitors is written
+        by command_target as its marriage_choice: once per suitor, in the
+        suitors' order, and the search writes no state of its own."""
         from stabmatch import verifier
 
-        rules = []
-        command_target = verifier.command_target
+        named, listed = [], []
+        command_target, suitors_of = verifier.command_target, verifier.marriage_suitors
 
-        def recorded(c, g, i, rule, *args, **kwargs):
-            rules.append(rule)
-            return command_target(c, g, i, rule, *args, **kwargs)
+        def recorded(c, g, i, rule, semantics=STANDARD, marriage_choice=None):
+            if rule is Rule.MARRIAGE:
+                named.append((i, marriage_choice))
+            return command_target(c, g, i, rule, semantics, marriage_choice)
+
+        def listing(c, g, i):
+            listed.append((i, suitors_of(c, g, i)))
+            return listed[-1][1]
 
         monkeypatch.setattr(verifier, "command_target", recorded)
+        monkeypatch.setattr(verifier, "marriage_suitors", listing)
         result = exhaustive_search(small_graph("P4"), "all", branch_marriage=True)
-        assert result.ok and rules and Rule.MARRIAGE not in rules
+        assert result.ok and named
+        assert named == [(i, j) for i, suitors in listed for j in suitors]
 
     def test_pointer_outside_the_adjacency_is_rejected(self, p3):
         c0 = Configuration(p3.nodes, (2, None, None), (False, False, False))
