@@ -28,35 +28,57 @@ class Graph:
     ``adjacency`` maps each node to its neighbors sorted ascending, which
     keeps every downstream iteration deterministic. ``ident`` maps nodes to
     identifier values; it defaults to the identity assignment. The edge
-    count is computed once, at construction.
+    count is computed once, at construction, as are two tables that let a
+    neighbor scan index state lists by position in ``nodes``: ``around[k]``
+    holds the positions of the neighbors of ``nodes[k]``, in adjacency
+    order, and ``rank[k]`` is ``ident[nodes[k]]``. With ``nodes`` 0..n-1 in
+    order, ``around`` shares the adjacency tuples.
     """
 
     nodes: tuple[int, ...]
     adjacency: dict[int, tuple[int, ...]]
     ident: dict[int, int] = field(default_factory=dict)
     _m: int = field(init=False, repr=False, compare=False, default=0)
+    around: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
+    rank: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
-        if not self.nodes:
+        nodes, adjacency = self.nodes, self.adjacency
+        if not nodes:
             raise ValueError("graph needs at least one node")
-        if not self.ident:
-            object.__setattr__(self, "ident", {u: u for u in self.nodes})
-        node_set = set(self.nodes)
-        if set(self.ident) != node_set:
+        identity = not self.ident
+        if identity:
+            object.__setattr__(self, "ident", dict(zip(nodes, nodes)))
+        ident = self.ident
+        node_set = set(nodes)
+        if len(node_set) != len(nodes):
+            raise ValueError("node keys must be distinct")
+        if ident.keys() != node_set:
             raise ValueError("ident must assign a value to every node")
-        if any(u < 0 for u in self.nodes) or any(v < 0 for v in self.ident.values()):
+        if adjacency.keys() != node_set:
+            raise ValueError("adjacency needs one entry per node and no other key")
+        if min(nodes) < 0 or min(ident.values()) < 0:
             raise ValueError("node keys and identifier values must be nonnegative")
-        for u, nbrs in self.adjacency.items():
-            for v in nbrs:
-                if v == u:
+        try:  # KeyError: an endpoint that is not a node
+            for u, nbrs in adjacency.items():
+                if u in nbrs:
                     raise ValueError(f"self-loop at node {u}")
-                if v not in node_set:
-                    raise ValueError(f"edge endpoint {v} not a node")
-                if u not in self.adjacency[v]:
-                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+                for v in nbrs:
+                    if adjacency[v].count(u) != 1:  # symmetric, and no repeat
+                        if u in adjacency[v]:
+                            raise ValueError(f"repeated neighbor {u} at node {v}")
+                        raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        except KeyError as exc:
+            raise ValueError(f"edge endpoint {exc.args[0]} not a node") from None
+        object.__setattr__(self, "_m", sum(map(len, adjacency.values())) // 2)
+        if nodes == tuple(range(len(nodes))):
+            around = tuple(map(adjacency.__getitem__, nodes))
+        else:
+            position = {u: k for k, u in enumerate(nodes)}.__getitem__
+            around = tuple(tuple(map(position, adjacency[u])) for u in nodes)
+        object.__setattr__(self, "around", around)
         object.__setattr__(
-            self, "_m", sum(len(v) for v in self.adjacency.values()) // 2
-        )
+            self, "rank", nodes if identity else tuple(map(ident.__getitem__, nodes)))
 
     @staticmethod
     def from_edges(nodes, edges, ident=None) -> "Graph":
@@ -90,15 +112,18 @@ class Graph:
         return v in self.adjacency.get(u, ())
 
     def is_connected(self) -> bool:
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
+        around = self.around
+        seen = bytearray(len(around))
+        seen[0] = 1
+        stack = [0]
+        reached = 1
         while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
+            for v in around[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = 1
+                    reached += 1
                     stack.append(v)
-        return len(seen) == len(self.nodes)
+        return reached == len(around)
 
     def digest(self) -> str:
         return text_digest(write_graph(self))

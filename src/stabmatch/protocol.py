@@ -8,8 +8,11 @@ verdict ``enabled_rule`` and ``enabled_rules`` return; ``command_target`` is
 the one command. Guards and commands only read a configuration, so they take
 either a frozen ``Configuration`` (kept and compared: trace endpoints,
 search witnesses) or the ``MutableConfiguration`` a replay writes in place
-or a search decodes into. The guards, evaluated after every step, read its
-``p`` and ``m`` through its node index ``_index``, not through ``p_of``.
+or a search decodes into. A configuration's ``nodes`` are its graph's, in
+order, so the guards and the suitor and candidate scans read a neighbor's
+``p`` and ``m`` at the position ``g.around`` gives, and its identifier in
+``g.rank``; the node index ``_index`` gives only a node's own position and
+its pointee's.
 """
 
 from __future__ import annotations
@@ -40,10 +43,18 @@ class PredicateClass(enum.Enum):
     FREE = "free"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProcessState:
     p: Optional[int]
     m: bool
+
+    def __init__(self, p: Optional[int], m: bool):
+        _set_p(self, p)
+        _set_m(self, m)
+
+
+# built per fired move: each field is set by its slot's setter, as Move's are
+_set_p, _set_m = ProcessState.p.__set__, ProcessState.m.__set__
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,7 @@ class ConfigFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Configuration:
-    """System state: one (p, m) pair per node, aligned with sorted node keys."""
+    """System state: one (p, m) pair per node, aligned with the graph's nodes."""
 
     nodes: tuple[int, ...]
     p: tuple[Optional[int], ...]
@@ -273,40 +284,46 @@ def classify(c: Configuration, g: Graph, i: int) -> PredicateClass:
 
 def marriage_suitors(c: Configuration, g: Graph, i: int) -> tuple[int, ...]:
     """Neighbors currently pointing at i, sorted ascending."""
-    index, p = c._index, c.p
-    return tuple(j for j in g.adjacency[i] if p[index[j]] == i)
+    nodes, p = g.nodes, c.p
+    return tuple(nodes[kj] for kj in g.around[c._index[i]] if p[kj] == i)
 
 
 def seduction_candidates(
     c: Configuration, g: Graph, i: int, semantics: RuleSemantics = STANDARD
 ) -> tuple[int, ...]:
     """Unmarried-flagged null-pointer neighbors courtable by i."""
-    index, p, m, ident = c._index, c.p, c.m, g.ident
+    nodes, p, m, rank = g.nodes, c.p, c.m, g.rank
+    k = c._index[i]
     # with the guard stripped every neighbor qualifies: identifiers are nonnegative
-    above = ident[i] if semantics.seduction_requires_larger_id else -1
+    above = rank[k] if semantics.seduction_requires_larger_id else -1
     return tuple(
-        j for j in g.adjacency[i]
-        if p[k := index[j]] is None and not m[k] and ident[j] > above
-    )
+        nodes[kj] for kj in g.around[k] if p[kj] is None and not m[kj] and rank[kj] > above)
 
 
 def _guard(c: Configuration, g: Graph, i: int, semantics: RuleSemantics) -> Optional[Rule]:
-    """The four guards in reporting order, each clause written once."""
-    index, p, m = c._index, c.p, c.m
-    j = p[k := index[i]]
-    if m[k] != (j is not None and p[index[j]] == i):
-        return UPDATE
+    """The four guards in reporting order. The update clause (the flag is
+    not whether the pointee points back) is tested per pointer branch; every
+    other clause is written once."""
+    p, m = c.p, c.m
+    j = p[k := c._index[i]]
     if j is None:
-        adjacency, ident = g.adjacency[i], g.ident
-        for u in adjacency:
-            if p[index[u]] == i:
+        if m[k]:
+            return UPDATE
+        around = g.around[k]
+        for ku in around:
+            if p[ku] == i:
                 return MARRIAGE
-        above = ident[i] if semantics.seduction_requires_larger_id else -1
-        for u in adjacency:
-            if p[ku := index[u]] is None and not m[ku] and ident[u] > above:
+        rank = g.rank
+        above = rank[k] if semantics.seduction_requires_larger_id else -1
+        for ku in around:
+            if p[ku] is None and not m[ku] and rank[ku] > above:
                 return SEDUCTION
         return None
-    if p[kj := index[j]] != i and (m[kj] or g.ident[j] <= g.ident[i]):
+    if p[kj := c._index[j]] == i:
+        return None if m[k] else UPDATE
+    if m[k]:
+        return UPDATE
+    if m[kj] or g.rank[kj] <= g.rank[k]:
         return ABANDONMENT
     return None
 
@@ -316,7 +333,8 @@ def enabled_rules(
 ) -> tuple[Rule, ...]:
     """``enabled_rule`` as a tuple, ``()`` or one rule, for the audit. At most
     one guard holds, as each conjunction holds a clause every other negates;
-    ``tests/oracles.literal_guards`` decides the four apart and checks it."""
+    ``tests/oracles.literal_guards`` decides the four apart and checks it.
+    Needs ``c.nodes == g.nodes``, as for ``enabled_rule``."""
     return _HELD[_guard(c, g, i, semantics)]
 
 
@@ -326,7 +344,8 @@ def enabled_rule(
     """The enabled rule at i, or None. At most one guard holds, as each
     conjunction holds a clause every other negates (update: a wrong flag;
     abandonment: a pointer; seduction: no suitor), so ``_guard`` returns the
-    first; ``tests/oracles.literal_guards`` decides the four apart to check it."""
+    first; ``tests/oracles.literal_guards`` decides the four apart to check it.
+    Needs ``c.nodes == g.nodes``: neighbors are read at ``g.around``'s positions."""
     return _guard(c, g, i, semantics)
 
 

@@ -243,9 +243,13 @@ class Execution:
     configuration has moved or had its guard disabled; ``owed`` holds those
     the current round still waits for. ``fire`` writes, records and advances
     a chosen step in one call; ``records`` holds the steps it fired.
+    Raises ValueError unless ``c0.nodes == g.nodes``: neighbors are read at
+    ``g.around``'s positions.
     """
 
     def __init__(self, g: Graph, c0: Configuration, semantics: RuleSemantics, guards):
+        if c0.nodes is not g.nodes and c0.nodes != g.nodes:
+            raise ValueError("the configuration's nodes are not the graph's")
         self.graph = g
         self.semantics = semantics
         self.guards = guards
@@ -276,7 +280,8 @@ class Execution:
         """
         g, guards, semantics, c = self.graph, self.guards, self.semantics, self.config
         index, p, m, old_p, old_m = c._index, c.p, c.m, self._p, self._m
-        ident, strict = g.ident, semantics.seduction_requires_larger_id
+        nodes, around, rank = g.nodes, g.around, g.rank
+        strict = semantics.seduction_requires_larger_id
         enabled = self.enabled
         needed = set(moved)
         for i in moved:
@@ -285,10 +290,16 @@ class Execution:
                 needed.update((old_p[k], p[k]))
             recourt = (p[k] is None and not m[k]) != (old_p[k] is None and not old_m[k])
             old_p[k], old_m[k] = p[k], m[k]
-            for j in g.adjacency[i]:
-                pj = p[index[j]]
-                if pj == i or recourt and pj is None and (ident[j] < ident[i] or not strict):
-                    needed.add(j)
+            if recourt:
+                ri = rank[k]
+                for kj in around[k]:
+                    pj = p[kj]
+                    if pj == i or pj is None and (rank[kj] < ri or not strict):
+                        needed.add(nodes[kj])
+            else:
+                for kj in around[k]:
+                    if p[kj] == i:
+                        needed.add(nodes[kj])
         needed.discard(None)
         on, off = [], []
         for i in needed:

@@ -1,9 +1,10 @@
 """The replay kernel against full rescans: after every step its enabled map
 equals every node's guards evaluated afresh, and its round index is the one
 the round definition gives, as ``rescan_rounds`` recomputes it. The inputs
-include tied identifiers, node keys that are not 0..n-1 and dense graphs,
-since which neighbors a step re-evaluates depends on identifier order and
-the guards read states through the node index."""
+include tied identifiers, node keys that are not 0..n-1, nodes in an order
+that is not ascending, and dense graphs, since which neighbors a step
+re-evaluates depends on identifier order and the guards read neighbors'
+states at the positions of the graph's ``around`` table."""
 
 from __future__ import annotations
 
@@ -59,6 +60,9 @@ def run_inputs(draw, traceable=False):
         key = {u: offset + stride * order[u] for u in g.nodes}
         g = Graph.from_edges(key.values(), [(key[u], key[v]) for u, v in g.edges()],
                              None if traceable else {key[u]: g.ident[u] for u in g.nodes})
+    if not traceable and draw(st.booleans()):
+        # the nodes in a drawn order (a trace file lists them ascending)
+        g = Graph(tuple(draw(st.permutations(g.nodes))), g.adjacency, g.ident)
     semantics = draw(st.sampled_from((STANDARD, BROKEN)))
     policy = DaemonPolicy.parse(draw(st.sampled_from(all_policies())),
                                 draw(st.integers(0, 2**16)))
@@ -149,6 +153,19 @@ def test_update_move_does_not_reevaluate_a_pointee_that_points_elsewhere(guards)
     c = execution.config
     assert c.m_of(0) is False
     assert execution.enabled == {i: r for i in g.nodes if (r := guards(c, g, i, STANDARD))}
+
+
+def test_a_configuration_not_aligned_with_its_graph_is_refused():
+    """The guards read states by position, so an Execution refuses a
+    configuration whose nodes are the graph's in another order."""
+    g = Graph((2, 0, 1), {0: (1, 2), 1: (0,), 2: (0,)})
+    c0 = Configuration((0, 1, 2), (None, 0, 0), (False, False, False))
+    with pytest.raises(ValueError, match="not the graph's"):
+        Execution(g, c0, STANDARD, enabled_rule)
+    with pytest.raises(ValueError, match="not the graph's"):
+        run(g, c0, DaemonPolicy("synchronous"))
+    aligned = Configuration(g.nodes, (0, None, 0), (False, False, False))
+    assert run(g, aligned, DaemonPolicy("synchronous")).final.p_of(0) == 2
 
 
 @pytest.mark.parametrize("kind", ["complete", "star"])

@@ -49,6 +49,11 @@ class TestConstruction:
         ((0, 1), {0: (0, 1), 1: (0,)}, {}, "self-loop at node 0"),
         ((0, 1), {0: (1, 2), 1: (0,)}, {}, "edge endpoint 2 not a node"),
         ((0, 1), {0: (1,), 1: ()}, {}, r"adjacency not symmetric at \(0, 1\)"),
+        # each node needs exactly one position and one adjacency entry
+        ((0, 1, 0), {0: (1,), 1: (0,)}, {}, "node keys must be distinct"),
+        ((0, 1, 2), {0: (1,), 1: (0,)}, {}, "one entry per node"),
+        ((0, 1), {0: (1,), 1: (0,), 5: ()}, {}, "one entry per node"),
+        ((0, 1), {0: (1, 1), 1: (0, 0)}, {}, "repeated neighbor 0 at node 1"),
     ])
     def test_direct_construction_rejects(self, nodes, adjacency, ident, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -57,6 +62,33 @@ class TestConstruction:
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges([0, 1], [(0, 1), (1, 0)])
         assert g.m == 1
+
+
+class TestPositionTables:
+    @given(n=st.integers(1, 12), extra=st.integers(0, 12), seed=st.integers(0, 10**6),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tables_are_adjacency_and_ident_by_position(self, n, extra, seed, data):
+        """On a generated graph, its file read back, the graph relabeled to
+        sparse keys with identifiers drawn with ties, and both built
+        directly on a permuted node tuple. A generated graph's nodes are
+        0..n-1 in order, so its ``around`` is its adjacency tuples, and
+        those equal the general mapping: adjacency and ident mapped through
+        each node's index in ``nodes``."""
+        g = generate("random_gnm", n, min(n - 1 + extra, n * (n - 1) // 2), seed)
+        assert all(g.around[k] is g.adjacency[k] for k in g.nodes)
+        key = {u: 5 + 4 * k for k, u in enumerate(data.draw(st.permutations(g.nodes)))}
+        ident = {key[u]: data.draw(st.integers(0, 3)) for u in g.nodes}
+        sparse = Graph.from_edges(key.values(), [(key[u], key[v]) for u, v in g.edges()], ident)
+        graphs = [g, read_graph(write_graph(g)), sparse]
+        for h in (g, sparse):
+            order = tuple(data.draw(st.permutations(h.nodes)))
+            graphs.append(Graph(order, {u: h.adjacency[u] for u in order},
+                                {} if h is g else ident))
+        for h in graphs:
+            assert list(h.around) == [
+                tuple(h.nodes.index(v) for v in h.adjacency[u]) for u in h.nodes]
+            assert list(h.rank) == [h.ident[u] for u in h.nodes]
 
 
 class TestDistance2Unique:

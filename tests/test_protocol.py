@@ -124,23 +124,36 @@ class TestEnabledRule:
     @given(graph_and_config(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_guards_match_their_literal_transcription(self, gc, data):
-        """The guards read the state lists through the node index; under
-        tied identifiers, sparse node keys and both semantics they agree
-        with the guards read one process at a time, on a frozen and on a
-        mutable configuration."""
-        g, c = gc
-        key = {u: 7 + 3 * k for k, u in enumerate(data.draw(st.permutations(g.nodes)))}
-        ident = {key[u]: data.draw(st.integers(0, 2)) for u in g.nodes}
-        g = Graph.from_edges(key.values(), [(key[u], key[v]) for u, v in g.edges()], ident)
-        c = Configuration.from_states(g, {
-            key[u]: ProcessState(None if c.p_of(u) is None else key[c.p_of(u)], c.m_of(u))
-            for u in c.nodes})
+        """The guards read the neighbors' states at the positions of the
+        graph's ``around`` table and compare identifiers through its
+        ``rank``; under tied identifiers, sparse node keys, nodes in sorted
+        or permuted order and both semantics they agree with the guards
+        read one process at a time through ``p_of`` and ``adjacency``, on a
+        frozen and on a mutable configuration."""
+        g, c = _relabeled(*gc, data, tied=True)
         for semantics in (RuleSemantics(), RuleSemantics(seduction_requires_larger_id=False)):
             for config in (c, MutableConfiguration(c)):
                 for i in g.nodes:
                     rules = literal_guards(c, g, i, semantics)
                     assert enabled_rules(config, g, i, semantics) == rules
                     assert enabled_rule(config, g, i, semantics) == (rules[0] if rules else None)
+
+
+def _relabeled(g, c, data, tied):
+    """g and c on sparse node keys, identifiers drawn from {0, 1, 2} when
+    ``tied``, else the keys. The graph is built by ``from_edges`` (nodes
+    sorted) or by ``Graph(...)`` directly on the nodes in a drawn order;
+    either way its keys are not its positions, so ``around`` is built by
+    the general mapping."""
+    key = {u: 7 + 3 * k for k, u in enumerate(data.draw(st.permutations(g.nodes)))}
+    ident = {key[u]: data.draw(st.integers(0, 2)) if tied else key[u] for u in g.nodes}
+    edges = [(key[u], key[v]) for u, v in g.edges()]
+    h = Graph.from_edges(key.values(), edges, ident)
+    if data.draw(st.booleans()):
+        h = Graph(tuple(data.draw(st.permutations(h.nodes))), h.adjacency, ident)
+    return h, Configuration.from_states(h, {
+        key[u]: ProcessState(None if c.p_of(u) is None else key[c.p_of(u)], c.m_of(u))
+        for u in c.nodes})
 
 
 def _write(c, g, i, rule, semantics, choice):
@@ -181,15 +194,9 @@ def _commands_agree(c, g):
 @settings(max_examples=150, deadline=None)
 def test_commands_match_their_literal_transcription(gc, data):
     """On random graphs, with identifiers equal to the keys or drawn from
-    {0, 1, 2} (ties everywhere, broken by node key), and sparse node keys."""
-    g, c = gc
-    key = {u: 7 + 3 * k for k, u in enumerate(data.draw(st.permutations(g.nodes)))}
-    tied = data.draw(st.booleans())
-    ident = {key[u]: data.draw(st.integers(0, 2)) if tied else key[u] for u in g.nodes}
-    g = Graph.from_edges(key.values(), [(key[u], key[v]) for u, v in g.edges()], ident)
-    c = Configuration.from_states(g, {
-        key[u]: ProcessState(None if c.p_of(u) is None else key[c.p_of(u)], c.m_of(u))
-        for u in c.nodes})
+    {0, 1, 2} (ties everywhere, broken by node key), and sparse node keys in
+    sorted or permuted order."""
+    g, c = _relabeled(*gc, data, tied=data.draw(st.booleans()))
     _commands_agree(c, g)
 
 
