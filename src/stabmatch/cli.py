@@ -21,24 +21,24 @@ from .protocol import (
     ConfigFormatError,
     Configuration,
     MutableConfiguration,
+    STANDARD,
     classify,
-    enabled_nodes,
+    enabled_rule,
     parse_configuration,
     random_configuration,
 )
 from .scheduler import (
     DaemonPolicy,
+    Execution,
     HEURISTIC_STRATEGIES,
     POLICY_KINDS,
     TraceFormatError,
-    apply_step,
     parse_trace,
     replay_step,
     round_bound,
     run,
     step_bound,
     trace_counters,
-    trace_from_schedule,
     write_trace,
 )
 from .verifier import (
@@ -297,7 +297,7 @@ def cmd_search(args) -> int:
     return EXIT_OK if result.ok else EXIT_FAIL
 
 
-def _format_state(c: Configuration, g: Graph, enabled: dict) -> str:
+def _format_state(c: MutableConfiguration, g: Graph, enabled: dict) -> str:
     lines = ["node  p     m  class      enabled"]
     for i in g.nodes:
         p = c.p_of(i)
@@ -314,13 +314,13 @@ def cmd_step(args) -> int:
     g = _load_graph(args.graph)
     c0 = _load_init(args.init, g)
     rng = random.Random(args.seed)
-    history: list[tuple[Configuration, tuple[int, ...]]] = []
-    c = c0
+    history: list[tuple[int, ...]] = []
+    execution = Execution(g, c0, STANDARD, enabled_rule)
     print("interactive stepper; enter node ids, 'all', 'rand', 'undo', "
           "'save FILE', or 'quit'")
     while True:
-        enabled = enabled_nodes(c, g)
-        print(_format_state(c, g, enabled))
+        enabled = execution.enabled
+        print(_format_state(execution.config, g, enabled))
         if not enabled:
             print("stable configuration reached")
         print("> ", end="", flush=True)
@@ -334,7 +334,10 @@ def cmd_step(args) -> int:
             break
         if tokens[0] == "undo":
             if history:
-                c, _ = history.pop()
+                history.pop()
+                execution = Execution(g, c0, STANDARD, enabled_rule)
+                for chosen in history:
+                    execution.fire(chosen)
             else:
                 print("nothing to undo")
             continue
@@ -342,8 +345,7 @@ def cmd_step(args) -> int:
             if len(tokens) != 2:
                 print("usage: save FILE")
                 continue
-            schedule = [(chosen, None) for _, chosen in history]
-            trace = trace_from_schedule(g, c0, schedule, policy_desc="interactive")
+            trace = execution.trace("interactive", 0, max(len(history), 1))
             try:
                 _write(tokens[1], write_trace(trace))
                 print(f"saved {len(history)} steps to {tokens[1]}")
@@ -356,8 +358,10 @@ def cmd_step(args) -> int:
             if not enabled:
                 print("no enabled process")
                 continue
+            # drawn in node order, which the enabled map's order is not
+            candidates = [i for i in g.nodes if i in enabled]
             chosen = tuple(
-                sorted(rng.sample(list(enabled), rng.randint(1, len(enabled))))
+                sorted(rng.sample(candidates, rng.randint(1, len(candidates))))
             )
         else:
             try:
@@ -375,9 +379,10 @@ def cmd_step(args) -> int:
                 continue
         if not chosen:
             continue
-        history.append((c, chosen))
-        c, moves = apply_step(c, g, chosen, rules=enabled)
-        print("fired: " + ", ".join(f"{mv.node}:{mv.rule.value}" for mv in moves))
+        history.append(chosen)
+        execution.fire(chosen)
+        print("fired: " + ", ".join(
+            f"{mv.node}:{mv.rule.value}" for mv in execution.records[-1].moves))
     return EXIT_OK
 
 

@@ -26,7 +26,8 @@ class Graph:
     """Immutable undirected simple graph.
 
     ``adjacency`` maps each node to its neighbors sorted ascending, which
-    keeps every downstream iteration deterministic. ``ident`` maps nodes to
+    keeps every downstream iteration deterministic; a row out of order is
+    rejected. ``ident`` maps nodes to
     identifier values; it defaults to the identity assignment. The edge
     count is computed once, at construction, as are two tables that let a
     neighbor scan index state lists by position in ``nodes``: ``around[k]``
@@ -63,11 +64,15 @@ class Graph:
             for u, nbrs in adjacency.items():
                 if u in nbrs:
                     raise ValueError(f"self-loop at node {u}")
+                last = -1
                 for v in nbrs:
                     if adjacency[v].count(u) != 1:  # symmetric, and no repeat
                         if u in adjacency[v]:
                             raise ValueError(f"repeated neighbor {u} at node {v}")
                         raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+                    if v < last:
+                        raise ValueError(f"adjacency of node {u} is not sorted ascending")
+                    last = v
         except KeyError as exc:
             raise ValueError(f"edge endpoint {exc.args[0]} not a node") from None
         object.__setattr__(self, "_m", sum(map(len, adjacency.values())) // 2)

@@ -55,6 +55,8 @@ class ProcessState:
 
 # built per fired move: each field is set by its slot's setter, as Move's are
 _set_p, _set_m = ProcessState.p.__set__, ProcessState.m.__set__
+# the two null-pointer states, shared by every abandonment and null update
+_NULL_STATE = {False: ProcessState(None, False), True: ProcessState(None, True)}
 
 
 @dataclass(frozen=True)
@@ -370,7 +372,7 @@ def command_target(
     index, p, m, ident = c._index, c.p, c.m, g.ident
     j, mi = p[k := index[i]], m[k]
     if rule is UPDATE:
-        return ProcessState(j, j is not None and p[index[j]] == i)
+        return _NULL_STATE[False] if j is None else ProcessState(j, p[index[j]] == i)
     if rule is MARRIAGE and marriage_choice is not None:
         if marriage_choice not in g.adjacency[i] or p[index[marriage_choice]] != i:
             raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
@@ -383,7 +385,7 @@ def command_target(
         return ProcessState(max(picks, key=ident.__getitem__), mi)
     if j is None:
         raise ValueError(f"abandonment at node {i} has a null pointer")
-    return ProcessState(None, mi)
+    return _NULL_STATE[mi]
 
 
 def enabled_nodes(

@@ -12,27 +12,29 @@ step at which each enabled process's streak began, and the enabled set in
 the policy's strategy order. ``select`` reads only the policy and that
 state.
 
-``run``, ``trace_from_schedule`` and the audit step through one
-``Execution``. It owns the current configuration, a MutableConfiguration
-that each step's writes update in place, the map from each enabled process
-to its guard result, the round index and the set of processes the current
-round still owes a move or a disabling. After a step it evaluates, once
-each and in no fixed order, the movers and those of their neighbors whose
-guard reads a state the step changed, and updates the map and the rounds
-from those results. So a step costs time in proportion to the guards it
-can change, not to n; a frozen Configuration is built only for the trace's
-initial and final configurations. ``run`` and ``trace_from_schedule`` hand
-each chosen step to ``Execution.fire``, which writes it through
-``apply_step`` and records it; the Execution then builds the Trace.
-``apply_step`` writes what ``protocol.command_target`` returns, which owns
-every pick of a married suitor or a courted neighbor. A recorded step is
-resolved by ``realize_moves``, which takes those picks from
-``command_target``, and written in place by ``apply_realized``.
+``run``, ``trace_from_schedule``, the audit and ``stabmatch step`` each
+drive one ``Execution``. It owns the current configuration, a
+MutableConfiguration that each step's writes update in place, the map from
+each enabled process to its guard result, the round index and the set of
+processes the current round still owes a move or a disabling. After a step
+it evaluates, once each and in no fixed order, the movers and those of
+their neighbors whose guard reads a state the step changed, and updates the
+map and the rounds from those results. So a step costs time in proportion
+to the guards it can change, not to n; a frozen Configuration is built only
+for the trace's initial and final configurations. A chosen step goes to
+``Execution.fire``, which writes it through ``apply_step`` and records it;
+the Execution then builds the Trace. ``protocol.command_target`` computes
+every command's write, and so every pick of a married suitor or a courted
+neighbor: ``apply_step`` writes what it returns, and a recorded step is
+resolved by ``realize_moves``, which takes each mover's write from it, and
+written in place by ``apply_realized``.
 
-Three replays need no rounds and keep no Execution: ``export-dot
---at-step`` writes into a MutableConfiguration with ``replay_step``, and
-the search's witness replay and ``stabmatch step`` fire ``apply_step`` on
-frozen Configurations, which the search encodes and ``step`` keeps to undo.
+Two replays keep no Execution. ``export-dot --at-step`` needs no guards
+and writes recorded steps into a MutableConfiguration with
+``replay_step``, which the benchmark's tracer names. The search's witness
+replay fires ``apply_step`` on the frozen Configurations the search
+encodes, and is the benchmark's search workload's only source of frozen
+writes. Both stay until the benchmark counts the search itself.
 """
 
 from __future__ import annotations
@@ -441,76 +443,58 @@ def apply_step(
 
 def realize_moves(
     c: Configuration, g: Graph, moves: Iterable[Move], semantics: RuleSemantics = STANDARD
-) -> tuple[Move, ...]:
+) -> tuple[tuple[Move, ...], dict[int, ProcessState]]:
     """Resolve recorded moves against their pre-step configuration.
 
-    The returned moves carry concrete targets: the married suitor, the
-    courted neighbor, or the partner an abandonment drops. The married
-    suitor (the recorded one, or the default when none is recorded) and the
-    courted neighbor are ``command_target``'s picks; an update or an
-    abandonment chooses no neighbor and is resolved here. Commands are
-    resolved even if a recorded rule is not actually enabled; enabledness is
-    the verifier's concern, while structurally impossible moves raise
-    TraceFormatError: a step with no moves, a move by a node not in the
-    graph, a node moving twice, a marriage to a non-suitor, or a command
-    with nothing to act on.
+    Returns the realized moves, which carry concrete targets (the married
+    suitor, the courted neighbor, or the partner an abandonment drops), and
+    each mover's write. Every write, and so every pick, is
+    ``command_target``'s, computed against ``c`` before any is made.
+    Commands are resolved even if a recorded rule is not actually enabled;
+    enabledness is the verifier's concern, while structurally impossible
+    moves raise TraceFormatError: a step with no moves, a move by a node not
+    in the graph, a node moving twice, a marriage to a non-suitor, or a
+    command with nothing to act on.
     """
     index = c._index
     out = []
-    moved = set()
+    writes = {}
     for mv in moves:
         i, rule, target = mv.node, mv.rule, mv.target
         if i not in index:
             raise TraceFormatError(f"move recorded at unknown node {i}")
-        if i in moved:
+        if i in writes:
             raise TraceFormatError(f"node {i} recorded twice in one step")
-        moved.add(i)
-        if rule is UPDATE:
-            out.append(mv if target is None else Move(i, rule))
-        elif rule is MARRIAGE or rule is SEDUCTION:
-            try:
-                state = command_target(c, g, i, rule, semantics, marriage_choice=target)
-            except ValueError:
-                raise TraceFormatError(
-                    f"seduction recorded at node {i} with no candidate" if rule is SEDUCTION
-                    else f"marriage recorded at node {i} with no suitor" if target is None
-                    else f"marriage target {target} is not a suitor of {i}") from None
-            out.append(mv if state.p == target else Move(i, rule, state.p))
-        else:  # abandonment: a Move's rule is one of the four
-            old = c.p[index[i]]
-            if old is None:
-                raise TraceFormatError(f"abandonment recorded at node {i} with a null pointer")
-            out.append(Move(i, rule, old))
+        try:
+            state = writes[i] = command_target(c, g, i, rule, semantics, target)
+        except ValueError:
+            raise TraceFormatError(
+                f"abandonment recorded at node {i} with a null pointer" if rule is ABANDONMENT
+                else f"seduction recorded at node {i} with no candidate" if rule is SEDUCTION
+                else f"marriage recorded at node {i} with no suitor" if target is None
+                else f"marriage target {target} is not a suitor of {i}") from None
+        # an abandonment realizes the partner it drops, which its write nulls
+        target = (None if rule is UPDATE else c.p[index[i]] if rule is ABANDONMENT
+                  else state.p)
+        out.append(mv if target == mv.target else Move(i, rule, target))
     if not out:
         raise TraceFormatError("step recorded with no moves")
-    return tuple(out)
+    return tuple(out), writes
 
 
 def apply_realized(
-    c: MutableConfiguration, g: Graph, realized: Iterable[Move]
+    c: MutableConfiguration, writes: Mapping[int, ProcessState]
 ) -> MutableConfiguration:
-    """Write the realized moves into ``c`` in place, simultaneously: every
-    (index, p, m) write is computed from ``c``'s state lists before any is
-    made. Returns ``c``."""
-    index, p, m = c._index, c.p, c.m
-    writes = []
-    for mv in realized:
-        i, k = mv.node, index[mv.node]
-        if mv.rule is UPDATE:
-            j = p[k]
-            writes.append((k, j, j is not None and p[index[j]] == i))
-        else:  # abandonment realizes its dropped partner, the write is null
-            writes.append((k, None if mv.rule is ABANDONMENT else mv.target, m[k]))
-    for k, pk, mk in writes:
-        p[k], m[k] = pk, mk
-    return c
+    """Write ``realize_moves``' writes into ``c`` in place; they were all
+    computed before any is made, so they land simultaneously. Returns ``c``."""
+    return c.with_writes(writes)
 
 
 def replay_step(
     c: MutableConfiguration, g: Graph, moves: Iterable[Move], semantics: RuleSemantics = STANDARD
 ) -> MutableConfiguration:
     """Re-apply a recorded step's commands to ``c`` in place."""
-    return apply_realized(c, g, realize_moves(c, g, moves, semantics))
+    return apply_realized(c, realize_moves(c, g, moves, semantics)[1])
 
 
 def step_bound(g: Graph) -> int:

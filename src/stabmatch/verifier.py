@@ -204,8 +204,9 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     process's guards are known and, after each step, only the movers and the
     neighbors whose guards read a changed state are re-evaluated, once each.
     ``realize_moves`` resolves each step, handing back a recorded move that
-    is already concrete, and ``apply_realized`` writes it into the
-    Execution's state lists in place. One pass over the realized moves
+    is already concrete, with each mover's write from ``command_target``,
+    and ``apply_realized`` writes those into the Execution's state lists in
+    place. One pass over the realized moves
     checks each against its node's held rules, counts updates per node and
     collects the step's edges; each edge's step count then rises once. A
     snapshot of the configuration before a step is rebuilt, only for a first
@@ -265,7 +266,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         if record is None:
             break
         try:
-            realized = realize_moves(c, g, record.moves, semantics)
+            realized, writes = realize_moves(c, g, record.moves, semantics)
         except TraceFormatError as exc:
             raise CorruptTraceError(
                 f"corrupt trace: step {record.index}: {exc}"
@@ -305,7 +306,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 )
 
         touched = {pair_of[i] for i in moved if i in pair_of}
-        apply_realized(c, g, realized)
+        apply_realized(c, writes)
         index, p = c._index, c.p
         separated = [
             (u, v) for u, v in touched if not (p[index[u]] == v and p[index[v]] == u)

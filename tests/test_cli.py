@@ -2,14 +2,27 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import types
+from collections import Counter
 
 import pytest
 
 from stabmatch.cli import EXIT_FAIL, EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, main
-from stabmatch.graph import read_graph
-from stabmatch.protocol import Configuration, parse_configuration, random_configuration
-from stabmatch.scheduler import parse_trace
+from stabmatch.graph import generate, read_graph, write_graph
+from stabmatch.protocol import (
+    Configuration,
+    enabled_nodes,
+    parse_configuration,
+    random_configuration,
+)
+from stabmatch.scheduler import (
+    apply_step,
+    parse_trace,
+    trace_counters,
+    trace_from_schedule,
+    write_trace,
+)
 from stabmatch.verifier import exhaustive_search
 
 TWO_SUITORS_GRAPH = "3\n1 3\n2 3\n"
@@ -137,6 +150,32 @@ class TestRun:
         steps = parse_trace((workdir / "t.trace").read_text()).steps
         assert steps > 1 and len(calls) == steps
         assert "moves by rule: " in capsys.readouterr().out
+
+    def test_verify_takes_one_write_per_move_from_command_target(
+        self, workdir, capsys, monkeypatch
+    ):
+        """verify's replay computes every replayed move's write with one
+        command_target call, whatever its rule: the calls tallied by rule
+        are the trace's moves by rule, and all four rules move."""
+        import stabmatch.scheduler
+        import stabmatch.verifier
+
+        main(["gen", "--kind", "random_gnm", "--n", "30", "--m", "60", "--out", "g.g"])
+        assert main(["run", "--graph", "g.g", "--init", "random:1",
+                     "--policy", "distributed_random", "--trace-out", "t.trace"]) == EXIT_OK
+        per_rule = trace_counters(parse_trace((workdir / "t.trace").read_text()))
+        assert all(per_rule.values())
+        calls = Counter()
+        command_target = stabmatch.scheduler.command_target
+
+        def counted(c, g, i, rule, *args, **kwargs):
+            calls[rule] += 1
+            return command_target(c, g, i, rule, *args, **kwargs)
+
+        for module in (stabmatch.scheduler, stabmatch.verifier):
+            monkeypatch.setattr(module, "command_target", counted)
+        assert main(["verify", "--trace", "t.trace"]) == EXIT_OK
+        assert calls == Counter(per_rule)
 
 
 class TestExperiment:
@@ -404,6 +443,77 @@ class TestStep:
         out = capsys.readouterr().out
         # the prompt comes back on the same stable configuration
         assert out.count("stable configuration reached\n> ") == 2 and "fired:" not in out
+
+    @staticmethod
+    def _reference_session(g, c0, seed, inputs):
+        """The history and the ``fired:`` lines a session of ``inputs``
+        leaves, stepped without an Execution: every prompt rescans the
+        guards with enabled_nodes, and every step is a frozen apply_step
+        whose pre-step configuration is kept to undo."""
+        rng = random.Random(seed)
+        history, fired, c = [], [], c0
+        for token in inputs:
+            enabled = enabled_nodes(c, g)
+            if token == "undo":
+                c, _ = history.pop()
+                continue
+            if token == "all":
+                chosen = tuple(enabled)
+            elif token == "rand":
+                chosen = tuple(sorted(rng.sample(list(enabled), rng.randint(1, len(enabled)))))
+            else:
+                chosen = tuple(map(int, token.split()))
+            history.append((c, chosen))
+            c, moves = apply_step(c, g, chosen)
+            fired.append("fired: " + ", ".join(f"{mv.node}:{mv.rule.value}" for mv in moves))
+        return [chosen for _, chosen in history], fired
+
+    # a 12-node random_gnm graph and a random initial configuration on it
+    GNM = generate("random_gnm", 12, 20, 3)
+    GNM_C0 = random_configuration(GNM, 5)
+
+    def _gnm_session(self, workdir, monkeypatch, inputs, seed):
+        """Run a session of ``inputs`` on GNM from GNM_C0."""
+        _write(workdir / "g.g", write_graph(self.GNM))
+        _write(workdir / "c0.cfg", self.GNM_C0.to_text())
+        self._feed(monkeypatch, "".join(f"{token}\n" for token in inputs) + "quit\n")
+        assert main(["step", "--graph", "g.g", "--init", "c0.cfg",
+                     "--seed", str(seed)]) == EXIT_OK
+
+    def test_saved_session_is_the_trace_of_its_history(self, workdir, capsys, monkeypatch):
+        """A session of node ids, all, rand and undo saves the bytes that
+        trace_from_schedule gives for the history it keeps."""
+        g, c0 = self.GNM, self.GNM_C0
+        inputs = [str(min(enabled_nodes(c0, g))), "all", "rand", "undo", "rand", "all",
+                  "undo", "all"]
+        self._gnm_session(workdir, monkeypatch, inputs + ["save s.trace"], seed=2)
+        assert "> saved 4 steps to s.trace\n" in capsys.readouterr().out
+        schedule, _ = self._reference_session(g, c0, 2, inputs)
+        expected = write_trace(trace_from_schedule(
+            g, c0, [(chosen, None) for chosen in schedule], "interactive"))
+        assert (workdir / "s.trace").read_text() == expected
+
+    def test_undo_prints_the_state_of_one_step_before(self, workdir, capsys, monkeypatch):
+        """undo after two steps prints the state table printed after the
+        first step."""
+        self._gnm_session(workdir, monkeypatch, ["all", "all", "undo"], seed=0)
+        prompts = capsys.readouterr().out.split("> ")
+        after = [text.split("\n", 1)[1] for text in prompts[1:3]]  # past each fired line
+        assert after[0] != after[1] and prompts[3] == after[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rand_draws_from_the_enabled_in_node_order(
+        self, workdir, capsys, monkeypatch, seed
+    ):
+        """Each rand fires the subset random.Random(seed) draws from the
+        enabled processes taken in node order, as the reference session
+        draws them."""
+        self._gnm_session(workdir, monkeypatch, ["rand"] * 6, seed)
+        fired = [line for line in capsys.readouterr().out.split("> ")
+                 if line.startswith("fired: ")]
+        _, expected = self._reference_session(self.GNM, self.GNM_C0, seed, ["rand"] * len(fired))
+        assert len(fired) >= 4
+        assert [line.split("\n", 1)[0] for line in fired] == expected
 
     def test_saved_walk_replays_to_same_final(self, workdir, capsys, monkeypatch):
         _write(workdir / "two.g", TWO_SUITORS_GRAPH)

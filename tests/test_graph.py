@@ -54,6 +54,8 @@ class TestConstruction:
         ((0, 1, 2), {0: (1,), 1: (0,)}, {}, "one entry per node"),
         ((0, 1), {0: (1,), 1: (0,), 5: ()}, {}, "one entry per node"),
         ((0, 1), {0: (1, 1), 1: (0, 0)}, {}, "repeated neighbor 0 at node 1"),
+        # marriage_suitors and check_maximal read each row in ascending order
+        ((0, 1, 2), {0: (2, 1), 1: (0,), 2: (0,)}, {}, "adjacency of node 0 is not sorted"),
     ])
     def test_direct_construction_rejects(self, nodes, adjacency, ident, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -501,13 +501,14 @@ class TestRecordTypes:
         t = run(g, random_configuration(g, 3), DaemonPolicy("distributed_random", seed=3))
         c, kept = MutableConfiguration(t.initial), set()
         for record in t.records:
-            realized = realize_moves(c, g, record.moves)
+            realized, writes = realize_moves(c, g, record.moves)
+            assert list(writes) == [mv.node for mv in realized]
             for recorded, mv in zip(record.moves, realized):
                 assert mv == recorded if recorded.rule in (
                     Rule.UPDATE, Rule.MARRIAGE) else mv.target is not None
                 if mv is recorded:
                     kept.add(mv.rule)
-            apply_realized(c, g, realized)
+            apply_realized(c, writes)
         assert kept == {Rule.UPDATE, Rule.MARRIAGE}
 
 
@@ -584,6 +585,8 @@ TIED_STAR = Graph.from_edges(range(5), [(0, j) for j in range(1, 5)],
 @example((TIED_STAR, config_of(TIED_STAR, {j: (0, False) for j in range(1, 5)}),
           (Move(0, Rule.MARRIAGE),), STANDARD))
 @example((TIED_STAR, Configuration.all_null(TIED_STAR), (Move(0, Rule.SEDUCTION),), STANDARD))
+# an abandonment with a null pointer: command_target's ValueError, as a TraceFormatError
+@example((TIED_STAR, Configuration.all_null(TIED_STAR), (Move(0, Rule.ABANDONMENT),), STANDARD))
 # the structural faults: an empty step, a node not in the graph, a node moving twice
 @example((TIED_STAR, Configuration.all_null(TIED_STAR), (), STANDARD))
 @example((TIED_STAR, Configuration.all_null(TIED_STAR), (Move(9, Rule.UPDATE),), STANDARD))
@@ -598,8 +601,8 @@ def test_resolution_matches_its_literal_transcription(case):
     c = MutableConfiguration(c0)
 
     def engine():
-        realized = realize_moves(c, g, moves, semantics)
-        assert apply_realized(c, g, realized) is c
+        realized, writes = realize_moves(c, g, moves, semantics)
+        assert apply_realized(c, writes) is c
         return realized, c.freeze()
 
     expected = _resolved(lambda: literal_realize(c0, g, moves, semantics))
