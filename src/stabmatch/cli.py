@@ -69,7 +69,7 @@ class UsageError(Exception):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -185,7 +185,7 @@ def _graph_from_spec(entry: dict) -> tuple[str, Graph]:
 def cmd_experiment(args) -> int:
     try:
         spec = json.loads(_read(args.spec))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an over-long int
         raise UsageError(f"bad experiment spec: {exc}") from exc
     if not isinstance(spec, dict):
         raise UsageError("experiment spec must be a JSON object")

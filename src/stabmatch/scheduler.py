@@ -26,15 +26,16 @@ for the trace's initial and final configurations. A chosen step goes to
 the Execution then builds the Trace. ``protocol.command_target`` computes
 every command's write, and so every pick of a married suitor or a courted
 neighbor: ``apply_step`` writes what it returns, and a recorded step is
-resolved by ``realize_moves``, which takes each mover's write from it, and
-written in place by ``apply_realized``.
+written by ``replay_step`` alone, into the audit's Execution or, for
+``export-dot --at-step``, which needs no guards, into a bare
+MutableConfiguration. It resolves the step with ``realize_moves``, which
+takes each mover's write from ``command_target``, and writes it in place
+with ``apply_realized``; the benchmark's tracer names all three.
 
-Two replays keep no Execution. ``export-dot --at-step`` needs no guards
-and writes recorded steps into a MutableConfiguration with
-``replay_step``, which the benchmark's tracer names. The search's witness
-replay fires ``apply_step`` on the frozen Configurations the search
-encodes, and is the benchmark's search workload's only source of frozen
-writes. Both stay until the benchmark counts the search itself.
+Only the search's witness replay drives neither an Execution nor
+``replay_step``: it fires ``apply_step`` on the frozen Configurations the
+search encodes, and is the benchmark's search workload's only source of
+frozen writes. It stays until the benchmark counts the search itself.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Iterable, Mapping, Optional
 
 from .graph import Graph, read_graph, text_digest, write_graph
 from .protocol import (
-    ABANDONMENT, MARRIAGE, SEDUCTION, UPDATE,
+    ABANDONMENT, MARRIAGE, SEDUCTION,
     Configuration,
     MutableConfiguration,
     ProcessState,
@@ -443,13 +444,10 @@ def apply_step(
 
 def realize_moves(
     c: Configuration, g: Graph, moves: Iterable[Move], semantics: RuleSemantics = STANDARD
-) -> tuple[tuple[Move, ...], dict[int, ProcessState]]:
-    """Resolve recorded moves against their pre-step configuration.
-
-    Returns the realized moves, which carry concrete targets (the married
-    suitor, the courted neighbor, or the partner an abandonment drops), and
-    each mover's write. Every write, and so every pick, is
-    ``command_target``'s, computed against ``c`` before any is made.
+) -> dict[int, ProcessState]:
+    """Resolve recorded moves against their pre-step configuration: each
+    mover's write, keyed in the recorded order. Every write, and so every
+    pick, is ``command_target``'s, computed against ``c`` before any is made.
     Commands are resolved even if a recorded rule is not actually enabled;
     enabledness is the verifier's concern, while structurally impossible
     moves raise TraceFormatError: a step with no moves, a move by a node not
@@ -457,7 +455,6 @@ def realize_moves(
     command with nothing to act on.
     """
     index = c._index
-    out = []
     writes = {}
     for mv in moves:
         i, rule, target = mv.node, mv.rule, mv.target
@@ -466,20 +463,16 @@ def realize_moves(
         if i in writes:
             raise TraceFormatError(f"node {i} recorded twice in one step")
         try:
-            state = writes[i] = command_target(c, g, i, rule, semantics, target)
+            writes[i] = command_target(c, g, i, rule, semantics, target)
         except ValueError:
             raise TraceFormatError(
                 f"abandonment recorded at node {i} with a null pointer" if rule is ABANDONMENT
                 else f"seduction recorded at node {i} with no candidate" if rule is SEDUCTION
                 else f"marriage recorded at node {i} with no suitor" if target is None
                 else f"marriage target {target} is not a suitor of {i}") from None
-        # an abandonment realizes the partner it drops, which its write nulls
-        target = (None if rule is UPDATE else c.p[index[i]] if rule is ABANDONMENT
-                  else state.p)
-        out.append(mv if target == mv.target else Move(i, rule, target))
-    if not out:
+    if not writes:
         raise TraceFormatError("step recorded with no moves")
-    return tuple(out), writes
+    return writes
 
 
 def apply_realized(
@@ -493,8 +486,11 @@ def apply_realized(
 def replay_step(
     c: MutableConfiguration, g: Graph, moves: Iterable[Move], semantics: RuleSemantics = STANDARD
 ) -> MutableConfiguration:
-    """Re-apply a recorded step's commands to ``c`` in place."""
-    return apply_realized(c, realize_moves(c, g, moves, semantics)[1])
+    """Re-apply a recorded step's commands to ``c`` in place: the one way a
+    recorded step is written, by the audit and by ``export-dot --at-step``.
+    Raises ``realize_moves``' TraceFormatError, before any write, for a step
+    that cannot resolve. Returns ``c``."""
+    return apply_realized(c, realize_moves(c, g, moves, semantics))
 
 
 def step_bound(g: Graph) -> int:
@@ -621,7 +617,7 @@ def parse_trace(text: str) -> Trace:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # ValueError: also an over-long int
             raise TraceFormatError(f"line {lineno}: invalid record") from None
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: record is not a JSON object")
@@ -648,6 +644,10 @@ def parse_trace(text: str) -> Trace:
                         raise TraceFormatError(
                             f"line {lineno}: move node and target must be integers"
                         )
+                    if len(entry) > 3 or target is not None and rule is not MARRIAGE:
+                        raise TraceFormatError(f"line {lineno}: " + (
+                            "a move has at most three entries" if len(entry) > 3
+                            else f"{rule.value} move takes no target"))
                     moves.append(Move(node, rule, target))
                 index, round_index = obj["index"], obj["round_index"]
                 if type(index) is not int or type(round_index) is not int:

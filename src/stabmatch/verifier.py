@@ -18,6 +18,7 @@ from typing import Callable, Container, Iterable, Iterator, Optional, Union
 
 from .graph import Graph
 from .protocol import (
+    ABANDONMENT,
     MARRIAGE,
     UPDATE,
     Configuration,
@@ -36,9 +37,8 @@ from .scheduler import (
     Execution,
     Trace,
     TraceFormatError,
-    apply_realized,
     apply_step,
-    realize_moves,
+    replay_step,
     round_bound,
     step_bound,
     trace_from_schedule,
@@ -192,7 +192,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     """Replay a trace and evaluate every bound and invariant on it.
 
     Raises CorruptTraceError when a recorded step is malformed (the
-    TraceFormatError of ``realize_moves``) or the records do not reproduce
+    TraceFormatError of ``replay_step``) or the records do not reproduce
     the recorded final configuration, stability flag or round annotation.
 
     Each check's result lives in ``checks`` from before the replay to the
@@ -203,14 +203,14 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     The replay runs on an Execution evaluating ``enabled_rules``, so each
     process's guards are known and, after each step, only the movers and the
     neighbors whose guards read a changed state are re-evaluated, once each.
-    ``realize_moves`` resolves each step, handing back a recorded move that
-    is already concrete, with each mover's write from ``command_target``,
-    and ``apply_realized`` writes those into the Execution's state lists in
-    place. One pass over the realized moves
-    checks each against its node's held rules, counts updates per node and
-    collects the step's edges; each edge's step count then rises once. A
-    snapshot of the configuration before a step is rebuilt, only for a first
-    failure, from the pre-step states the Execution keeps until ``advance``.
+    ``replay_step`` writes each recorded step into the Execution's
+    configuration, as ``export-dot --at-step`` does into its own. One pass
+    over the recorded moves then checks each against its node's held rules,
+    counts updates per node and collects the step's edges, to a mover's new
+    pointer or an abandonment's old one; each edge's step count then rises
+    once. A snapshot of the configuration before a step is rebuilt, only for
+    a first failure, from the pre-step states the Execution keeps until
+    ``advance``.
     Married pairs are indexed by node, so only the movers' pairs are checked
     for separation; once the replay has reproduced the final configuration
     they are its matching. When the policy makes active_component_shrink
@@ -239,6 +239,10 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 snapshot=snapshot and snapshot(),
             )
 
+    def pre_step_text():
+        """The configuration before the step being checked, as text."""
+        return c.freeze().with_writes({i: execution.previous_state(i) for i in moved}).to_text()
+
     execution = Execution(g, trace.initial, semantics, enabled_rules)
     c = execution.config
     # the married pairs, and each married process's pair
@@ -266,22 +270,20 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         if record is None:
             break
         try:
-            realized, writes = realize_moves(c, g, record.moves, semantics)
+            replay_step(c, g, record.moves, semantics)
         except TraceFormatError as exc:
-            raise CorruptTraceError(
-                f"corrupt trace: step {record.index}: {exc}"
-            ) from exc
-        moved = {mv.node for mv in realized}
+            raise CorruptTraceError(f"corrupt trace: step {record.index}: {exc}") from exc
+        moved = {mv.node for mv in record.moves}
 
-        enabled = execution.enabled
+        enabled, index, p = execution.enabled, c._index, c.p
         step_edges = set()
-        for mv in realized:
+        for mv in record.moves:
             i, rule = mv.node, mv.rule
             if rule not in enabled.get(i, ()):
                 hit(
                     "moves_enabled", record.index,
                     f"node {i} executed {rule.value} while not enabled",
-                    snapshot=c.to_text,
+                    snapshot=pre_step_text,
                 )
             if rule is UPDATE:
                 count = update_counts[i] = update_counts.get(i, 0) + 1
@@ -289,10 +291,10 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     hit(
                         "update_limit", record.index,
                         f"node {i} executed its third update",
-                        snapshot=c.to_text,
+                        snapshot=pre_step_text,
                     )
             else:
-                j = mv.target
+                j = execution.previous_state(i).p if rule is ABANDONMENT else p[index[i]]
                 step_edges.add((i, j) if i < j else (j, i))
         for e in step_edges:
             count = edge_step_counts[e] = edge_step_counts.get(e, 0) + 1
@@ -302,12 +304,10 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 hit(
                     "edge_move_limit", record.index,
                     f"edge {e} saw a fourth step with a move on it",
-                    snapshot=c.to_text,
+                    snapshot=pre_step_text,
                 )
 
         touched = {pair_of[i] for i in moved if i in pair_of}
-        apply_realized(c, writes)
-        index, p = c._index, c.p
         separated = [
             (u, v) for u, v in touched if not (p[index[u]] == v and p[index[v]] == u)
         ]
@@ -319,8 +319,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             hit(
                 "marriage_persistence", record.index,
                 f"married pair ({u}, {v}) separated",
-                snapshot=lambda: c.freeze().with_writes(
-                    {i: execution.previous_state(i) for i in moved}).to_text(),
+                snapshot=pre_step_text,
             )
             married.discard((u, v))
             del pair_of[u], pair_of[v]

@@ -67,6 +67,10 @@ class TestGen:
             main(["gen", "--kind", "torus", "--n", "5"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_empty_graph_is_usage_error(self, workdir, capsys):
+        assert main(["gen", "--kind", "path", "--n", "0"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: n must be at least 1\n")
+
 
 class TestRun:
     def test_p2_run_passes(self, workdir, capsys):
@@ -131,7 +135,8 @@ class TestRun:
     @pytest.mark.parametrize("policy", ["sequential_random", "synchronous"])
     def test_run_replays_its_trace_once(self, workdir, capsys, monkeypatch, policy):
         """Past the simulation itself, one run command replays the trace
-        once, in the audit: one realize_moves call per recorded step."""
+        once, in the audit: one realize_moves call per recorded step, made
+        by replay_step, the only name under which the audit reaches it."""
         import stabmatch.scheduler
         import stabmatch.verifier
 
@@ -142,8 +147,8 @@ class TestRun:
             calls.append(args)
             return realize(*args, **kwargs)
 
-        for module in (stabmatch.scheduler, stabmatch.verifier):
-            monkeypatch.setattr(module, "realize_moves", counted)
+        assert not {"realize_moves", "apply_realized"} & set(vars(stabmatch.verifier))
+        monkeypatch.setattr(stabmatch.scheduler, "realize_moves", counted)
         main(["gen", "--kind", "random_gnm", "--n", "30", "--m", "60", "--out", "g.g"])
         assert main(["run", "--graph", "g.g", "--init", "random:1", "--policy", policy,
                      "--trace-out", "t.trace"]) == EXIT_OK
@@ -379,6 +384,16 @@ class TestStep:
         assert final.p_of(3) == 2 and final.p_of(2) == 3 and final.p_of(1) is None
         assert final.m_of(3) and final.m_of(2) and not final.m_of(1)
 
+    def test_end_of_input_ends_the_session(self, workdir, capsys, monkeypatch):
+        """Input that runs out without 'quit' ends the session as 'quit'
+        does, after the last step it fired."""
+        _write(workdir / "two.g", TWO_SUITORS_GRAPH)
+        _write(workdir / "two.cfg", TWO_SUITORS_INIT)
+        self._feed(monkeypatch, "3\n")
+        assert main(["step", "--graph", "two.g", "--init", "two.cfg"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "> fired: 3:marriage\n" in out and out.endswith("> ")
+
     def test_disabled_selection_is_rejected_without_step(self, workdir, capsys, monkeypatch):
         _write(workdir / "two.g", TWO_SUITORS_GRAPH)
         _write(workdir / "two.cfg", TWO_SUITORS_INIT)
@@ -578,9 +593,9 @@ class TestExportDot:
         assert main(["export-dot"]) == EXIT_USAGE
 
     def test_unknown_mover_at_step_is_usage_error(self, workdir, capsys):
-        """--at-step resolves recorded steps through realize_moves, so a
-        step moving a node not in the graph is a format error, as verify
-        finds it a corrupt trace."""
+        """--at-step writes recorded steps through replay_step, as the audit
+        does, so a step moving a node not in the graph is a format error, as
+        verify finds it a corrupt trace."""
         main(["gen", "--kind", "path", "--n", "3", "--out", "p3.g"])
         main(["run", "--graph", "p3.g", "--policy", "synchronous",
               "--trace-out", "p3.trace"])

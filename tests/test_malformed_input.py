@@ -10,6 +10,7 @@ trace or renders it with ``export-dot --at-step``.
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,3 +141,90 @@ def test_superscript_graph_count_is_a_usage_error(input_path, capsys):
     assert main(["verify", "--trace", str(input_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "error: line 1: expected node count\n"
+
+
+def _with_move(rule: str, entry: list) -> tuple[str, int]:
+    """TRACE with the first move of ``rule`` replaced by ``entry``, and the
+    line that move is on."""
+    records = [json.loads(line) for line in TRACE.splitlines()]
+    lineno, k = next((lineno, k) for lineno, r in enumerate(records, start=1)
+                     for k, mv in enumerate(r.get("moves", ())) if mv[1] == rule)
+    records[lineno - 1]["moves"][k] = entry
+    return "\n".join(json.dumps(r) for r in records) + "\n", lineno
+
+
+def _fails_with_one_error_line(argv, capsys, fragment: str) -> None:
+    """``main`` returns the usage exit code, raising nothing, and prints one
+    ``error:`` line that holds ``fragment``."""
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert fragment in err
+
+
+@pytest.mark.parametrize("rule, entry, fragment", [
+    ("seduction", [1, "seduction", 999], "seduction move takes no target"),
+    ("update", [0, "update", 3], "update move takes no target"),
+    ("abandonment", [4, "abandonment", 3], "abandonment move takes no target"),
+    ("marriage", [0, "marriage", 3, 0], "a move has at most three entries"),
+    ("update", [0, "update", None, None], "a move has at most three entries"),
+], ids=["seduction-target", "update-target", "abandonment-target", "marriage-four",
+        "update-four"])
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+def test_a_target_off_a_marriage_is_a_format_error(input_path, capsys, rule, entry,
+                                                    fragment, command):
+    """Only a marriage records a target, and a move has at most three
+    entries: anything else is refused by name, not ignored by the replay."""
+    text, lineno = _with_move(rule, entry)
+    input_path.write_text(text)
+    _fails_with_one_error_line([command, "--trace", str(input_path)], capsys,
+                               f"line {lineno}: {fragment}")
+
+
+def test_a_null_target_off_a_marriage_is_accepted(input_path, capsys):
+    text, _ = _with_move("seduction", [1, "seduction", None])
+    input_path.write_text(text)
+    assert main(["verify", "--trace", str(input_path)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("audit: pass\n")
+
+
+@pytest.fixture
+def graph_path(input_path):
+    path = input_path.with_name("graph.g")
+    path.write_text("2\n0 1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trace", "{input}"],
+    ["run", "--graph", "{input}", "--policy", "synchronous"],
+    ["run", "--graph", "{graph}", "--init", "{input}", "--policy", "synchronous"],
+    ["search", "--graph", "{input}"],
+    ["export-dot", "--trace", "{input}"],
+    ["experiment", "--spec", "{input}"],
+], ids=["verify", "run-graph", "run-init", "search", "export-dot", "experiment"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(input_path, graph_path, capsys, argv):
+    input_path.write_bytes(b"\xff\xfe\x00")
+    _fails_with_one_error_line(
+        [a.format(input=input_path, graph=graph_path) for a in argv], capsys,
+        f"cannot read {input_path}: ")
+
+
+# 200 000 nested arrays overflow the decoder's recursion; where Python limits
+# int() to 4 300 digits, a 5 000-digit literal is a ValueError
+DEEP, LONG_INT = "[" * 200_000, "9" * 5_000
+
+
+@pytest.mark.parametrize("text", [DEEP, LONG_INT], ids=["deep", "long-int"])
+def test_json_the_decoder_refuses_is_a_usage_error(input_path, capsys, text):
+    """As a trace line and as an experiment spec. Without the int limit a
+    long literal decodes, and a later check refuses it."""
+    refused = text is DEEP or hasattr(sys, "get_int_max_str_digits")
+    lines = TRACE.splitlines()
+    input_path.write_text("\n".join([lines[0], text, *lines[1:]]) + "\n")
+    _fails_with_one_error_line(["verify", "--trace", str(input_path)], capsys,
+                               "line 2: invalid record" if refused else "")
+    input_path.write_text(text)
+    _fails_with_one_error_line(["experiment", "--spec", str(input_path)], capsys,
+                               "bad experiment spec: " if refused else "")

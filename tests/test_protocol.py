@@ -374,6 +374,21 @@ class TestWithWrites:
         assert c2.state(1) == ProcessState(2, True) and c.state(1) == ProcessState(None, False)
 
 
+class TestFromStates:
+    def test_states_name_each_node_once(self, p3):
+        states = {i: ProcessState(None, False) for i in p3.nodes}
+        assert Configuration.from_states(p3, states) == Configuration.all_null(p3)
+        del states[2]
+        with pytest.raises(ValueError, match="cover exactly the graph's nodes"):
+            Configuration.from_states(p3, states)
+
+    def test_a_pointer_names_a_neighbor_or_nothing(self, p3):
+        states = {0: ProcessState(2, False), 1: ProcessState(None, False),
+                  2: ProcessState(None, False)}
+        with pytest.raises(ValueError, match="p of node 0 must be a neighbor or null"):
+            Configuration.from_states(p3, states)
+
+
 class TestConfigurationText:
     def test_roundtrip(self, two_suitors):
         g, c0 = two_suitors

@@ -493,23 +493,21 @@ class TestRecordTypes:
             node=2, rule=Rule.UPDATE)
         assert Move(2, Rule.UPDATE).target is None
 
-    def test_recorded_moves_that_are_already_concrete_are_returned_as_is(self):
-        """realize_moves hands back the recorded Move for an update and for a
-        marriage with its suitor, and a new one only where it resolves a
-        target: a seduction's courted neighbor, an abandonment's partner."""
+    def test_writes_are_keyed_by_the_recorded_movers_in_order(self):
+        """realize_moves returns the writes alone, one per recorded move and
+        keyed by the movers in the recorded order; a recorded move carries a
+        target only for a marriage, the suitor it married."""
         g = generate("random_gnm", 30, 60, 2)
         t = run(g, random_configuration(g, 3), DaemonPolicy("distributed_random", seed=3))
-        c, kept = MutableConfiguration(t.initial), set()
+        c, rules = MutableConfiguration(t.initial), set()
         for record in t.records:
-            realized, writes = realize_moves(c, g, record.moves)
-            assert list(writes) == [mv.node for mv in realized]
-            for recorded, mv in zip(record.moves, realized):
-                assert mv == recorded if recorded.rule in (
-                    Rule.UPDATE, Rule.MARRIAGE) else mv.target is not None
-                if mv is recorded:
-                    kept.add(mv.rule)
+            writes = realize_moves(c, g, record.moves)
+            assert list(writes) == [mv.node for mv in record.moves]
+            for mv in record.moves:
+                assert mv.target == (writes[mv.node].p if mv.rule is Rule.MARRIAGE else None)
+                rules.add(mv.rule)
             apply_realized(c, writes)
-        assert kept == {Rule.UPDATE, Rule.MARRIAGE}
+        assert rules == set(Rule)
 
 
 class TestTraceCounters:
@@ -593,19 +591,20 @@ TIED_STAR = Graph.from_edges(range(5), [(0, j) for j in range(1, 5)],
 @example((TIED_STAR, Configuration.all_null(TIED_STAR),
           (Move(1, Rule.UPDATE), Move(2, Rule.UPDATE), Move(1, Rule.UPDATE)), STANDARD))
 def test_resolution_matches_its_literal_transcription(case):
-    """realize_moves and apply_realized give the realized moves and the
-    configuration after the step that the transcription gives, or raise
-    the same TraceFormatError message. The configuration is written in
-    place, and only by a step that resolves."""
+    """realize_moves and apply_realized give the configuration after the
+    step that the transcription gives, or raise the same TraceFormatError
+    message; the writes are keyed by the recorded movers, in order. The
+    configuration is written in place, and only by a step that resolves."""
     g, c0, moves, semantics = case
     c = MutableConfiguration(c0)
 
     def engine():
-        realized, writes = realize_moves(c, g, moves, semantics)
+        writes = realize_moves(c, g, moves, semantics)
+        assert list(writes) == [mv.node for mv in moves]
         assert apply_realized(c, writes) is c
-        return realized, c.freeze()
+        return c.freeze()
 
-    expected = _resolved(lambda: literal_realize(c0, g, moves, semantics))
+    expected = _resolved(lambda: literal_realize(c0, g, moves, semantics)[1])
     assert _resolved(engine) == expected
     if isinstance(expected, str):
         assert (tuple(c.p), tuple(c.m)) == (c0.p, c0.m)

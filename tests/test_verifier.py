@@ -313,6 +313,7 @@ class TestForgedTraces:
         assert check.counterexample_step == 4
         assert check.snapshot == pre_step_text(forged, 4)
         assert report.checks["moves_enabled"].counterexample_step == 4
+        assert report.checks["moves_enabled"].snapshot == pre_step_text(forged, 4)
 
     def test_forged_divorce_fails_marriage_persistence(self, two_suitors):
         g, c0 = two_suitors
@@ -358,8 +359,11 @@ class TestForgedTraces:
         assert check.verdict == "fail"
         assert check.counterexample_step == 3
         assert check.snapshot == pre_step_text(forged, 3)
-        # the abandonments were never enabled, and that is localized too
+        # the abandonments were never enabled, and that is localized too,
+        # with the configuration the first one read, not the one it wrote
         assert report.checks["moves_enabled"].counterexample_step == 1
+        assert report.checks["moves_enabled"].snapshot == pre_step_text(forged, 1)
+        assert pre_step_text(forged, 1) != pre_step_text(forged, 2)
 
     def test_tampered_final_is_corrupt(self, p2):
         t = run(p2, Configuration.all_null(p2), DaemonPolicy("sequential_random", seed=2))
