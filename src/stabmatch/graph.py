@@ -15,6 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 GENERATOR_KINDS = ("path", "cycle", "complete", "star", "random_gnm")
+MAX_EDGE_FREE_NODES = 1_000_000  # the most nodes a graph file of a count alone names
 
 
 class GraphFormatError(ValueError):
@@ -214,7 +215,7 @@ def read_graph(text: str) -> Graph:
 
     First nonempty line is the node count; every following nonempty line is
     an edge "u v" with u < v. '#' starts a comment. Nodes are the identifiers
-    appearing in edge lines; an edge-free file denotes nodes 0..n-1.
+    appearing in edge lines; an edge-free file, nodes 0..n-1, n <= MAX_EDGE_FREE_NODES.
 
     One pass appends each edge to both endpoints' neighbor lists.
     """
@@ -231,7 +232,7 @@ def read_graph(text: str) -> Graph:
             # isdecimal, not isdigit: int() rejects digits such as '²'
             if len(parts) != 1 or not parts[0].isdecimal():
                 raise GraphFormatError(f"line {lineno}: expected node count")
-            n = int(parts[0])
+            n, count_line = int(parts[0]), lineno
             if n < 1:
                 raise GraphFormatError(f"line {lineno}: node count must be >= 1")
             continue
@@ -253,6 +254,9 @@ def read_graph(text: str) -> Graph:
     if n is None:
         raise GraphFormatError("line 1: missing node count")
     if not adj:
+        if n > MAX_EDGE_FREE_NODES:
+            raise GraphFormatError(f"line {count_line}: an edge-free graph has at most"
+                                   f" {MAX_EDGE_FREE_NODES} nodes, not {n}")
         return Graph(tuple(range(n)), {u: () for u in range(n)})
     if len(adj) != n:
         raise GraphFormatError(

@@ -74,6 +74,7 @@ class RuleSemantics:
 
 STANDARD = RuleSemantics()
 UPDATE, MARRIAGE, SEDUCTION, ABANDONMENT = Rule  # Rule.X is slow: EnumType has __getattr__
+MARRIED, WAITING, CONDEMNED, DEAD, FREE = PredicateClass
 _HELD = {None: (), **{rule: (rule,) for rule in Rule}}  # enabled_rules' results, one shared each
 
 
@@ -271,17 +272,20 @@ def pr_married(c: Configuration, g: Graph, i: int) -> bool:
 
 
 def classify(c: Configuration, g: Graph, i: int) -> PredicateClass:
-    """The unique holding class among the five per-process predicates."""
-    j = c.p_of(i)
+    """The unique holding class among the five per-process predicates, married
+    as ``pr_married`` reads it. Needs ``c.nodes == g.nodes``, as ``_guard`` does."""
+    index, p = c._index, c.p
+    j = p[k := index[i]]
     if j is not None:
-        if c.p_of(j) == i:
-            return PredicateClass.MARRIED
-        if pr_married(c, g, j):
-            return PredicateClass.CONDEMNED
-        return PredicateClass.WAITING
-    if all(pr_married(c, g, k) for k in g.adjacency[i]):
-        return PredicateClass.DEAD
-    return PredicateClass.FREE
+        if p[kj := index[j]] == i:
+            return MARRIED
+        q = p[kj]
+        return CONDEMNED if q is not None and p[index[q]] == j else WAITING
+    for kj in g.around[k]:
+        q = p[kj]
+        if q is None or p[index[q]] != g.nodes[kj]:
+            return FREE
+    return DEAD
 
 
 def marriage_suitors(c: Configuration, g: Graph, i: int) -> tuple[int, ...]:

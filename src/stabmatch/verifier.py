@@ -19,11 +19,12 @@ from typing import Callable, Container, Iterable, Iterator, Optional, Union
 from .graph import Graph
 from .protocol import (
     ABANDONMENT,
+    DEAD,
     MARRIAGE,
+    MARRIED,
     UPDATE,
     Configuration,
     MutableConfiguration,
-    PredicateClass,
     RuleSemantics,
     STANDARD,
     classify,
@@ -31,7 +32,6 @@ from .protocol import (
     enabled_nodes,
     enabled_rules,
     marriage_suitors,
-    pr_married,
 )
 from .scheduler import (
     Execution,
@@ -101,31 +101,31 @@ def check_maximal(
                  for v in vs if v > u and v not in matched), None)
 
 
-def _active_set(
-    c: Configuration, g: Graph, married: Container[int], nodes: Iterable[int]
-) -> set[int]:
-    """Those of ``nodes`` that are neither married nor dead, given c's
-    married nodes."""
+def _mark_active(c: Configuration, g: Graph, married: Container[int], nodes: Iterable[int],
+                 mask: bytearray) -> None:
+    """Set ``mask``, over positions in ``g.nodes``, at each of ``nodes`` to
+    whether it is neither married nor dead, given c's married nodes."""
     index, p, adjacency = c._index, c.p, g.adjacency
-    return {i for i in nodes if i not in married and (
-        p[index[i]] is not None or not all(j in married for j in adjacency[i]))}
+    for i in nodes:
+        mask[index[i]] = i not in married and (
+            p[index[i]] is not None or not all(j in married for j in adjacency[i]))
 
 
-def _components(nodes: frozenset[int], g: Graph) -> list[frozenset[int]]:
-    """Maximal connected components of the induced subgraph on ``nodes``,
-    in the order of their smallest members."""
-    left = set(nodes)  # those not yet placed in a component
+def _components(mask: bytes, g: Graph) -> list[list[int]]:
+    """Maximal connected components of the subgraph induced on the positions
+    set in ``mask``, as lists of positions, in the order of their smallest keys."""
+    left = bytearray(mask)  # those not yet placed in a component
     comps = []
-    for start in sorted(nodes):
-        if start in left:
-            left.remove(start)
+    for start in sorted(itertools.compress(range(len(mask)), mask), key=g.nodes.__getitem__):
+        if left[start]:
+            left[start] = 0
             comp = [start]
             for u in comp:
-                for v in g.adjacency[u]:
-                    if v in left:
-                        left.remove(v)
+                for v in g.around[u]:
+                    if left[v]:
+                        left[v] = 0
                         comp.append(v)
-            comps.append(frozenset(comp))
+            comps.append(comp)
     return comps
 
 
@@ -206,18 +206,19 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     ``replay_step`` writes each recorded step into the Execution's
     configuration, as ``export-dot --at-step`` does into its own. One pass
     over the recorded moves then checks each against its node's held rules,
-    counts updates per node and collects the step's edges, to a mover's new
-    pointer or an abandonment's old one; each edge's step count then rises
-    once. A snapshot of the configuration before a step is rebuilt, only for
-    a first failure, from the pre-step states the Execution keeps until
-    ``advance``.
-    Married pairs are indexed by node, so only the movers' pairs are checked
-    for separation; once the replay has reproduced the final configuration
-    they are its matching. When the policy makes active_component_shrink
-    applicable, the active set is kept across steps: at each round boundary
-    only the processes whose activity the round can have changed are decided
-    again (its movers, the endpoints of pairs that married or separated, and
-    their neighbors), and the set is snapshot.
+    counts updates per node, and lists the step's edges (to a mover's new
+    pointer, or an abandonment's old one, which the Execution keeps until
+    ``advance``), the married pairs the movers broke and the movers now
+    pointing at a process that points back; divorces and weddings are then
+    settled from those lists. A pre-step configuration is rebuilt only for a
+    first failure's snapshot. Married pairs are indexed by node; once the
+    replay has reproduced the final configuration they are its matching,
+    and each process is classified there once. When active_component_shrink
+    applies, the active set is kept across steps as one byte per position
+    in ``g.nodes``: at each round boundary only the processes whose activity
+    the round can have changed are decided again (its movers, the endpoints
+    of pairs that married or separated, and their neighbors), and the n
+    bytes are snapshot.
     """
     g = trace.graph
     steps_allowed, rounds_allowed = step_bound(g), round_bound(g)
@@ -241,30 +242,33 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
 
     def pre_step_text():
         """The configuration before the step being checked, as text."""
-        return c.freeze().with_writes({i: execution.previous_state(i) for i in moved}).to_text()
+        return c.freeze().with_writes(
+            {mv.node: execution.previous_state(mv.node) for mv in record.moves}).to_text()
 
     execution = Execution(g, trace.initial, semantics, enabled_rules)
     c = execution.config
+    enabled, index, p = execution.enabled, c._index, c.p
+    old_p = execution._p  # each pointer as of the last advance: a mover's pre-step one
     # the married pairs, and each married process's pair
     married = set(extract_matching(trace.initial, g))
     pair_of = {u: pair for pair in married for u in pair}
     update_counts: dict[int, int] = {}
     edge_step_counts: dict[tuple[int, int], int] = {}
     edge_third_step: dict[tuple[int, int], int] = {}
-    active = _active_set(trace.initial, g, pair_of, g.nodes) if round_applicable else set()
-    boundary_actives = [frozenset(active)]
-    boundary_steps = [0]
-    undecided: set[int] = set()  # processes to decide at the next boundary
+    if round_applicable:
+        active = bytearray(g.n)  # over positions in g.nodes
+        _mark_active(c, g, pair_of, g.nodes, active)
+        boundary_actives, boundary_steps = [bytes(active)], [0]
+        undecided: set[int] = set()  # processes to decide at the next boundary
 
-    # the processes whose guards were just evaluated, and when
-    fresh, at, when = execution.enabled, 0, "in the initial configuration"
+    fresh, at = enabled, 0  # the processes whose guards were just evaluated, and when
     for record in (*trace.records, None):
         for i in fresh:
-            rules = execution.enabled[i]
-            if len(rules) > 1:
+            if len(enabled[i]) > 1:
                 hit(
                     "guard_exclusivity", at,
-                    f"node {i} has guards {[r.value for r in rules]} {when}",
+                    f"node {i} has guards {[r.value for r in enabled[i]]} "
+                    + (f"after step {at - 1}" if at else "in the initial configuration"),
                     snapshot=c.to_text,
                 )
         if record is None:
@@ -273,18 +277,20 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             replay_step(c, g, record.moves, semantics)
         except TraceFormatError as exc:
             raise CorruptTraceError(f"corrupt trace: step {record.index}: {exc}") from exc
-        moved = {mv.node for mv in record.moves}
 
-        enabled, index, p = execution.enabled, c._index, c.p
-        step_edges = set()
+        # one pass over the moves, after the write: the movers, their edges,
+        # the pairs they broke, and those now pointing at a process pointing back
+        moved, step_edges, separated, weds = [], [], [], []
         for mv in record.moves:
             i, rule = mv.node, mv.rule
+            moved.append(i)
             if rule not in enabled.get(i, ()):
                 hit(
                     "moves_enabled", record.index,
                     f"node {i} executed {rule.value} while not enabled",
                     snapshot=pre_step_text,
                 )
+            j = p[k := index[i]]
             if rule is UPDATE:
                 count = update_counts[i] = update_counts.get(i, 0) + 1
                 if count == 3:
@@ -294,9 +300,16 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                         snapshot=pre_step_text,
                     )
             else:
-                j = execution.previous_state(i).p if rule is ABANDONMENT else p[index[i]]
-                step_edges.add((i, j) if i < j else (j, i))
-        for e in step_edges:
+                other = old_p[k] if rule is ABANDONMENT else j
+                step_edges.append((i, other) if i < other else (other, i))
+            mutual = j is not None and p[index[j]] == i
+            pair = pair_of.get(i)
+            if pair is not None and not (mutual and j in pair):
+                separated.append(pair)
+            if mutual and (pair is None or j not in pair):
+                weds.append(i)
+        # an edge counts once a step; several, in a set's order, as reported
+        for e in step_edges if len(step_edges) < 2 else set(step_edges):
             count = edge_step_counts[e] = edge_step_counts.get(e, 0) + 1
             if count == 3:
                 edge_third_step[e] = record.index
@@ -307,10 +320,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     snapshot=pre_step_text,
                 )
 
-        touched = {pair_of[i] for i in moved if i in pair_of}
-        separated = [
-            (u, v) for u, v in touched if not (p[index[u]] == v and p[index[v]] == u)
-        ]
         if len(separated) > 1:
             # report them in the married set's order, as a scan of it would
             broken = set(separated)
@@ -323,10 +332,15 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             )
             married.discard((u, v))
             del pair_of[u], pair_of[v]
-        flipped = [u for pair in separated for u in pair]  # then those that wed
-        for i in moved:
-            j = p[index[i]]
-            if j is not None and p[index[j]] == i and i not in pair_of:
+        flipped = [u for pair in separated for u in pair] if separated else []  # and the wed
+        if len(weds) > 1:
+            # wed in the order a set of the movers lists them: a report of
+            # several divorces follows the married set's order, set by its additions
+            pending = set(weds)
+            weds = [i for i in set(moved) if i in pending]
+        for i in weds:
+            if i not in pair_of:  # its partner may have wed it already
+                j = p[index[i]]
                 pair = (i, j) if i < j else (j, i)
                 married.add(pair)
                 pair_of[i] = pair_of[j] = pair
@@ -340,13 +354,12 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 f"{record.round_index}, recomputed {execution.round}"
             )
         fresh, _, closed = execution.advance(moved)
-        at, when = record.index + 1, f"after step {record.index}"
+        at = record.index + 1
         if closed and round_applicable:
-            active.difference_update(undecided)
-            active |= _active_set(c, g, pair_of, undecided)
+            _mark_active(c, g, pair_of, undecided, active)
             undecided.clear()
-            boundary_actives.append(frozenset(active))
-            boundary_steps.append(record.index + 1)
+            boundary_actives.append(bytes(active))
+            boundary_steps.append(at)
 
     final = trace.final  # equal to the replayed configuration past this check
     if c.p != list(final.p) or c.m != list(final.m):
@@ -400,27 +413,26 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 f"stable configuration is not maximal, edge {witness} is addable",
                 snapshot=final.to_text,
             )
-        for i in g.nodes:
+        for i, mi in zip(g.nodes, final.m):
             cls = classify(final, g, i)
-            if cls not in (PredicateClass.MARRIED, PredicateClass.DEAD):
+            if cls is not MARRIED and cls is not DEAD:
                 hit(
                     "stable_is_maximal", trace.steps,
                     f"node {i} classifies {cls.value} in a stable configuration",
                     snapshot=final.to_text,
                 )
-            if final.m_of(i) != pr_married(final, g, i):
+            if mi != (cls is MARRIED):  # MARRIED is exactly pr_married
                 hit(
                     "m_flag_consistency", trace.steps,
-                    f"node {i} has m={final.m_of(i)} but marriage status "
-                    f"{pr_married(final, g, i)}",
+                    f"node {i} has m={mi} but marriage status {cls is MARRIED}",
                     snapshot=final.to_text,
                 )
 
     shrink = {"windows_ge2": 0, "windows_gt2": 0, "violations_ge2": 0, "violations_gt2": 0}
     if round_applicable:
         last = len(boundary_actives) - 1
-        for b, active in enumerate(boundary_actives):
-            for comp in _components(active, g):
+        for b, mask in enumerate(boundary_actives):
+            for comp in _components(mask, g):
                 if len(comp) < 2:
                     continue
                 target = b + 4
@@ -428,7 +440,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     if not stabilized:
                         continue  # window cut off by the step cap
                     target = last
-                still = len(comp & boundary_actives[target])
+                still = sum(map(boundary_actives[target].__getitem__, comp))
                 shrink["windows_ge2"] += 1
                 violated = still > len(comp) - 2
                 if len(comp) > 2:

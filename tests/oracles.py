@@ -804,3 +804,84 @@ def shrink_tallies(trace: Trace, semantics=STANDARD):
                 first = (boundaries[b], f"component of {len(comp)} active processes at round "
                          f"boundary {b} kept {still} active members four rounds on")
     return tallies, first
+
+
+def move_tallies(trace: Trace, semantics=STANDARD):
+    """The audit's per-move checks recomputed from the configurations
+    ``replay_configurations`` gives: the measured max_updates_per_node,
+    max_steps_per_edge, edges_at_three and matching_size, and each check's
+    first counterexample (step, detail, snapshot), or None. The checks are
+    moves_enabled (a recorded rule ``literal_guards`` does not hold before
+    the step), update_limit (a node's third update), edge_move_limit (an
+    edge's fourth step with a move on it, else an edge at three steps with
+    no one-sided initial pointer) and marriage_persistence (a pair married,
+    by ``literal_predicates``, before a step and not after it).
+
+    A move is on the edge from its node to the node's pointer after the
+    step, or before it for an abandonment, and an edge that two moves of a
+    step are on counts that step once. Where one step holds several
+    counterexamples the audit's report order is followed: fourth steps in
+    the order a set of the step's edges, built in move order, lists them;
+    divorces in the order of a set of the married pairs kept as the audit
+    keeps it, from the initial matching, each step's divorces discarded and
+    its weddings added in the order a set of its movers lists them.
+    """
+    g = trace.graph
+    configs = replay_configurations(g, trace.initial, [r.moves for r in trace.records],
+                                    semantics)
+    first = dict.fromkeys(
+        ("moves_enabled", "update_limit", "edge_move_limit", "marriage_persistence"))
+
+    def hit(name, step, detail, snapshot):
+        if first[name] is None:
+            first[name] = (step, detail, snapshot)
+
+    def wed(c, u):
+        return literal_predicates(c, g, u)["married"]
+
+    pairs = set(extract_matching(trace.initial, g))
+    updates, edge_steps, third = {}, {}, {}
+    for k, record in enumerate(trace.records):
+        before, after = configs[k], configs[k + 1]
+        text = before.to_text()
+        edges = []
+        for mv in record.moves:
+            i = mv.node
+            if mv.rule not in literal_guards(before, g, i, semantics):
+                hit("moves_enabled", k, f"node {i} executed {mv.rule.value} while not enabled",
+                    text)
+            if mv.rule is Rule.UPDATE:
+                updates[i] = updates.get(i, 0) + 1
+                if updates[i] == 3:
+                    hit("update_limit", k, f"node {i} executed its third update", text)
+            else:
+                j = (before if mv.rule is Rule.ABANDONMENT else after).p_of(i)
+                edges.append((min(i, j), max(i, j)))
+        for e in set(edges):
+            edge_steps[e] = edge_steps.get(e, 0) + 1
+            if edge_steps[e] == 3:
+                third[e] = k
+            elif edge_steps[e] == 4:
+                hit("edge_move_limit", k, f"edge {e} saw a fourth step with a move on it", text)
+        for u, v in [(u, v) for u, v in pairs if not (wed(after, u) and after.p_of(u) == v)]:
+            hit("marriage_persistence", k, f"married pair ({u}, {v}) separated", text)
+            pairs.discard((u, v))
+        partnered = {u for pair in pairs for u in pair}
+        for i in {mv.node for mv in record.moves}:
+            if i not in partnered and wed(after, i):
+                j = after.p_of(i)
+                pairs.add((min(i, j), max(i, j)))
+                partnered.update((i, j))
+    c0 = trace.initial
+    for u, v in sorted(third):
+        if (c0.p_of(u) == v) == (c0.p_of(v) == u):
+            hit("edge_move_limit", third[(u, v)],
+                f"edge ({u}, {v}) reached three steps without an initial one-sided pointer",
+                c0.to_text())
+    measured = {
+        "max_updates_per_node": max(updates.values(), default=0),
+        "max_steps_per_edge": max(edge_steps.values(), default=0),
+        "edges_at_three": len(third),
+        "matching_size": sum(wed(configs[-1], i) for i in g.nodes) // 2,
+    }
+    return measured, first

@@ -242,6 +242,9 @@ class TestFileFormat:
         ("2\n1 0\n", "u < v"),
         ("2\n0 1\n0 1\n", "duplicate edge"),
         ("5\n0 1\n", "does not match"),
+        ("1000001\n", "line 1: an edge-free graph has at most 1000000 nodes, not 1000001"),
+        ("# count\n\n" + "9" * 30 + "\n", "line 3: an edge-free graph has at most 1000000"),
+        ("1000001\n0 1\n", "does not match"),
     ])
     def test_parse_errors(self, text, fragment):
         with pytest.raises(GraphFormatError, match=fragment):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabmatch.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from stabmatch.graph import generate
+from stabmatch.graph import MAX_EDGE_FREE_NODES, generate
 from stabmatch.protocol import random_configuration
 from stabmatch.scheduler import DaemonPolicy, run, write_trace
 
@@ -141,6 +141,25 @@ def test_superscript_graph_count_is_a_usage_error(input_path, capsys):
     assert main(["verify", "--trace", str(input_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == "error: line 1: expected node count\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trace", "{trace}"],
+    ["run", "--graph", "{graph}", "--policy", "synchronous"],
+    ["search", "--graph", "{graph}"],
+], ids=["verify", "run", "search"])
+def test_a_huge_edge_free_count_is_a_usage_error(input_path, capsys, argv):
+    """A count alone names an edge-free graph of that many nodes: above
+    ``MAX_EDGE_FREE_NODES`` it is refused before any of them is built, as a
+    graph file and as a trace header's graph."""
+    graph = input_path.with_name("huge.g")
+    graph.write_text("# a count alone\n1000000000\n")
+    input_path.write_text(_with_header_graph("1000000000\n"))
+    line = 2 if "--graph" in argv else 1
+    _fails_with_one_error_line(
+        [a.format(trace=input_path, graph=graph) for a in argv], capsys,
+        f"line {line}: an edge-free graph has at most {MAX_EDGE_FREE_NODES} nodes, "
+        "not 1000000000")
 
 
 def _with_move(rule: str, entry: list) -> tuple[str, int]:

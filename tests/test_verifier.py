@@ -42,9 +42,11 @@ from stabmatch.verifier import (
 )
 
 from .conftest import SMALL_CONNECTED, config_of, small_graph
+from .golden_corpus import all_policies
 from .oracles import (
     brute_force_maximal,
     edge_list_check_maximal,
+    move_tallies,
     replay_configurations,
     rescan_rounds,
     shrink_tallies,
@@ -348,6 +350,23 @@ class TestForgedTraces:
         assert check.detail == f"married pair {reported} separated"
         assert check.snapshot == c0.to_text()
 
+    def test_divorces_after_several_weddings_follow_the_wedding_order(self):
+        """Two pairs wed in one step and both separate in the next. The
+        married set lists them in the order they were added, which is the
+        order a set of the movers lists them: 689 before 412 here, though
+        412 moves first. The reported pair is pinned to what the audit
+        reported when it scanned that set of movers for weddings."""
+        g = Graph.from_edges([412, 689, 871, 932], [(412, 871), (689, 932)])
+        c0 = config_of(g, {871: (412, False), 932: (689, False)})
+        forged = forge_trace(g, c0, [
+            (Move(412, Rule.MARRIAGE), Move(689, Rule.MARRIAGE)),
+            (Move(689, Rule.ABANDONMENT), Move(871, Rule.ABANDONMENT)),
+        ])
+        check = audit_trace(forged).checks["marriage_persistence"]
+        assert (check.counterexample_step, check.detail) == (
+            1, "married pair (689, 932) separated")
+        assert _move_outcome(forged, STANDARD) == move_tallies(forged)
+
     def test_seduce_abandon_churn_fails_edge_move_limit(self, p2):
         churn = [
             (Move(0, Rule.SEDUCTION),),
@@ -476,17 +495,31 @@ def _components_by_smallest_left(nodes, g):
     return comps
 
 
+def _relabeled(g, keys, order):
+    """``g`` with node u renamed ``keys[u]`` and the ``nodes`` tuple listing
+    the renamed nodes in ``order``, which need not be ascending."""
+    return Graph(tuple(keys[u] for u in order),
+                 {keys[u]: tuple(sorted(keys[v] for v in vs)) for u, vs in g.adjacency.items()})
+
+
 @given(n=st.integers(1, 30), extra=st.integers(0, 40), gseed=st.integers(0, 10**6),
        data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_components_keep_the_order_of_their_smallest_members(n, extra, gseed, data):
     """The first active_component_shrink counterexample depends on this
-    order; sparse graphs split a random subset into many components."""
+    order; sparse graphs split a random subset into many components. The
+    mask is over positions in ``nodes``, which here are sparse keys listed
+    in any order, so a component's smallest key is not its first position."""
     g = generate("random_gnm", n, min(n - 1 + extra, n * (n - 1) // 2), gseed)
     g = Graph.from_edges(g.nodes, data.draw(st.sets(st.sampled_from(g.edges())))
                          if g.m else ())
+    keys = data.draw(st.lists(st.integers(0, 10**4), min_size=n, max_size=n, unique=True))
+    g = _relabeled(g, keys, data.draw(st.permutations(range(n))))
     nodes = frozenset(data.draw(st.sets(st.sampled_from(g.nodes))))
-    assert _components(nodes, g) == _components_by_smallest_left(nodes, g)
+    mask = bytes(u in nodes for u in g.nodes)
+    comps = [[g.nodes[k] for k in comp] for comp in _components(mask, g)]
+    assert list(map(frozenset, comps)) == _components_by_smallest_left(nodes, g)
+    assert all(len(set(comp)) == len(comp) for comp in comps)
 
 
 def _shrink_outcome(trace, semantics):
@@ -501,27 +534,36 @@ def _shrink_outcome(trace, semantics):
        cseed=st.integers(0, 1000), pseed=st.integers(0, 1000),
        policy=st.sampled_from(("synchronous", "distributed_fair")),
        semantics=st.sampled_from((STANDARD, BROKEN)),
-       cap=st.one_of(st.none(), st.integers(1, 30)))
+       cap=st.one_of(st.none(), st.integers(1, 30)), data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_shrink_tallies_match_a_rescan(n, extra, gseed, cseed, pseed, policy, semantics, cap):
+def test_shrink_tallies_match_a_rescan(n, extra, gseed, cseed, pseed, policy, semantics, cap,
+                                       data):
     """The audit keeps the active set across steps and decides again, at a
     round boundary, only the processes the round can have changed; the
     oracle replays the trace itself and rescans every process at every
-    boundary. Capped runs end unstable, which cuts windows off."""
+    boundary. Capped runs end unstable, which cuts windows off. The graph's
+    ``nodes`` tuple is permuted, so the audit's masks over positions are not
+    in key order."""
     g = generate("random_gnm", n, min(n - 1 + extra, n * (n - 1) // 2), gseed)
+    g = _relabeled(g, range(n), data.draw(st.permutations(range(n))))
     t = run(g, random_configuration(g, cseed), DaemonPolicy(policy, seed=pseed),
             max_steps=cap, semantics=semantics)
     assert _shrink_outcome(t, semantics) == shrink_tallies(t, semantics)
 
 
 @st.composite
-def forged_round_traces(draw):
+def forged_round_traces(draw, sparse=False):
     """Traces of random moves, each structurally possible but not
     necessarily enabled, under a policy whose rounds the audit checks: the
-    active sets stay large and violations are common."""
+    active sets stay large and violations are common. ``sparse`` renames
+    the nodes to large keys, listed in any order, so a set of them does not
+    list them in ascending order."""
     n = draw(st.integers(2, 9))
     g = generate("random_gnm", n, min(n - 1 + draw(st.integers(0, 8)), n * (n - 1) // 2),
                  draw(st.integers(0, 10**6)))
+    if sparse:
+        keys = draw(st.lists(st.integers(0, 10**4), min_size=n, max_size=n, unique=True))
+        g = _relabeled(g, keys, draw(st.permutations(range(n))))
     c0 = random_configuration(g, draw(st.integers(0, 1000)))
     c = MutableConfiguration(c0)
     steps = []
@@ -545,6 +587,44 @@ def forged_round_traces(draw):
 @settings(max_examples=200, deadline=None)
 def test_forged_shrink_tallies_match_a_rescan(t):
     assert _shrink_outcome(t, STANDARD) == shrink_tallies(t)
+
+
+def _move_outcome(trace, semantics):
+    """The audit's per-move measures and each per-move check's first
+    counterexample, in the form ``move_tallies`` gives them."""
+    checks = audit_trace(trace, semantics).checks
+    measured = {**checks["update_limit"].measured, **checks["edge_move_limit"].measured,
+                **checks["stable_is_maximal"].measured}
+    first = {name: None if checks[name].verdict == "pass" else (
+        checks[name].counterexample_step, checks[name].detail, checks[name].snapshot)
+        for name in ("moves_enabled", "update_limit", "edge_move_limit", "marriage_persistence")}
+    return measured, first
+
+
+@given(n=st.integers(2, 12), extra=st.integers(0, 12), gseed=st.integers(0, 10**6),
+       cseed=st.integers(0, 1000), pseed=st.integers(0, 1000),
+       policy=st.sampled_from(all_policies()), semantics=st.sampled_from((STANDARD, BROKEN)))
+@settings(max_examples=150, deadline=None)
+def test_move_tallies_match_a_rescan(n, extra, gseed, cseed, pseed, policy, semantics):
+    """The audit settles each step in one pass over its moves, after the
+    write; the oracle compares every configuration before and after each
+    step through the literal guards and predicates. The stripped guard lets
+    edges see a fourth step."""
+    g = generate("random_gnm", n, min(n - 1 + extra, n * (n - 1) // 2), gseed)
+    t = run(g, random_configuration(g, cseed), DaemonPolicy.parse(policy, pseed),
+            semantics=semantics)
+    assert _move_outcome(t, semantics) == move_tallies(t, semantics)
+
+
+@given(t=forged_round_traces(sparse=True))
+@settings(max_examples=200, deadline=None)
+def test_forged_move_tallies_match_a_rescan(t):
+    """Random moves break every per-move check, several times in one step:
+    edges at a fourth step, pairs separating and new pairs wedding. The
+    order of several divorces reported in one step follows the order in
+    which earlier steps' pairs wed, which large keys make differ from the
+    movers' ascending order."""
+    assert _move_outcome(t, STANDARD) == move_tallies(t)
 
 
 @pytest.mark.parametrize("policy", ["synchronous", "distributed_fair"])
