@@ -34,7 +34,9 @@ class Graph:
     neighbor scan index state lists by position in ``nodes``: ``around[k]``
     holds the positions of the neighbors of ``nodes[k]``, in adjacency
     order, and ``rank[k]`` is ``ident[nodes[k]]``. With ``nodes`` 0..n-1 in
-    order, ``around`` shares the adjacency tuples.
+    order, ``around`` shares the adjacency tuples. ``Graph(...)`` checks every
+    node and arc; ``read_graph`` and ``from_edges``, whose rows are
+    well-formed by construction, check no arc (``_built``).
     """
 
     nodes: tuple[int, ...]
@@ -44,7 +46,14 @@ class Graph:
     around: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
     rank: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
-    def __post_init__(self):
+    @classmethod
+    def _built(cls, nodes, adjacency, ident) -> "Graph":
+        g = object.__new__(cls)
+        g.__dict__.update(nodes=nodes, adjacency=adjacency, ident=ident)
+        g.__post_init__(check_arcs=False)
+        return g
+
+    def __post_init__(self, check_arcs: bool = True):  # Graph(...) checks the arcs
         nodes, adjacency = self.nodes, self.adjacency
         if not nodes:
             raise ValueError("graph needs at least one node")
@@ -61,21 +70,22 @@ class Graph:
             raise ValueError("adjacency needs one entry per node and no other key")
         if min(nodes) < 0 or min(ident.values()) < 0:
             raise ValueError("node keys and identifier values must be nonnegative")
-        try:  # KeyError: an endpoint that is not a node
-            for u, nbrs in adjacency.items():
-                if u in nbrs:
-                    raise ValueError(f"self-loop at node {u}")
-                last = -1
-                for v in nbrs:
-                    if adjacency[v].count(u) != 1:  # symmetric, and no repeat
-                        if u in adjacency[v]:
-                            raise ValueError(f"repeated neighbor {u} at node {v}")
-                        raise ValueError(f"adjacency not symmetric at ({u}, {v})")
-                    if v < last:
-                        raise ValueError(f"adjacency of node {u} is not sorted ascending")
-                    last = v
-        except KeyError as exc:
-            raise ValueError(f"edge endpoint {exc.args[0]} not a node") from None
+        if check_arcs:
+            try:  # KeyError: an endpoint that is not a node
+                for u, nbrs in adjacency.items():
+                    if u in nbrs:
+                        raise ValueError(f"self-loop at node {u}")
+                    last = -1
+                    for v in nbrs:
+                        if adjacency[v].count(u) != 1:  # symmetric, and no repeat
+                            if u in adjacency[v]:
+                                raise ValueError(f"repeated neighbor {u} at node {v}")
+                            raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+                        if v < last:
+                            raise ValueError(f"adjacency of node {u} is not sorted ascending")
+                        last = v
+            except KeyError as exc:
+                raise ValueError(f"edge endpoint {exc.args[0]} not a node") from None
         object.__setattr__(self, "_m", sum(map(len, adjacency.values())) // 2)
         if nodes == tuple(range(len(nodes))):
             around = tuple(map(adjacency.__getitem__, nodes))
@@ -98,7 +108,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         adjacency = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-        return Graph(nodes, adjacency, dict(ident) if ident else {})
+        return Graph._built(nodes, adjacency, dict(ident) if ident else {})
 
     @property
     def n(self) -> int:
@@ -257,14 +267,14 @@ def read_graph(text: str) -> Graph:
         if n > MAX_EDGE_FREE_NODES:
             raise GraphFormatError(f"line {count_line}: an edge-free graph has at most"
                                    f" {MAX_EDGE_FREE_NODES} nodes, not {n}")
-        return Graph(tuple(range(n)), {u: () for u in range(n)})
+        return Graph._built(tuple(range(n)), {u: () for u in range(n)}, {})
     if len(adj) != n:
         raise GraphFormatError(
             f"node count {n} does not match the {len(adj)} ids in edge lines"
             " (isolated nodes are not representable alongside edges)"
         )
     nodes = tuple(sorted(adj))
-    return Graph(nodes, {u: tuple(sorted(adj[u])) for u in nodes})
+    return Graph._built(nodes, {u: tuple(sorted(adj[u])) for u in nodes}, {})
 
 
 def write_graph(g: Graph) -> str:

@@ -31,6 +31,8 @@ class Rule(enum.Enum):
     SEDUCTION = "seduction"
     ABANDONMENT = "abandonment"
 
+    __hash__ = object.__hash__  # members are singletons: an identity hash, in C
+
     def __str__(self) -> str:
         return self.value
 
@@ -45,6 +47,8 @@ class PredicateClass(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ProcessState:
+    """A process's state as ``state`` gives it; it unpacks as a ``(p, m)`` write."""
+
     p: Optional[int]
     m: bool
 
@@ -52,11 +56,12 @@ class ProcessState:
         _set_p(self, p)
         _set_m(self, m)
 
+    def __iter__(self):
+        return iter((self.p, self.m))
 
-# built per fired move: each field is set by its slot's setter, as Move's are
+
+# each field is set by its slot's setter, as Move's are
 _set_p, _set_m = ProcessState.p.__set__, ProcessState.m.__set__
-# the two null-pointer states, shared by every abandonment and null update
-_NULL_STATE = {False: ProcessState(None, False), True: ProcessState(None, True)}
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,8 @@ class Configuration:
         k = self._index[i]
         return ProcessState(self.p[k], self.m[k])
 
-    def with_writes(self, writes: Mapping[int, ProcessState]) -> "Configuration":
-        """New configuration with the given per-node states replaced.
+    def with_writes(self, writes: Mapping[int, tuple]) -> "Configuration":
+        """New configuration with the given nodes' ``(p, m)`` pairs written.
 
         The result has the same node tuple, so it shares this configuration's
         node index instead of building its own; what remains O(n) is the copy
@@ -118,10 +123,10 @@ class Configuration:
         index = self._index
         p = list(self.p)
         m = list(self.m)
-        for i, st in writes.items():
+        for i, (pi, mi) in writes.items():
             k = index[i]
-            p[k] = st.p
-            m[k] = st.m
+            p[k] = pi
+            m[k] = mi
         derived = object.__new__(Configuration)
         derived.__dict__.update(nodes=self.nodes, p=tuple(p), m=tuple(m), _index=index)
         return derived
@@ -159,10 +164,10 @@ class MutableConfiguration:
 
     ``p`` and ``m`` are lists aligned with ``nodes`` and indexed through the
     node index of the frozen configuration it starts from, so a step costs
-    its writes and not a copy of every state. ``with_writes`` writes here and
-    returns this same object, so a command written for a frozen
-    configuration applies in place; ``freeze`` builds the Configuration to
-    keep. Identity is its equality, and it is not hashable.
+    its writes and not a copy of every state. ``with_writes`` writes its
+    ``(p, m)`` pairs here and returns this same object, so a command
+    written for a frozen configuration applies in place; ``freeze`` builds
+    the Configuration to keep. Identity is its equality, and it is not hashable.
     """
 
     __slots__ = ("base", "nodes", "p", "m", "_index")
@@ -179,19 +184,19 @@ class MutableConfiguration:
     m_of = Configuration.m_of
     state = Configuration.state
 
-    def with_writes(self, writes: Mapping[int, ProcessState]) -> "MutableConfiguration":
+    def with_writes(self, writes: Mapping[int, tuple]) -> "MutableConfiguration":
         index, p, m = self._index, self.p, self.m
-        for i, st in writes.items():
+        for i, (pi, mi) in writes.items():
             k = index[i]
-            p[k] = st.p
-            m[k] = st.m
+            p[k] = pi
+            m[k] = mi
         return self
 
     def freeze(self) -> Configuration:
         """The current states as a Configuration sharing the node index."""
         base = self.base
         return base.with_writes({
-            i: ProcessState(p, m)
+            i: (p, m)
             for i, p, m, p0, m0 in zip(self.nodes, self.p, self.m, base.p, base.m)
             if p != p0 or m != m0
         })
@@ -362,8 +367,8 @@ def command_target(
     rule: Rule,
     semantics: RuleSemantics = STANDARD,
     marriage_choice: Optional[int] = None,
-) -> ProcessState:
-    """The new state the rule's command writes for i. No guard is evaluated:
+) -> tuple[Optional[int], bool]:
+    """The ``(p, m)`` pair the rule's command writes for i. No guard is evaluated:
     every caller already holds the rule enabled at i.
 
     This is the one command: the run and the search's branches write through
@@ -376,20 +381,20 @@ def command_target(
     index, p, m, ident = c._index, c.p, c.m, g.ident
     j, mi = p[k := index[i]], m[k]
     if rule is UPDATE:
-        return _NULL_STATE[False] if j is None else ProcessState(j, p[index[j]] == i)
+        return (None, False) if j is None else (j, p[index[j]] == i)
     if rule is MARRIAGE and marriage_choice is not None:
         if marriage_choice not in g.adjacency[i] or p[index[marriage_choice]] != i:
             raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
-        return ProcessState(marriage_choice, mi)
+        return marriage_choice, mi
     if rule is MARRIAGE or rule is SEDUCTION:
         marrying = rule is MARRIAGE
         picks = marriage_suitors(c, g, i) if marrying else seduction_candidates(c, g, i, semantics)
         if not picks:
             raise ValueError(f"{rule} at node {i} has no {'suitor' if marrying else 'candidate'}")
-        return ProcessState(max(picks, key=ident.__getitem__), mi)
+        return max(picks, key=ident.__getitem__), mi
     if j is None:
         raise ValueError(f"abandonment at node {i} has a null pointer")
-    return _NULL_STATE[mi]
+    return (None, True) if mi else (None, False)
 
 
 def enabled_nodes(

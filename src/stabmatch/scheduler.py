@@ -436,19 +436,18 @@ def apply_step(
         if rule is None:
             raise ValueError(f"node {i} has no enabled rule")
         choice = None if marriage_choices is None else marriage_choices.get(i)
-        state = command_target(c, g, i, rule, semantics, marriage_choice=choice)
-        writes[i] = state
-        moves.append(Move(i, rule, state.p if rule is MARRIAGE else None))
+        write = writes[i] = command_target(c, g, i, rule, semantics, marriage_choice=choice)
+        moves.append(Move(i, rule, write[0] if rule is MARRIAGE else None))
     return c.with_writes(writes), tuple(moves)
 
 
 def realize_moves(
     c: Configuration, g: Graph, moves: Iterable[Move], semantics: RuleSemantics = STANDARD
-) -> dict[int, ProcessState]:
+) -> dict[int, tuple[Optional[int], bool]]:
     """Resolve recorded moves against their pre-step configuration: each
-    mover's write, keyed in the recorded order. Every write, and so every
-    pick, is ``command_target``'s, computed against ``c`` before any is made.
-    Commands are resolved even if a recorded rule is not actually enabled;
+    mover's ``(p, m)`` write, keyed in the recorded order. Every write, and
+    so every pick, is ``command_target``'s, computed against ``c`` before
+    any is made. Commands are resolved even if a recorded rule is not actually enabled;
     enabledness is the verifier's concern, while structurally impossible
     moves raise TraceFormatError: a step with no moves, a move by a node not
     in the graph, a node moving twice, a marriage to a non-suitor, or a
@@ -476,10 +475,10 @@ def realize_moves(
 
 
 def apply_realized(
-    c: MutableConfiguration, writes: Mapping[int, ProcessState]
+    c: MutableConfiguration, writes: Mapping[int, tuple[Optional[int], bool]]
 ) -> MutableConfiguration:
-    """Write ``realize_moves``' writes into ``c`` in place; they were all
-    computed before any is made, so they land simultaneously. Returns ``c``."""
+    """Write ``realize_moves``' ``(p, m)`` pairs into ``c`` in place; they were
+    all computed before any is made, so they land simultaneously. Returns ``c``."""
     return c.with_writes(writes)
 
 

@@ -617,7 +617,7 @@ def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=N
                 writes = [command_target(c, g, i, rule, semantics, marriage_choice=j)
                           for j in choices]
                 bits, old = codec.bits[i], state & codec.field[i]
-                entry = (i, [old ^ bits[w.p, w.m] for w in writes],
+                entry = (i, [old ^ bits[w] for w in writes],
                          [() if j is None else ((i, j),) for j in choices])
             entries[k] = entry
             shift, mask, reads, cache = caches[k]

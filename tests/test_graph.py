@@ -61,9 +61,60 @@ class TestConstruction:
         with pytest.raises(ValueError, match=fragment):
             Graph(nodes, adjacency, ident)
 
+    @pytest.mark.parametrize("nodes, edges, ident, fragment", [
+        ([-1, 1], [(-1, 1)], None, "nonnegative"),
+        ([0, 1], [(0, 1)], {0: 0}, "ident must assign"),
+        ([0, 1], [(0, 1)], {0: 0, 1: 1, 2: 2}, "ident must assign"),
+        ([0, 1], [(0, 1)], {0: 0, 1: -3}, "nonnegative"),
+    ])
+    def test_from_edges_checks_nodes_and_identifiers(self, nodes, edges, ident, fragment):
+        """from_edges builds its rows well-formed and checks no arc, but
+        every node and identifier check of ``Graph(...)`` still applies."""
+        with pytest.raises(ValueError, match=fragment):
+            Graph.from_edges(nodes, edges, ident)
+
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges([0, 1], [(0, 1), (1, 0)])
         assert g.m == 1
+
+
+@st.composite
+def sparse_edge_lists(draw):
+    """Distinct nonnegative keys in a drawn order, an edge list over them
+    with repeats and both orientations, and an identifier map with ties.
+    A drawn flag adds a path through the keys, which leaves none isolated."""
+    keys = draw(st.lists(st.integers(0, 60), min_size=1, max_size=9, unique=True))
+    pairs = st.tuples(st.sampled_from(keys), st.sampled_from(keys)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=20)) if len(keys) > 1 else []
+    if draw(st.booleans()):
+        edges += list(zip(keys, keys[1:]))
+    ident = {u: draw(st.integers(0, 4)) for u in keys}
+    return keys, draw(st.permutations(edges)), ident
+
+
+def _assert_same_graph(built, checked):
+    assert built == checked
+    assert built.around == checked.around and built.rank == checked.rank
+    assert built.m == checked.m == len(checked.edges())
+
+
+class TestBuilders:
+    """read_graph and from_edges skip Graph(...)'s arc checks; the graphs
+    they build are the ones Graph(...) accepts on the same rows."""
+
+    @given(sparse_edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_builders_equal_the_checked_constructor(self, drawn):
+        keys, edges, ident = drawn
+        g = Graph.from_edges(keys, edges)
+        assert g.nodes == tuple(sorted(keys))
+        assert set(g.edges()) == {(min(e), max(e)) for e in edges}
+        _assert_same_graph(g, Graph(g.nodes, g.adjacency))
+        h = Graph.from_edges(keys, edges, ident)
+        _assert_same_graph(h, Graph(h.nodes, h.adjacency, ident))
+        rows = g.adjacency.values()
+        if all(rows) or not any(rows) and g.nodes == tuple(range(g.n)):
+            _assert_same_graph(read_graph(write_graph(g)), Graph(g.nodes, g.adjacency))
 
 
 class TestPositionTables:

@@ -165,13 +165,13 @@ def _write(c, g, i, rule, semantics, choice):
 
 
 def _realized_write(c, g, i, rule, semantics, choice):
-    """i's state after literal_realize replays the one-move step (i, rule,
-    choice), or None when the step raises TraceFormatError."""
+    """i's (p, m) pair after literal_realize replays the one-move step (i,
+    rule, choice), or None when the step raises TraceFormatError."""
     try:
         _, after = literal_realize(c, g, [Move(i, rule, choice)], semantics)
     except TraceFormatError:
         return None
-    return after.state(i)
+    return after.p_of(i), after.m_of(i)
 
 
 def _commands_agree(c, g):
@@ -219,17 +219,17 @@ def test_commands_on_tied_top_identifiers_match_their_literal_transcription(cour
     c = config_of(g, {k: leaf for k in range(1, 5)})
     _commands_agree(c, g)
     rule = Rule.MARRIAGE if courted else Rule.SEDUCTION
-    assert command_target(c, g, 0, rule).p == 2
+    assert command_target(c, g, 0, rule)[0] == 2
 
 
 class TestCommandTarget:
     def test_marriage_prefers_larger_suitor(self, two_suitors):
         g, c0 = two_suitors
-        assert command_target(c0, g, 3, Rule.MARRIAGE) == ProcessState(2, False)
+        assert command_target(c0, g, 3, Rule.MARRIAGE) == (2, False)
 
     def test_marriage_explicit_choice(self, two_suitors):
         g, c0 = two_suitors
-        assert command_target(c0, g, 3, Rule.MARRIAGE, marriage_choice=1).p == 1
+        assert command_target(c0, g, 3, Rule.MARRIAGE, marriage_choice=1)[0] == 1
 
     def test_marriage_choice_must_be_suitor(self, two_suitors):
         g, c0 = two_suitors
@@ -240,16 +240,16 @@ class TestCommandTarget:
     def test_seduction_takes_maximum_candidate(self):
         g = Graph.from_edges([3, 5, 9], [(3, 5), (3, 9)])
         c = Configuration.all_null(g)
-        assert command_target(c, g, 3, Rule.SEDUCTION).p == 9
+        assert command_target(c, g, 3, Rule.SEDUCTION)[0] == 9
 
     def test_abandonment_writes_null(self, two_suitors):
         g, _ = two_suitors
         panel_c = config_of(g, {1: (3, False), 2: (3, True), 3: (2, True)})
-        assert command_target(panel_c, g, 1, Rule.ABANDONMENT) == ProcessState(None, False)
+        assert command_target(panel_c, g, 1, Rule.ABANDONMENT) == (None, False)
 
     def test_update_copies_marriage_status(self, p2):
         c = config_of(p2, {0: (1, False), 1: (0, False)})
-        assert command_target(c, p2, 0, Rule.UPDATE) == ProcessState(1, True)
+        assert command_target(c, p2, 0, Rule.UPDATE) == (1, True)
 
     @pytest.mark.parametrize("rule,choice,fragment", [
         (Rule.MARRIAGE, None, "no suitor"),
@@ -270,7 +270,7 @@ class TestCommandTarget:
         g = Graph.from_edges([3, 5, 7, 9], [(3, 5), (3, 7), (3, 9)])
         c = config_of(g, {5: (3, False), 7: (None, False), 9: (None, False)})
         assert enabled_rule(c, g, 3) is Rule.MARRIAGE
-        assert command_target(c, g, 3, Rule.SEDUCTION) == ProcessState(9, False)
+        assert command_target(c, g, 3, Rule.SEDUCTION) == (9, False)
 
 
 class TestLocality:
@@ -423,7 +423,7 @@ class TestIdentifierLayer:
         c = Configuration.all_null(g)
         assert enabled_rule(c, g, 1) is Rule.SEDUCTION  # ident 2 courts ident 5
         assert enabled_rule(c, g, 0) is None
-        assert command_target(c, g, 1, Rule.SEDUCTION).p == 0
+        assert command_target(c, g, 1, Rule.SEDUCTION)[0] == 0
 
     def test_duplicate_distant_identifiers_still_stabilize(self):
         # path 0-1-2-3-4 whose endpoints share an identifier value; they are

@@ -504,10 +504,36 @@ class TestRecordTypes:
             writes = realize_moves(c, g, record.moves)
             assert list(writes) == [mv.node for mv in record.moves]
             for mv in record.moves:
-                assert mv.target == (writes[mv.node].p if mv.rule is Rule.MARRIAGE else None)
+                assert mv.target == (writes[mv.node][0] if mv.rule is Rule.MARRIAGE else None)
                 rules.add(mv.rule)
             apply_realized(c, writes)
         assert rules == set(Rule)
+
+    def test_run_and_its_audits_build_no_process_state(self, monkeypatch):
+        """A write is a (p, m) pair: a run, its audit, and the audit of its
+        trace parsed back from text construct no ProcessState, on a
+        synchronous trace whose moves cover all four rules."""
+        built = []
+        init = ProcessState.__init__
+
+        def counted(self, p, m):
+            built.append((p, m))
+            init(self, p, m)
+
+        monkeypatch.setattr(ProcessState, "__init__", counted)
+        g = generate("random_gnm", 300, 900, 1)
+        t = run(g, random_configuration(g, 1), DaemonPolicy("synchronous", seed=1))
+        assert all(trace_counters(t).values())
+        assert audit_trace(t).all_pass
+        assert audit_trace(parse_trace(write_trace(t))).all_pass
+        assert built == []
+        assert ProcessState(4, True) == ProcessState(4, True) and len(built) == 2
+
+    def test_rules_hash_by_identity(self):
+        """Rule members are singletons, so a dict keyed by them (the guards'
+        results, the tally by rule) hashes each by identity."""
+        for rule in Rule:
+            assert hash(rule) == object.__hash__(rule)
 
 
 class TestTraceCounters:
