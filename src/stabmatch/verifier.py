@@ -558,10 +558,10 @@ class _StateCodec:
             self.reads.append(tuple(field[i] | field.get(p, 0 if m else nbrs) for p, m in table))
 
     def caches(self) -> list[tuple]:
-        """Per node: its field's shift and mask, its ``reads``, and an empty
-        dict of its results by what it reads."""
-        return [(shift, mask, reads, {})
-                for (shift, mask, _), reads in zip(self.decoders, self.reads)]
+        """Per node: its key, its field's shift and mask, its ``reads``, and
+        an empty dict of its results by what it reads."""
+        return [(i, shift, mask, reads, {})
+                for i, (shift, mask, _), reads in zip(self.nodes, self.decoders, self.reads)]
 
     def encode(self, c: Configuration) -> int:
         try:
@@ -586,67 +586,55 @@ class _StateCodec:
             [v << shift for v in range(len(table))] for shift, _, table in self.decoders)))
 
 
+def _node_entry(c, g, semantics, branch_marriage, codec, i, state):
+    """Node i's entry in ``state``, decoded into ``c``: ``()`` when it is
+    disabled, otherwise its command's writes as XOR deltas on its field,
+    one per suitor when marriages branch, and the marriage pairs they label."""
+    rule = enabled_nodes(c, g, semantics, (i,)).get(i)
+    if rule is None:
+        return ()
+    choices = marriage_suitors(c, g, i) if branch_marriage and rule is MARRIAGE else (None,)
+    bits, old = codec.bits[i], state & codec.field[i]
+    return ([old ^ bits[command_target(c, g, i, rule, semantics, marriage_choice=j)]
+             for j in choices],
+            [() if j is None else ((i, j),) for j in choices])
+
+
 def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=None):
     """Every state a distributed daemon can reach from ``state`` in one
     step: subsets in mask order over the sorted enabled processes, each
     subset's suitor choices in product order. A successor is ``state`` XOR
-    each of its members' deltas, their fields being disjoint.
+    each of its members' deltas. Their fields are disjoint, and each delta
+    is nonzero and its suitor's own, so one state's successors are
+    pairwise distinct.
 
-    A node's entry is ``()`` when it is disabled, otherwise ``(i, deltas,
-    pairs)``: its command's write as the XOR of its field's old and new
-    bits, one per suitor when marriages branch, and the marriage pairs they
-    label. The fields the node reads fix the entry and key its cache
-    (``codec.caches()``). Only on a miss is ``state`` decoded into the
-    MutableConfiguration ``c``, and only the missed nodes' guards
-    (``enabled_nodes``) and commands (``command_target``, for a branched
-    marriage once per suitor of ``marriage_suitors``) are evaluated.
-    ``labels``, if given, receives each branch's WitnessStep."""
-    entries = [cache.get(state & reads[state >> shift & mask])
-               for shift, mask, reads, cache in caches]
-    if None in entries:
-        codec.decode_into(state, c)
-        nodes = codec.nodes
-        missed = [k for k, entry in enumerate(entries) if entry is None]
-        rules = enabled_nodes(c, g, semantics, [nodes[k] for k in missed])
-        for k in missed:
-            i = nodes[k]
-            entry = ()
-            if (rule := rules.get(i)) is not None:
-                choices = (marriage_suitors(c, g, i) if branch_marriage and rule is MARRIAGE
-                           else (None,))
-                writes = [command_target(c, g, i, rule, semantics, marriage_choice=j)
-                          for j in choices]
-                bits, old = codec.bits[i], state & codec.field[i]
-                entry = (i, [old ^ bits[w] for w in writes],
-                         [() if j is None else ((i, j),) for j in choices])
-            entries[k] = entry
-            shift, mask, reads, cache = caches[k]
-            cache[state & reads[state >> shift & mask]] = entry
+    One pass over the nodes looks each up in its cache (``codec.caches()``),
+    keyed by the fields it reads, which fix its entry (``_node_entry``). The
+    first miss decodes ``state`` into the MutableConfiguration ``c``, and
+    only missed nodes' guards (``enabled_nodes``) and commands
+    (``command_target``, for a branched marriage once per suitor of
+    ``marriage_suitors``) are evaluated. ``labels``, if given, receives
+    each branch's WitnessStep."""
     succs = [state]  # per subset so far, in mask order: each choice's successor
     steps = [((), ())]  # the same subsets and choices, for labels
-    for entry in entries:
-        if not entry:
-            continue
-        i, deltas, pairs = entry
-        succs += [s ^ delta for s in succs for delta in deltas]
-        if labels is not None:
-            steps += [(subset + (i,), chosen + pair) for subset, chosen in steps for pair in pairs]
+    decoded = False
+    for i, shift, mask, reads, cache in caches:
+        key = state & reads[state >> shift & mask]
+        entry = cache.get(key)
+        if entry is None:
+            if not decoded:
+                codec.decode_into(state, c)
+                decoded = True
+            entry = cache[key] = _node_entry(c, g, semantics, branch_marriage, codec, i, state)
+        if entry:
+            deltas, pairs = entry
+            succs += [s ^ delta for s in succs for delta in deltas]
+            if labels is not None:
+                steps += [(subset + (i,), chosen + pair)
+                          for subset, chosen in steps for pair in pairs]
     if labels is not None:
         labels.extend(WitnessStep(subset, chosen) for subset, chosen in steps[1:])
     return succs[1:]
-
-
-class _Expansion:
-    """A state on the search's stack: its successors, the one being
-    explored, and the worst schedule to stability found so far."""
-
-    __slots__ = ("state", "succs", "next", "best", "best_at", "leaves_ok")
-
-    def __init__(self, state: int, succs: list[int]):
-        self.state, self.succs = state, succs
-        self.next = self.best = 0
-        self.best_at = None
-        self.leaves_ok = True
 
 
 class _Budget(Exception):
@@ -654,8 +642,8 @@ class _Budget(Exception):
 
 
 class _Livelock(Exception):
-    """args: the initial state, the branch taken at each state on the stack
-    (then None), and the stack position of the repeated state."""
+    """args: the initial state and the states on the stack, then the
+    repeated one."""
 
 
 def exhaustive_search(
@@ -682,8 +670,14 @@ def exhaustive_search(
     successors come from each node's guard and command result, cached per
     search under the fields the node reads; a miss decodes the state into
     one reused MutableConfiguration and evaluates the missed nodes there
-    (``_successors``). The memo maps a state to its worst step count, the
-    index of that branch and whether all leaves are maximal.
+    (``_successors``). The memo maps a state to its worst step count alone.
+    A stack frame iterates, through ``filterfalse``, only the successors
+    not yet memoized, and closes with the maximum of its successors' counts
+    plus one. The worst schedule takes at each state the first successor
+    whose count is one less, the first branch that reaches the maximum.
+    One search-wide flag records whether every memoized stable leaf is
+    maximal: under "all" every memoized state is a start, and from one
+    start every memoized state is reachable.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -694,79 +688,64 @@ def exhaustive_search(
     else:
         initials, initial_count = [codec.encode(initial)], 1
 
-    memo: dict[int, tuple[int, Optional[int], bool]] = {}
+    memo: dict[int, int] = {}
     explored = 0
+    leaves_maximal = True
     decoded = MutableConfiguration(Configuration.all_null(g))
     caches = codec.caches()
 
     def reach(state):
-        """Count a new state: its expansion, or None once memoized as stable."""
-        nonlocal explored
+        """Count a new state: its successors, or none once memoized as stable."""
+        nonlocal explored, leaves_maximal
         explored += 1
         if explored > budget:
             raise _Budget()
         if progress is not None and not explored % 4096:
             progress(explored, len(memo))
         succs = _successors(decoded, g, semantics, branch_marriage, codec, caches, state)
-        if succs:
-            return _Expansion(state, succs)
-        codec.decode_into(state, decoded)
-        memo[state] = (0, None, check_maximal(extract_matching(decoded, g), g) is None)
-        return None
+        if not succs:
+            codec.decode_into(state, decoded)
+            if check_maximal(extract_matching(decoded, g), g) is not None:
+                leaves_maximal = False
+            memo[state] = 0
+        return succs
 
-    def replay(c0, pick):
-        """The branches ``pick(state, k)`` names at the k-th state from c0,
-        until it names none, each fired by apply_step on a frozen
+    def replay(c0, length, pick):
+        """``length`` steps from c0, the k-th to the successor at the index
+        ``pick(k, succs)`` names, each fired by apply_step on a frozen
         configuration, which re-checks it."""
         steps = []
         c, state = c0, codec.encode(c0)
-        while (at := pick(state, len(steps))) is not None:
+        for k in range(length):
             labels = []
-            _successors(decoded, g, semantics, branch_marriage, codec, caches, state, labels)
-            ws = labels[at]
+            succs = _successors(decoded, g, semantics, branch_marriage, codec, caches, state, labels)
+            ws = labels[pick(k, succs)]
             steps.append(ws)
             c, _ = apply_step(c, g, ws.chosen, semantics, marriage_choices=dict(ws.marriage_choices))
             state = codec.encode(c)
         return tuple(steps)
 
     def expand(s0: int) -> None:
-        if s0 in memo or (frame := reach(s0)) is None:
+        if s0 in memo or not (succs := reach(s0)):
             return
-        stack = [frame]
+        memoized = memo.__contains__
+        stack = [(s0, succs, itertools.filterfalse(memoized, succs))]
         onstack = {s0}
-        memo_get = memo.get
-        while True:
-            succs = frame.succs
-            at, best, best_at, leaves_ok = frame.next, frame.best, frame.best_at, frame.leaves_ok
-            # a branch is folded once its successor is in the memo: the
-            # branch to a pushed state is revisited when that state closes.
-            # A state on the stack is never in the memo.
-            for at, succ in enumerate(succs[at:], at):
-                entry = memo_get(succ)
-                if entry is None:
-                    if succ in onstack:
-                        frame.next = at
-                        k = next(k for k, f in enumerate(stack) if f.state == succ)
-                        raise _Livelock(s0, [f.next for f in stack] + [None], k)
-                    child = reach(succ)
-                    if child is not None:
-                        frame.next, frame.best, frame.best_at, frame.leaves_ok = (
-                            at, best, best_at, leaves_ok)
-                        onstack.add(succ)
-                        stack.append(child)
-                        break
-                    entry = memo[succ]
-                if entry[0] >= best:
-                    best = entry[0] + 1
-                    best_at = at
-                leaves_ok &= entry[2]
+        while stack:
+            state, succs, pending = stack[-1]
+            # a state on the stack is never in the memo; a pushed successor
+            # is memoized by the time its parent's iteration resumes
+            for succ in pending:
+                if succ in onstack:
+                    raise _Livelock(s0, [frame[0] for frame in stack] + [succ])
+                if child := reach(succ):
+                    onstack.add(succ)
+                    stack.append((succ, child, itertools.filterfalse(memoized, child)))
+                    break
             else:
-                memo[frame.state] = (best, best_at, leaves_ok)
+                memo[state] = max(map(memo.__getitem__, succs)) + 1
                 stack.pop()
-                onstack.discard(frame.state)
-                if not stack:
-                    return
-            frame = stack[-1]
+                onstack.discard(state)
 
     complete = True
     livelock_initial, livelock_steps, cycle_at = None, (), 0
@@ -776,21 +755,24 @@ def exhaustive_search(
     except _Budget:
         complete = False
     except _Livelock as exc:
-        s0, path, cycle_at = exc.args
+        s0, path = exc.args
+        cycle_at = path.index(path[-1])
         livelock_initial = codec.decode(s0)
-        livelock_steps = replay(livelock_initial, lambda _, k: path[k])
+        livelock_steps = replay(livelock_initial, len(path) - 1,
+                                lambda k, succs: succs.index(path[k + 1]))
 
     # the explored starts (under "all", every memoized state) and the first
     # worst: states ascend in every_state's order
-    done = memo.items() if initial == "all" else [
-        (s0, memo[s0]) for s0 in initials if s0 in memo]
-    worst_steps = max((entry[0] for _, entry in done), default=0)
-    worst = min((s0 for s0, entry in done if entry[0] == worst_steps), default=None)
+    done = memo if initial == "all" else {s0: memo[s0] for s0 in initials if s0 in memo}
+    worst_steps = max(done.values(), default=0)
+    worst = min((s0 for s0, steps in done.items() if steps == worst_steps), default=None)
     witness_initial = None if worst is None else codec.decode(worst)
     return SearchResult(
         worst_steps=worst_steps,
         witness_initial=witness_initial,
-        witness=() if worst is None else replay(witness_initial, lambda state, _: memo[state][1]),
+        witness=() if worst is None else replay(
+            witness_initial, worst_steps,
+            lambda k, succs: list(map(memo.__getitem__, succs)).index(worst_steps - 1 - k)),
         explored=explored,
         branch_marriage=branch_marriage,
         complete=complete,
@@ -798,7 +780,8 @@ def exhaustive_search(
         livelock_initial=livelock_initial,
         livelock_prefix=livelock_steps[:cycle_at],
         livelock_cycle=livelock_steps[cycle_at:],
-        all_leaves_maximal=livelock_initial is None and all(entry[2] for _, entry in done),
+        # a single start cut off by the budget is vacuously true
+        all_leaves_maximal=livelock_initial is None and (leaves_maximal or not done),
         bound=step_bound(g),
         initial_count=initial_count,
         memo_size=len(memo),

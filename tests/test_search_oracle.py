@@ -24,6 +24,7 @@ from stabmatch.protocol import (
 from stabmatch.scheduler import apply_step
 from stabmatch.verifier import audit_trace, exhaustive_search, witness_trace
 
+from . import oracles
 from .oracles import (
     _branches,
     _witness_step,
@@ -121,6 +122,51 @@ def test_successors_follow_the_reference_branch_order(instance):
 
 
 @settings(max_examples=60, deadline=None)
+@given(small_instances(), st.randoms(use_true_random=False))
+def test_successors_of_a_state_are_pairwise_distinct(instance, rng):
+    """Each enabled node XORs a nonzero delta onto its own field, one per
+    suitor, so no two branches of one state reach the same successor: the
+    search recovers a branch index from its successor by ``list.index``."""
+    g, _, _, _ = instance
+    codec = verifier._StateCodec(g)
+    states = list(codec.every_state())
+    states = rng.sample(states, min(len(states), 100))
+    c = MutableConfiguration(Configuration.all_null(g))
+    for semantics in (STANDARD, BROKEN):
+        for branch_marriage in (False, True):
+            caches = codec.caches()
+            for state in states:
+                succs = verifier._successors(
+                    c, g, semantics, branch_marriage, codec, caches, state)
+                assert len(set(succs)) == len(succs)
+                assert state not in succs
+
+
+def _flag_even_matchings(mt, g):
+    """A stand-in maximality check that calls every stable leaf with an
+    even number of matched pairs non-maximal, so leaves of both kinds
+    occur below one start."""
+    return None if len(mt) % 2 else (-1, -1)
+
+
+@pytest.mark.parametrize("flagged", (False, True), ids=("maximal", "flagged"))
+@pytest.mark.parametrize("budget", (5, 37, 200_000))
+@pytest.mark.parametrize("g", INSTANCES, ids=_name)
+def test_single_start_equals_reference(monkeypatch, g, budget, flagged):
+    """One start, searched to the end or cut off by the budget, against the
+    reference in every field: a start the budget cuts off before it closes
+    keeps the vacuous all_leaves_maximal even when a flagged leaf below it
+    was memoized."""
+    if flagged:
+        for module in (verifier, oracles):
+            monkeypatch.setattr(module, "check_maximal", _flag_even_matchings)
+    for seed in range(3):
+        c0 = random_configuration(g, seed)
+        assert exhaustive_search(g, c0, branch_marriage=True, budget=budget) == reference_search(
+            g, c0, branch_marriage=True, budget=budget)
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_instances())
 def test_equals_reference_on_random_labelings(instance):
     g, c0, branch_marriage, semantics = instance
@@ -179,6 +225,20 @@ def test_pinned_five_node_searches_and_their_audited_witnesses(g, explored, wors
     trace = witness_trace(g, result.witness_initial, result.witness)
     assert trace.steps == worst and trace.stable
     assert audit_trace(trace).all_pass
+
+
+def test_the_memo_holds_one_int_per_state():
+    """The memo maps a state to its worst step count alone. Under
+    tracemalloc, C5's search peaked at 1.13 MB when the memo also held each
+    state's branch index and leaves flag, and at 0.68 MB without them."""
+    tracemalloc.start()
+    try:
+        result = exhaustive_search(C5, "all", branch_marriage=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.memo_size == 7776
+    assert peak < 900_000
 
 
 @pytest.mark.parametrize("g, per_node, total", [
