@@ -6,7 +6,6 @@ from .protocol import (
     Configuration,
     ConfigFormatError,
     PredicateClass,
-    ProcessState,
     Rule,
     RuleSemantics,
     STANDARD,

@@ -242,7 +242,10 @@ def read_graph(text: str) -> Graph:
             # isdecimal, not isdigit: int() rejects digits such as '²'
             if len(parts) != 1 or not parts[0].isdecimal():
                 raise GraphFormatError(f"line {lineno}: expected node count")
-            n, count_line = int(parts[0]), lineno
+            try:
+                n, count_line = int(parts[0]), lineno
+            except ValueError:  # more digits than Python's int-string limit
+                raise GraphFormatError(f"line {lineno}: expected node count") from None
             if n < 1:
                 raise GraphFormatError(f"line {lineno}: node count must be >= 1")
             continue

@@ -45,25 +45,6 @@ class PredicateClass(enum.Enum):
     FREE = "free"
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessState:
-    """A process's state as ``state`` gives it; it unpacks as a ``(p, m)`` write."""
-
-    p: Optional[int]
-    m: bool
-
-    def __init__(self, p: Optional[int], m: bool):
-        _set_p(self, p)
-        _set_m(self, m)
-
-    def __iter__(self):
-        return iter((self.p, self.m))
-
-
-# each field is set by its slot's setter, as Move's are
-_set_p, _set_m = ProcessState.p.__set__, ProcessState.m.__set__
-
-
 @dataclass(frozen=True)
 class RuleSemantics:
     """Guard variant knob.
@@ -109,10 +90,6 @@ class Configuration:
     def m_of(self, i: int) -> bool:
         return self.m[self._index[i]]
 
-    def state(self, i: int) -> ProcessState:
-        k = self._index[i]
-        return ProcessState(self.p[k], self.m[k])
-
     def with_writes(self, writes: Mapping[int, tuple]) -> "Configuration":
         """New configuration with the given nodes' ``(p, m)`` pairs written.
 
@@ -132,17 +109,19 @@ class Configuration:
         return derived
 
     @staticmethod
-    def from_states(g: Graph, states: Mapping[int, ProcessState]) -> "Configuration":
+    def from_states(g: Graph, states: Mapping[int, tuple]) -> "Configuration":
+        """The configuration whose node i holds the ``(p, m)`` pair ``states[i]``,
+        m made a boolean. Raises ValueError unless ``states`` names exactly the
+        graph's nodes, each pointer a neighbor or null."""
         if set(states) != set(g.nodes):
             raise ValueError("states must cover exactly the graph's nodes")
-        p = []
-        m = []
+        p, m = [], []
         for i in g.nodes:
-            st = states[i]
-            if st.p is not None and st.p not in g.adjacency[i]:
+            pi, mi = states[i]
+            if pi is not None and pi not in g.adjacency[i]:
                 raise ValueError(f"p of node {i} must be a neighbor or null")
-            p.append(st.p)
-            m.append(bool(st.m))
+            p.append(pi)
+            m.append(bool(mi))
         return Configuration(g.nodes, tuple(p), tuple(m))
 
     @staticmethod
@@ -182,7 +161,6 @@ class MutableConfiguration:
 
     p_of = Configuration.p_of
     m_of = Configuration.m_of
-    state = Configuration.state
 
     def with_writes(self, writes: Mapping[int, tuple]) -> "MutableConfiguration":
         index, p, m = self._index, self.p, self.m
@@ -213,13 +191,11 @@ def normalize(g: Graph, raw: Mapping[int, tuple] | Configuration) -> Configurati
     well-formed input.
     """
     if isinstance(raw, Configuration):
-        raw = {i: (raw.p_of(i), raw.m_of(i)) for i in raw.nodes}
+        raw = dict(zip(raw.nodes, zip(raw.p, raw.m)))
     states = {}
     for i in g.nodes:
         p, m = raw.get(i, (None, False))
-        if p is not None and p not in g.adjacency[i]:
-            p = None
-        states[i] = ProcessState(p, bool(m))
+        states[i] = (p if p in g.adjacency[i] else None, m)
     return Configuration.from_states(g, states)
 
 

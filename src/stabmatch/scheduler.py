@@ -51,7 +51,6 @@ from .protocol import (
     ABANDONMENT, MARRIAGE, SEDUCTION,
     Configuration,
     MutableConfiguration,
-    ProcessState,
     Rule,
     RuleSemantics,
     STANDARD,
@@ -239,9 +238,9 @@ class Execution:
     ``enabled_rule``'s, or the same verdict as ``enabled_rules``' tuple, the
     audit's form. ``config`` is a MutableConfiguration copied from ``c0``,
     which the caller writes each step's movers into before calling
-    ``advance``; the Execution keeps each process's state as of the last
-    ``advance``, so it knows what every mover changed, and until then
-    ``previous_state`` gives a mover's pre-step state. A round closes at the
+    ``advance``; the lists ``_p`` and ``_m`` keep each process's state as of
+    the last ``advance``, by position, to tell what every mover changed;
+    until then they hold a mover's pre-step state. A round closes at the
     earliest step after which every process eligible at the round's first
     configuration has moved or had its guard disabled; ``owed`` holds those
     the current round still waits for. ``fire`` writes, records and advances
@@ -336,11 +335,6 @@ class Execution:
         return Trace(self.graph, policy, seed, self.config.base, tuple(self.records),
                      self.config.freeze(), not self.enabled, max_steps)
 
-    def previous_state(self, i: int) -> ProcessState:
-        """Process i's state as of the last ``advance``: a mover's pre-step state."""
-        k = self.config._index[i]
-        return ProcessState(self._p[k], self._m[k])
-
 
 @dataclass(frozen=True, slots=True)
 class Move:
@@ -365,12 +359,12 @@ class StepRecord:
 
     def __init__(self, index: int, moves: tuple[Move, ...], round_index: int):
         _set_index(self, index)
-        _set_moves(self, moves)
+        _set_step_moves(self, moves)
         _set_round_index(self, round_index)
 
 
 # built per move and per step: each field is set by its slot's setter, not object.__setattr__
-_set_node, _set_rule, _set_target, _set_index, _set_moves, _set_round_index = (
+_set_node, _set_rule, _set_target, _set_index, _set_step_moves, _set_round_index = (
     getattr(cls, f.name).__set__ for cls in (Move, StepRecord) for f in fields(cls))
 
 

@@ -241,14 +241,14 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             )
 
     def pre_step_text():
-        """The configuration before the step being checked, as text."""
-        return c.freeze().with_writes(
-            {mv.node: execution.previous_state(mv.node) for mv in record.moves}).to_text()
+        """The configuration before the step being checked, as text: until
+        ``advance``, the Execution's kept lists hold every pre-step state."""
+        return Configuration(c.nodes, tuple(old_p), tuple(old_m)).to_text()
 
     execution = Execution(g, trace.initial, semantics, enabled_rules)
     c = execution.config
     enabled, index, p = execution.enabled, c._index, c.p
-    old_p = execution._p  # each pointer as of the last advance: a mover's pre-step one
+    old_p, old_m = execution._p, execution._m  # as of the last advance: a mover's pre-step state
     # the married pairs, and each married process's pair
     married = set(extract_matching(trace.initial, g))
     pair_of = {u: pair for pair in married for u in pair}

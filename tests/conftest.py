@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from stabmatch.graph import Graph
-from stabmatch.protocol import Configuration, ProcessState
+from stabmatch.protocol import Configuration
 
 # Every connected graph on up to four nodes, one labeled representative per
 # isomorphism class, with ids 0..n-1.
@@ -49,19 +49,10 @@ def two_suitors():
     at 3, which points nowhere, and every m-flag is false.
     """
     g = Graph.from_edges([1, 2, 3], [(1, 3), (2, 3)])
-    c0 = Configuration.from_states(
-        g,
-        {
-            1: ProcessState(3, False),
-            2: ProcessState(3, False),
-            3: ProcessState(None, False),
-        },
-    )
+    c0 = Configuration.from_states(g, {1: (3, False), 2: (3, False), 3: (None, False)})
     return g, c0
 
 
 def config_of(g: Graph, assignments: dict[int, tuple[int | None, bool]]) -> Configuration:
-    states = {
-        i: ProcessState(*assignments.get(i, (None, False))) for i in g.nodes
-    }
+    states = {i: assignments.get(i, (None, False)) for i in g.nodes}
     return Configuration.from_states(g, states)

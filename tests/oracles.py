@@ -27,7 +27,6 @@ from stabmatch.graph import Graph, GraphFormatError
 from stabmatch.protocol import (
     ConfigFormatError,
     Configuration,
-    ProcessState,
     RuleSemantics,
     Rule,
     STANDARD,
@@ -149,7 +148,7 @@ def replay_configurations(g, c0: Configuration, step_moves, semantics=None):
     configs = [c0]
     for moves in step_moves:
         c = configs[-1]
-        states = {i: ProcessState(c.p_of(i), c.m_of(i)) for i in g.nodes}
+        states = {i: (c.p_of(i), c.m_of(i)) for i in g.nodes}
         for mv in moves:
             i, p, m = mv.node, c.p_of(mv.node), c.m_of(mv.node)
             if mv.rule is Rule.UPDATE:
@@ -167,7 +166,7 @@ def replay_configurations(g, c0: Configuration, step_moves, semantics=None):
                 p = max(courtable, key=lambda j: ident[j])
             else:
                 p = None
-            states[i] = ProcessState(p, m)
+            states[i] = (p, m)
         configs.append(Configuration.from_states(g, states))
     return configs
 
@@ -289,15 +288,15 @@ def literal_realize(c, g, moves, semantics=STANDARD):
             raise TraceFormatError(f"unknown rule in record: {mv.rule}")
     if not realized:
         raise TraceFormatError("step recorded with no moves")
-    states = {i: ProcessState(c.p_of(i), c.m_of(i)) for i in g.nodes}
+    states = {i: (c.p_of(i), c.m_of(i)) for i in g.nodes}
     for mv in realized:
         i, p = mv.node, c.p_of(mv.node)
         if mv.rule is Rule.UPDATE:
-            states[i] = ProcessState(p, p is not None and c.p_of(p) == i)
+            states[i] = (p, p is not None and c.p_of(p) == i)
         elif mv.rule is Rule.ABANDONMENT:
-            states[i] = ProcessState(None, c.m_of(i))
+            states[i] = (None, c.m_of(i))
         else:
-            states[i] = ProcessState(mv.target, c.m_of(i))
+            states[i] = (mv.target, c.m_of(i))
     return tuple(realized), Configuration.from_states(g, states)
 
 

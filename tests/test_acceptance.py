@@ -16,7 +16,6 @@ import pytest
 from stabmatch.graph import Graph, generate
 from stabmatch.protocol import (
     Configuration,
-    ProcessState,
     Rule,
     RuleSemantics,
     random_configuration,
@@ -216,11 +215,7 @@ def test_criterion_5_trace_invariants(matrix):
 
 def _two_suitors():
     g = Graph.from_edges([1, 2, 3], [(1, 3), (2, 3)])
-    c0 = Configuration.from_states(g, {
-        1: ProcessState(3, False),
-        2: ProcessState(3, False),
-        3: ProcessState(None, False),
-    })
+    c0 = Configuration.from_states(g, {1: (3, False), 2: (3, False), 3: (None, False)})
     return g, c0
 
 

@@ -135,12 +135,22 @@ def test_non_integer_spec_numbers_are_usage_errors(input_path, capsys, graph, se
 
 
 def test_superscript_graph_count_is_a_usage_error(input_path, capsys):
-    """'²' passes str.isdigit but not int(): the header's graph must be
-    rejected as a graph format error, not end in a ValueError traceback."""
-    input_path.write_text(_with_header_graph("²\n"))
-    assert main(["verify", "--trace", str(input_path)]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == "error: line 1: expected node count\n"
+    """'²' passes str.isdigit but not int(), and where Python limits int() to
+    4 300 digits so does a 5 000-digit count: as a trace header's graph and
+    as a graph file, each must be rejected as a graph format error, not end
+    in a ValueError traceback."""
+    graph = input_path.with_name("count.g")
+    counts = ["²", LONG_INT] if hasattr(sys, "get_int_max_str_digits") else ["²"]
+    for count in counts:
+        input_path.write_text(_with_header_graph(count + "\n"))
+        graph.write_text(count + "\n")
+        for argv in (["verify", "--trace", input_path],
+                     ["export-dot", "--trace", input_path, "--out", graph.with_suffix(".dot")],
+                     ["run", "--graph", graph, "--policy", "synchronous"],
+                     ["search", "--graph", graph]):
+            assert main([str(a) for a in argv]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == "error: line 1: expected node count\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,6 @@ from stabmatch.protocol import (
     Configuration,
     MutableConfiguration,
     PredicateClass,
-    ProcessState,
     Rule,
     RuleSemantics,
     classify,
@@ -38,7 +37,7 @@ def graph_and_config(draw):
     for i in g.nodes:
         options = [None] + list(g.adjacency[i])
         p = options[draw(st.integers(0, len(options) - 1))]
-        states[i] = ProcessState(p, draw(st.booleans()))
+        states[i] = (p, draw(st.booleans()))
     return g, Configuration.from_states(g, states)
 
 
@@ -152,7 +151,7 @@ def _relabeled(g, c, data, tied):
     if data.draw(st.booleans()):
         h = Graph(tuple(data.draw(st.permutations(h.nodes))), h.adjacency, ident)
     return h, Configuration.from_states(h, {
-        key[u]: ProcessState(None if c.p_of(u) is None else key[c.p_of(u)], c.m_of(u))
+        key[u]: (None if c.p_of(u) is None else key[c.p_of(u)], c.m_of(u))
         for u in c.nodes})
 
 
@@ -233,7 +232,7 @@ class TestCommandTarget:
 
     def test_marriage_choice_must_be_suitor(self, two_suitors):
         g, c0 = two_suitors
-        c = c0.with_writes({1: ProcessState(None, False)})
+        c = c0.with_writes({1: (None, False)})
         with pytest.raises(ValueError, match="not a suitor"):
             command_target(c, g, 3, Rule.MARRIAGE, marriage_choice=1)
 
@@ -287,7 +286,7 @@ class TestLocality:
             return
         x = far[0]
         mutated = c.with_writes(
-            {x: ProcessState(None if clear_p else c.p_of(x), flip_m != c.m_of(x))}
+            {x: (None if clear_p else c.p_of(x), flip_m != c.m_of(x))}
         )
         assert enabled_rule(c, g, i) == enabled_rule(mutated, g, i)
         rule = enabled_rule(c, g, i)
@@ -310,7 +309,7 @@ class TestLocality:
         for x in g.adjacency[i]:
             if x != pi:
                 p = data.draw(st.sampled_from([None, *g.adjacency[x]]))
-                writes[x] = ProcessState(p, data.draw(st.booleans()))
+                writes[x] = (p, data.draw(st.booleans()))
         mutated = c.with_writes(writes)
         rule = enabled_rule(c, g, i, semantics)
         assert enabled_rule(mutated, g, i, semantics) == rule
@@ -367,24 +366,23 @@ class TestNormalize:
 class TestWithWrites:
     def test_derived_configuration_shares_the_node_index(self, p3):
         c = Configuration.all_null(p3)
-        c2 = c.with_writes({1: ProcessState(2, True)})
+        c2 = c.with_writes({1: (2, True)})
         assert c2._index is c._index
         fresh = Configuration(c2.nodes, c2.p, c2.m)
         assert c2 == fresh and hash(c2) == hash(fresh)
-        assert c2.state(1) == ProcessState(2, True) and c.state(1) == ProcessState(None, False)
+        assert (c2.p_of(1), c2.m_of(1)) == (2, True) and (c.p_of(1), c.m_of(1)) == (None, False)
 
 
 class TestFromStates:
     def test_states_name_each_node_once(self, p3):
-        states = {i: ProcessState(None, False) for i in p3.nodes}
+        states = {i: (None, False) for i in p3.nodes}
         assert Configuration.from_states(p3, states) == Configuration.all_null(p3)
         del states[2]
         with pytest.raises(ValueError, match="cover exactly the graph's nodes"):
             Configuration.from_states(p3, states)
 
     def test_a_pointer_names_a_neighbor_or_nothing(self, p3):
-        states = {0: ProcessState(2, False), 1: ProcessState(None, False),
-                  2: ProcessState(None, False)}
+        states = {0: (2, False), 1: (None, False), 2: (None, False)}
         with pytest.raises(ValueError, match="p of node 0 must be a neighbor or null"):
             Configuration.from_states(p3, states)
 

@@ -14,7 +14,6 @@ from stabmatch.protocol import (
     STANDARD,
     Configuration,
     MutableConfiguration,
-    ProcessState,
     Rule,
     enabled_rule,
     random_configuration,
@@ -464,8 +463,8 @@ class TestTraceFromSchedule:
 
 class TestRecordTypes:
     """Move and StepRecord are slotted and write each field through its
-    slot's setter; they keep the frozen dataclass contract, as
-    ProcessState does."""
+    slot's setter; they keep the frozen dataclass contract. A process's
+    state has no record type: it is a ``(p, m)`` pair."""
 
     @pytest.mark.parametrize("cls, names, args, text", [
         (Move, ["node", "rule", "target"], (3, Rule.MARRIAGE, 5),
@@ -473,7 +472,6 @@ class TestRecordTypes:
         (StepRecord, ["index", "moves", "round_index"], (0, (Move(1, Rule.UPDATE),), 2),
          "StepRecord(index=0, moves=(Move(node=1, rule=<Rule.UPDATE: 'update'>, "
          "target=None),), round_index=2)"),
-        (ProcessState, ["p", "m"], (4, True), "ProcessState(p=4, m=True)"),
     ])
     def test_fields_equality_hash_repr_and_frozen(self, cls, names, args, text):
         record = cls(*args)
@@ -509,25 +507,15 @@ class TestRecordTypes:
             apply_realized(c, writes)
         assert rules == set(Rule)
 
-    def test_run_and_its_audits_build_no_process_state(self, monkeypatch):
-        """A write is a (p, m) pair: a run, its audit, and the audit of its
-        trace parsed back from text construct no ProcessState, on a
-        synchronous trace whose moves cover all four rules."""
-        built = []
-        init = ProcessState.__init__
-
-        def counted(self, p, m):
-            built.append((p, m))
-            init(self, p, m)
-
-        monkeypatch.setattr(ProcessState, "__init__", counted)
+    def test_a_four_rule_run_and_its_parsed_trace_audit_clean(self):
+        """A synchronous trace whose moves cover all four rules, written as
+        ``(p, m)`` pairs, passes its audit, as does its trace parsed back
+        from text."""
         g = generate("random_gnm", 300, 900, 1)
         t = run(g, random_configuration(g, 1), DaemonPolicy("synchronous", seed=1))
         assert all(trace_counters(t).values())
         assert audit_trace(t).all_pass
         assert audit_trace(parse_trace(write_trace(t))).all_pass
-        assert built == []
-        assert ProcessState(4, True) == ProcessState(4, True) and len(built) == 2
 
     def test_rules_hash_by_identity(self):
         """Rule members are singletons, so a dict keyed by them (the guards'

@@ -194,6 +194,32 @@ def test_livelock_cycle_returns_to_its_start(g):
     assert configs[len(result.livelock_prefix)] == configs[-1]
 
 
+TIED = {name: Graph.from_edges(range(n), edges, ident={i: 0 for i in range(n)})
+        for name, n, edges in [("P2", 2, [(0, 1)]), ("P3", 3, [(0, 1), (1, 2)]),
+                               ("K3", 3, [(0, 1), (0, 2), (1, 2)])]}
+
+
+@pytest.mark.parametrize("branch_marriage", (False, True))
+@pytest.mark.parametrize("name", TIED)
+def test_equal_identifiers_on_an_edge_livelock(name, branch_marriage):
+    """The shipped protocol assumes unique identifiers. With every identifier
+    equal it livelocks: on P2, from 0 pointing at 1 and 1 null, 0 abandons
+    (its pointee's identifier is no larger) as 1 marries 0, and the next
+    step mirrors it. The trace format names a node by its identifier, so it
+    cannot carry these graphs (``write_graph`` refuses a custom identifier
+    map) and no golden trace pins them."""
+    g = TIED[name]
+    result = exhaustive_search(g, "all", branch_marriage)
+    assert result.livelock
+    assert result == reference_search(g, "all", branch_marriage)
+    steps = result.livelock_prefix + result.livelock_cycle
+    trace = witness_trace(g, result.livelock_initial, steps)
+    configs = replay_configurations(
+        g, result.livelock_initial, [r.moves for r in trace.records])
+    assert len(result.livelock_cycle) >= 1
+    assert configs[len(result.livelock_prefix)] == configs[-1]
+
+
 # n = 5 graphs where every closed neighborhood leaves some node out, so
 # even a null-pointer node's results are cached under less than the whole
 # state; C5 and the bull are labeled as in the benchmark's search workload

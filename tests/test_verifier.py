@@ -10,7 +10,6 @@ from stabmatch.graph import Graph, generate
 from stabmatch.protocol import (
     Configuration,
     MutableConfiguration,
-    ProcessState,
     Rule,
     RuleSemantics,
     STANDARD,
@@ -343,7 +342,7 @@ class TestForgedTraces:
         # iteration order, pinned to what the full-scan audit reported.
         nodes = range(40)
         g = Graph.from_edges(nodes, [(2 * k, 2 * k + 1) for k in range(20)])
-        c0 = Configuration.from_states(g, {i: ProcessState(i ^ 1, True) for i in nodes})
+        c0 = Configuration.from_states(g, {i: (i ^ 1, True) for i in nodes})
         forged = forge_trace(g, c0, [tuple(Move(i, Rule.ABANDONMENT) for i in movers)])
         check = audit_trace(forged).checks["marriage_persistence"]
         assert check.counterexample_step == 0
@@ -387,7 +386,7 @@ class TestForgedTraces:
     def test_tampered_final_is_corrupt(self, p2):
         t = run(p2, Configuration.all_null(p2), DaemonPolicy("sequential_random", seed=2))
         bad = dataclasses.replace(
-            t, final=t.final.with_writes({0: ProcessState(None, False)})
+            t, final=t.final.with_writes({0: (None, False)})
         )
         with pytest.raises(CorruptTraceError, match="final configuration"):
             audit_trace(bad)
