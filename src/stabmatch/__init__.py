@@ -13,7 +13,6 @@ from .protocol import (
     command_target,
     enabled_rule,
     enabled_rules,
-    normalize,
     parse_configuration,
     pr_married,
     random_configuration,

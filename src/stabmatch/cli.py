@@ -110,13 +110,9 @@ def cmd_gen(args) -> int:
         g = generate(args.kind, args.n, args.m, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    text = write_graph(g)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-        print(f"n={g.n} m={g.m}", file=sys.stderr)
-    else:
-        _write(args.out, text)
-        print(f"n={g.n} m={g.m}")
+    _write(args.out, write_graph(g))
+    # beside a graph on stdout, the counts go to stderr so a pipe reads the graph alone
+    print(f"n={g.n} m={g.m}", file=sys.stderr if args.out in (None, "-") else sys.stdout)
     return EXIT_OK
 
 
@@ -289,8 +285,7 @@ def cmd_search(args) -> int:
         _search_status(result.explored, result.memo_size, time.perf_counter() - start)
     sys.stdout.write(result.to_text())
     if args.witness_out and result.witness_initial is not None:
-        trace = witness_trace(g, result.witness_initial, result.witness,
-                              policy_desc="search-witness")
+        trace = witness_trace(g, result.witness_initial, result.witness)
         _write(args.witness_out, write_trace(trace))
     if not result.complete:
         return EXIT_INCOMPLETE
@@ -314,7 +309,6 @@ def cmd_step(args) -> int:
     g = _load_graph(args.graph)
     c0 = _load_init(args.init, g)
     rng = random.Random(args.seed)
-    history: list[tuple[int, ...]] = []
     execution = Execution(g, c0, STANDARD, enabled_rule)
     print("interactive stepper; enter node ids, 'all', 'rand', 'undo', "
           "'save FILE', or 'quit'")
@@ -333,11 +327,11 @@ def cmd_step(args) -> int:
         if tokens[0] in ("quit", "q"):
             break
         if tokens[0] == "undo":
-            if history:
-                history.pop()
+            if execution.records:
+                fired = execution.records[:-1]
                 execution = Execution(g, c0, STANDARD, enabled_rule)
-                for chosen in history:
-                    execution.fire(chosen)
+                for record in fired:
+                    execution.fire([mv.node for mv in record.moves])
             else:
                 print("nothing to undo")
             continue
@@ -345,10 +339,10 @@ def cmd_step(args) -> int:
             if len(tokens) != 2:
                 print("usage: save FILE")
                 continue
-            trace = execution.trace("interactive", 0, max(len(history), 1))
+            trace = execution.trace("interactive", 0, max(len(execution.records), 1))
             try:
                 _write(tokens[1], write_trace(trace))
-                print(f"saved {len(history)} steps to {tokens[1]}")
+                print(f"saved {len(execution.records)} steps to {tokens[1]}")
             except OSError as exc:
                 print(f"cannot write {tokens[1]}: {exc}")
             continue
@@ -379,7 +373,6 @@ def cmd_step(args) -> int:
                 continue
         if not chosen:
             continue
-        history.append(chosen)
         execution.fire(chosen)
         print("fired: " + ", ".join(
             f"{mv.node}:{mv.rule.value}" for mv in execution.records[-1].moves))

@@ -1,10 +1,11 @@
 """Undirected simple graphs with totally ordered node identifiers.
 
-Nodes are nonnegative integers. The matching protocol only requires
-identifiers to be unique within two hops, so a graph may optionally carry a
-separate identifier assignment (``ident``) to model hand-crafted instances
-where distant nodes share an identifier value. Generators and the file
-format always use globally unique identifiers equal to the node keys.
+Nodes are nonnegative integers. A graph may carry a separate identifier
+assignment (``ident``) in which nodes share a value. The paper assumes
+identifiers unique within two hops; the tests pin that equal identifiers on
+an edge livelock, and that proper colorings of six graphs, which repeat
+identifiers within two hops, stabilize. Generators and the file format
+always use globally unique identifiers equal to the node keys.
 """
 
 from __future__ import annotations
@@ -153,8 +154,8 @@ def text_digest(graph_text: str) -> str:
 def check_distance2_unique(g: Graph) -> list[tuple[int, int]]:
     """Return node pairs within two hops that share an identifier value.
 
-    Empty result means the identifier discipline the protocol relies on
-    holds. Globally unique identifiers (the default) trivially pass.
+    Empty result means the paper's assumption, identifiers unique within two
+    hops, holds. The tests find proper colorings that fail it and stabilize.
     """
     violations = []
     for u in g.nodes:
@@ -253,8 +254,10 @@ def read_graph(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: expected 'u v'")
         try:
             u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer node id") from None
+        except ValueError:  # int() refuses decimal digits only past its int-string digit limit
+            digits = parts[0].isdecimal() and parts[1].isdecimal()
+            why = "node id too long" if digits else "non-integer node id"
+            raise GraphFormatError(f"line {lineno}: {why}") from None
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop {u}")
         if not 0 <= u < v:

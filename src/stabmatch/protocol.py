@@ -183,22 +183,6 @@ class MutableConfiguration:
         return self.freeze().to_text()
 
 
-def normalize(g: Graph, raw: Mapping[int, tuple] | Configuration) -> Configuration:
-    """Coerce an arbitrary assignment into a well-formed configuration.
-
-    Pointer values outside N(i) or null become null, m-values are coerced to
-    booleans, missing nodes default to (null, false). Idempotent on
-    well-formed input.
-    """
-    if isinstance(raw, Configuration):
-        raw = dict(zip(raw.nodes, zip(raw.p, raw.m)))
-    states = {}
-    for i in g.nodes:
-        p, m = raw.get(i, (None, False))
-        states[i] = (p if p in g.adjacency[i] else None, m)
-    return Configuration.from_states(g, states)
-
-
 def random_configuration(g: Graph, seed: int) -> Configuration:
     """Seeded well-formed configuration: p uniform over N(i) plus null, m uniform."""
     rng = random.Random(seed)
@@ -228,8 +212,10 @@ def parse_configuration(text: str, g: Graph) -> Configuration:
         try:
             i = int(parts[0])
             j = None if parts[1] == "-" else int(parts[1])
-        except ValueError:
-            raise ConfigFormatError(f"line {lineno}: non-integer field") from None
+        except ValueError:  # int() refuses decimal digits only past its int-string digit limit
+            digits = parts[0].isdecimal() and (parts[1] == "-" or parts[1].isdecimal())
+            why = "integer field too long" if digits else "non-integer field"
+            raise ConfigFormatError(f"line {lineno}: {why}") from None
         if parts[2] not in ("t", "f"):
             raise ConfigFormatError(f"line {lineno}: m must be 't' or 'f'")
         k = index.get(i)

@@ -793,12 +793,11 @@ def witness_trace(
     c0: Configuration,
     steps: Iterable[WitnessStep],
     semantics: RuleSemantics = STANDARD,
-    policy_desc: str = "scripted",
 ) -> Trace:
-    """Materialize a schedule as a replayable trace with round annotations."""
+    """Materialize a search's schedule as a replayable ``search-witness`` trace."""
     return trace_from_schedule(
         g, c0,
         [(ws.chosen, dict(ws.marriage_choices)) for ws in steps],
-        policy_desc=policy_desc,
+        policy_desc="search-witness",
         semantics=semantics,
     )

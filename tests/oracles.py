@@ -33,7 +33,6 @@ from stabmatch.protocol import (
     enabled_nodes,
     enabled_rule,
     marriage_suitors,
-    normalize,
 )
 from stabmatch.scheduler import (
     Move,
@@ -702,7 +701,8 @@ def reference_read_graph(text: str) -> Graph:
 
 def reference_parse_configuration(text: str, g: Graph) -> Configuration:
     """The configuration parser as it was before it wrote state lists in
-    one pass: a dict of raw states, then ``normalize``."""
+    one pass: a dict of raw states, then one (p, m) pair per graph node, a
+    pointer outside N(i) made null."""
     raw: dict[int, tuple] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -726,7 +726,8 @@ def reference_parse_configuration(text: str, g: Graph) -> Configuration:
     missing = set(g.nodes) - set(raw)
     if missing:
         raise ConfigFormatError(f"missing state for nodes {sorted(missing)}")
-    return normalize(g, raw)
+    p = tuple(raw[i][0] if raw[i][0] in g.adjacency[i] else None for i in g.nodes)
+    return Configuration(g.nodes, p, tuple(raw[i][1] for i in g.nodes))
 
 
 def shrink_tallies(trace: Trace, semantics=STANDARD):

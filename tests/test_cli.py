@@ -48,8 +48,10 @@ class TestGen:
         assert "n=3 m=2" in capsys.readouterr().out
 
     def test_stdout_with_counts_on_stderr(self, workdir, capsys):
-        assert main(["gen", "--kind", "path", "--n", "3"]) == EXIT_OK
-        assert capsys.readouterr() == ("3\n0 1\n1 2\n", "n=3 m=2\n")
+        for out in ([], ["--out", "-"]):
+            assert main(["gen", "--kind", "path", "--n", "3", *out]) == EXIT_OK
+            assert capsys.readouterr() == ("3\n0 1\n1 2\n", "n=3 m=2\n")
+        assert list(workdir.iterdir()) == []
 
     def test_deterministic_files(self, workdir):
         for name in ("a.g", "b.g"):

@@ -257,3 +257,27 @@ def test_json_the_decoder_refuses_is_a_usage_error(input_path, capsys, text):
     input_path.write_text(text)
     _fails_with_one_error_line(["experiment", "--spec", str(input_path)], capsys,
                                "bad experiment spec: " if refused else "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python's int() reads integers of any length")
+@pytest.mark.parametrize("option, text, fragment", [
+    ("--graph", f"2\n0 {LONG_INT}\n", "line 2: node id too long"),
+    ("--init", f"0 - f\n{LONG_INT} - f\n", "line 2: integer field too long"),
+    ("--init", f"0 {LONG_INT} f\n1 - f\n", "line 1: integer field too long"),
+], ids=["graph-node-id", "init-node-id", "init-pointer"])
+def test_an_integer_past_the_digit_limit_is_too_long(input_path, graph_path, capsys,
+                                                      option, text, fragment):
+    """int() refuses a run of decimal digits only past Python's int-string
+    digit limit: a node id or a configuration field that long is named too
+    long, not non-integer, in a graph file, a trace header's graph and a
+    configuration file."""
+    input_path.write_text(text)
+    if option == "--init":
+        _fails_with_one_error_line(["run", "--graph", graph_path, "--init", str(input_path),
+                                    "--policy", "synchronous"], capsys, fragment)
+        return
+    _fails_with_one_error_line(["run", "--graph", str(input_path), "--policy", "synchronous"],
+                               capsys, fragment)
+    input_path.write_text(_with_header_graph(text))
+    _fails_with_one_error_line(["verify", "--trace", str(input_path)], capsys, fragment)

@@ -16,7 +16,6 @@ from stabmatch.protocol import (
     enabled_nodes,
     enabled_rule,
     enabled_rules,
-    normalize,
     parse_configuration,
     pr_married,
     random_configuration,
@@ -336,31 +335,6 @@ class TestMonotoneMarriage:
             c2 = c.with_writes({x: command_target(c, g, x, rule)})
             for i, j in married:
                 assert c2.p_of(i) == j and c2.p_of(j) == i
-
-
-class TestNormalize:
-    def test_out_of_neighborhood_pointer_cleared(self, p3):
-        c = normalize(p3, {0: (2, False), 1: (None, False), 2: (1, False)})
-        assert c.p_of(0) is None and c.p_of(2) == 1
-
-    def test_idempotent(self, p3):
-        c = normalize(p3, {0: (5, 1), 1: (0, 0), 2: (None, "yes")})
-        assert normalize(p3, c) == c
-
-    def test_missing_nodes_default(self, p3):
-        c = normalize(p3, {})
-        assert c == Configuration.all_null(p3)
-
-    @given(st.integers(0, 10**6), st.dictionaries(
-        st.integers(0, 3), st.tuples(st.integers(-2, 9), st.integers(0, 1))
-    ))
-    @settings(max_examples=100, deadline=None)
-    def test_fuzzed_raw_states_become_wellformed(self, seed, raw):
-        g = generate("path", 4)
-        c = normalize(g, raw)
-        for i in g.nodes:
-            assert c.p_of(i) is None or c.p_of(i) in g.adjacency[i]
-            assert isinstance(c.m_of(i), bool)
 
 
 class TestWithWrites:

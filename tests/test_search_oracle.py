@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabmatch import protocol, scheduler, verifier
-from stabmatch.graph import Graph, generate
+from stabmatch.graph import Graph, check_distance2_unique, generate
 from stabmatch.protocol import (
     STANDARD,
     Configuration,
@@ -218,6 +218,40 @@ def test_equal_identifiers_on_an_edge_livelock(name, branch_marriage):
         g, result.livelock_initial, [r.moves for r in trace.records])
     assert len(result.livelock_cycle) >= 1
     assert configs[len(result.livelock_prefix)] == configs[-1]
+
+
+def _colored(g, ident):
+    return Graph.from_edges(g.nodes, g.edges(), ident=dict(zip(g.nodes, ident)))
+
+
+K23 = Graph.from_edges(range(5), [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+# proper colorings that repeat an identifier within distance 2, with the
+# worst steps of each under every schedule
+COLORED = {
+    "P3": (_colored(generate("path", 3), (1, 0, 1)), 9),
+    "C4": (_colored(generate("cycle", 4), (0, 1, 0, 1)), 18),
+    "C5": (_colored(generate("cycle", 5), (0, 1, 0, 1, 2)), 23),
+    "C6": (_colored(generate("cycle", 6), [i % 2 for i in range(6)]), 28),
+    "P6": (_colored(generate("path", 6), [i % 2 for i in range(6)]), 27),
+    "K2,3": (_colored(K23, (1, 1, 0, 0, 0)), 24),
+    "K2,3-swapped": (_colored(K23, (0, 0, 1, 1, 1)), 20),
+}
+
+
+@pytest.mark.parametrize("name", COLORED)
+def test_proper_colorings_stabilize_within_the_step_bound(name):
+    """Adjacent identifiers differ, but identifiers repeat within distance
+    2, which is less than the paper assumes: every schedule from every
+    configuration still reaches a maximal matching within 3n + 2m steps,
+    and the worst witness passes the audit. The trace format names a node
+    by its identifier, so it cannot carry these graphs (``write_graph``
+    refuses a custom identifier map) and no golden trace pins them."""
+    g, worst = COLORED[name]
+    assert check_distance2_unique(g) != []
+    result = exhaustive_search(g, "all", branch_marriage=True)
+    assert result.ok and result.worst_steps == worst
+    report = audit_trace(witness_trace(g, result.witness_initial, result.witness))
+    assert report.all_pass and report.steps == worst
 
 
 # n = 5 graphs where every closed neighborhood leaves some node out, so
