@@ -101,14 +101,14 @@ def check_maximal(
                  for v in vs if v > u and v not in matched), None)
 
 
-def _mark_active(c: Configuration, g: Graph, married: Container[int], nodes: Iterable[int],
+def _mark_active(c: Configuration, g: Graph, pair_of: Container[int], nodes: Iterable[int],
                  mask: bytearray) -> None:
     """Set ``mask``, over positions in ``g.nodes``, at each of ``nodes`` to
-    whether it is neither married nor dead, given c's married nodes."""
+    whether it is neither married nor dead, given c's married nodes as keys."""
     index, p, adjacency = c._index, c.p, g.adjacency
     for i in nodes:
-        mask[index[i]] = i not in married and (
-            p[index[i]] is not None or not all(j in married for j in adjacency[i]))
+        mask[index[i]] = i not in pair_of and (
+            p[index[i]] is not None or not all(j in pair_of for j in adjacency[i]))
 
 
 def _components(mask: bytes, g: Graph) -> list[list[int]]:
@@ -199,6 +199,9 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     report: it starts as a pass, or a skip where the check does not apply,
     its first counterexample replaces it (with the step and a configuration
     snapshot), and its measured values are written onto it at the end.
+    Within one step that is the first in the recorded move order, each edge
+    and pair once, and of a configuration's processes with several guards,
+    the smallest node.
 
     The replay runs on an Execution evaluating ``enabled_rules``, so each
     process's guards are known and, after each step, only the movers and the
@@ -206,14 +209,14 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     ``replay_step`` writes each recorded step into the Execution's
     configuration, as ``export-dot --at-step`` does into its own. One pass
     over the recorded moves then checks each against its node's held rules,
-    counts updates per node, and lists the step's edges (to a mover's new
-    pointer, or an abandonment's old one, which the Execution keeps until
-    ``advance``), the married pairs the movers broke and the movers now
-    pointing at a process that points back; divorces and weddings are then
-    settled from those lists. A pre-step configuration is rebuilt only for a
-    first failure's snapshot. Married pairs are indexed by node; once the
-    replay has reproduced the final configuration they are its matching,
-    and each process is classified there once. When active_component_shrink
+    counts updates per node, drops each married pair a mover broke, and lists
+    the step's edges (to a mover's new pointer, or an abandonment's old one,
+    which the Execution keeps until ``advance``) and the movers now pointing
+    at a process that points back; weddings are then settled from that list.
+    A pre-step configuration is rebuilt only for a first failure's snapshot.
+    The matching is kept only as each married node's pair; once the replay
+    has reproduced the final configuration it is that configuration's, and
+    each process is classified there once. When active_component_shrink
     applies, the active set is kept across steps as one byte per position
     in ``g.nodes``: at each round boundary only the processes whose activity
     the round can have changed are decided again (its movers, the endpoints
@@ -249,9 +252,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     c = execution.config
     enabled, index, p = execution.enabled, c._index, c.p
     old_p, old_m = execution._p, execution._m  # as of the last advance: a mover's pre-step state
-    # the married pairs, and each married process's pair
-    married = set(extract_matching(trace.initial, g))
-    pair_of = {u: pair for pair in married for u in pair}
+    pair_of = {u: pair for pair in extract_matching(trace.initial, g) for u in pair}
     update_counts: dict[int, int] = {}
     edge_step_counts: dict[tuple[int, int], int] = {}
     edge_third_step: dict[tuple[int, int], int] = {}
@@ -265,12 +266,14 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     for record in (*trace.records, None):
         for i in fresh:
             if len(enabled[i]) > 1:
+                i = min(k for k in fresh if len(enabled[k]) > 1)
                 hit(
                     "guard_exclusivity", at,
                     f"node {i} has guards {[r.value for r in enabled[i]]} "
                     + (f"after step {at - 1}" if at else "in the initial configuration"),
                     snapshot=c.to_text,
                 )
+                break
         if record is None:
             break
         try:
@@ -278,9 +281,10 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         except TraceFormatError as exc:
             raise CorruptTraceError(f"corrupt trace: step {record.index}: {exc}") from exc
 
-        # one pass over the moves, after the write: the movers, their edges,
-        # the pairs they broke, and those now pointing at a process pointing back
-        moved, step_edges, separated, weds = [], [], [], []
+        # one pass over the moves, after the write: the movers, their edges, the
+        # pairs they broke (dropped at once), those now pointing at a process
+        # pointing back, and the partners of pairs that separate or wed
+        moved, step_edges, flipped, weds = [], [], [], []
         for mv in record.moves:
             i, rule = mv.node, mv.rule
             moved.append(i)
@@ -305,11 +309,16 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             mutual = j is not None and p[index[j]] == i
             pair = pair_of.get(i)
             if pair is not None and not (mutual and j in pair):
-                separated.append(pair)
+                hit(
+                    "marriage_persistence", record.index,
+                    f"married pair {pair} separated",
+                    snapshot=pre_step_text,
+                )
+                del pair_of[pair[0]], pair_of[pair[1]]
+                flipped += pair
             if mutual and (pair is None or j not in pair):
                 weds.append(i)
-        # an edge counts once a step; several, in a set's order, as reported
-        for e in step_edges if len(step_edges) < 2 else set(step_edges):
+        for e in dict.fromkeys(step_edges):  # an edge counts once a step
             count = edge_step_counts[e] = edge_step_counts.get(e, 0) + 1
             if count == 3:
                 edge_third_step[e] = record.index
@@ -320,29 +329,10 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     snapshot=pre_step_text,
                 )
 
-        if len(separated) > 1:
-            # report them in the married set's order, as a scan of it would
-            broken = set(separated)
-            separated = [pair for pair in married if pair in broken]
-        for u, v in separated:
-            hit(
-                "marriage_persistence", record.index,
-                f"married pair ({u}, {v}) separated",
-                snapshot=pre_step_text,
-            )
-            married.discard((u, v))
-            del pair_of[u], pair_of[v]
-        flipped = [u for pair in separated for u in pair] if separated else []  # and the wed
-        if len(weds) > 1:
-            # wed in the order a set of the movers lists them: a report of
-            # several divorces follows the married set's order, set by its additions
-            pending = set(weds)
-            weds = [i for i in set(moved) if i in pending]
         for i in weds:
             if i not in pair_of:  # its partner may have wed it already
                 j = p[index[i]]
                 pair = (i, j) if i < j else (j, i)
-                married.add(pair)
                 pair_of[i] = pair_of[j] = pair
                 flipped += pair
         if round_applicable:
@@ -406,7 +396,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             "m_flag_consistency", "skip",
             detail="only evaluated on stable final configurations")
     else:
-        witness = check_maximal(married, g)
+        witness = check_maximal(pair_of.values(), g)
         if witness is not None:
             hit(
                 "stable_is_maximal", trace.steps,
@@ -461,7 +451,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                              "edges_at_three": len(edge_third_step)}),
         ("step_bound", {"steps": trace.steps, "bound": steps_allowed}),
         ("round_bound", {"rounds": trace.rounds, "bound": rounds_allowed}),
-        ("stable_is_maximal", {"matching_size": len(married)}),
+        ("stable_is_maximal", {"matching_size": len(pair_of) // 2}),
         ("active_component_shrink", shrink),
     ):
         checks[name].measured.update(measured)

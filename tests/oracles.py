@@ -820,11 +820,9 @@ def move_tallies(trace: Trace, semantics=STANDARD):
     A move is on the edge from its node to the node's pointer after the
     step, or before it for an abandonment, and an edge that two moves of a
     step are on counts that step once. Where one step holds several
-    counterexamples the audit's report order is followed: fourth steps in
-    the order a set of the step's edges, built in move order, lists them;
-    divorces in the order of a set of the married pairs kept as the audit
-    keeps it, from the initial matching, each step's divorces discarded and
-    its weddings added in the order a set of its movers lists them.
+    counterexamples the first in the recorded move order is reported, as
+    the audit reports it: a fourth step by its edge's first move, a divorce
+    by the first mover of the pair.
     """
     g = trace.graph
     configs = replay_configurations(g, trace.initial, [r.moves for r in trace.records],
@@ -839,7 +837,7 @@ def move_tallies(trace: Trace, semantics=STANDARD):
     def wed(c, u):
         return literal_predicates(c, g, u)["married"]
 
-    pairs = set(extract_matching(trace.initial, g))
+    pair_of = {u: pair for pair in extract_matching(trace.initial, g) for u in pair}
     updates, edge_steps, third = {}, {}, {}
     for k, record in enumerate(trace.records):
         before, after = configs[k], configs[k + 1]
@@ -857,21 +855,22 @@ def move_tallies(trace: Trace, semantics=STANDARD):
             else:
                 j = (before if mv.rule is Rule.ABANDONMENT else after).p_of(i)
                 edges.append((min(i, j), max(i, j)))
-        for e in set(edges):
+        for e in dict.fromkeys(edges):
             edge_steps[e] = edge_steps.get(e, 0) + 1
             if edge_steps[e] == 3:
                 third[e] = k
             elif edge_steps[e] == 4:
                 hit("edge_move_limit", k, f"edge {e} saw a fourth step with a move on it", text)
-        for u, v in [(u, v) for u, v in pairs if not (wed(after, u) and after.p_of(u) == v)]:
-            hit("marriage_persistence", k, f"married pair ({u}, {v}) separated", text)
-            pairs.discard((u, v))
-        partnered = {u for pair in pairs for u in pair}
-        for i in {mv.node for mv in record.moves}:
-            if i not in partnered and wed(after, i):
+        movers = [mv.node for mv in record.moves]
+        for i in movers:
+            if i in pair_of and not (wed(after, i) and after.p_of(i) in pair_of[i]):
+                u, v = pair_of[i]
+                hit("marriage_persistence", k, f"married pair ({u}, {v}) separated", text)
+                del pair_of[u], pair_of[v]
+        for i in movers:
+            if i not in pair_of and wed(after, i):
                 j = after.p_of(i)
-                pairs.add((min(i, j), max(i, j)))
-                partnered.update((i, j))
+                pair_of[i] = pair_of[j] = (min(i, j), max(i, j))
     c0 = trace.initial
     for u, v in sorted(third):
         if (c0.p_of(u) == v) == (c0.p_of(v) == u):

@@ -331,15 +331,15 @@ class TestForgedTraces:
         assert check.snapshot == pre_step_text(forged, 3)
 
     @pytest.mark.parametrize("movers, reported", [
-        ((4, 11, 22, 37), (10, 11)),
+        ((4, 11, 22, 37), (4, 5)),
         ((2, 30), (2, 3)),
         ((0, 8, 17, 25, 39), (0, 1)),
         ((12, 20, 33), (12, 13)),
+        ((5, 4, 31, 30), (4, 5)),
     ])
     def test_several_divorces_in_one_step_report_a_fixed_pair(self, movers, reported):
         # twenty married pairs (2k, 2k + 1); one forged step breaks several.
-        # The reported pair is the first separated one in the married set's
-        # iteration order, pinned to what the full-scan audit reported.
+        # The reported pair is the first mover's, in the recorded move order.
         nodes = range(40)
         g = Graph.from_edges(nodes, [(2 * k, 2 * k + 1) for k in range(20)])
         c0 = Configuration.from_states(g, {i: (i ^ 1, True) for i in nodes})
@@ -349,21 +349,38 @@ class TestForgedTraces:
         assert check.detail == f"married pair {reported} separated"
         assert check.snapshot == c0.to_text()
 
-    def test_divorces_after_several_weddings_follow_the_wedding_order(self):
+    def test_divorces_after_several_weddings_follow_the_move_order(self):
         """Two pairs wed in one step and both separate in the next. The
-        married set lists them in the order they were added, which is the
-        order a set of the movers lists them: 689 before 412 here, though
-        412 moves first. The reported pair is pinned to what the audit
-        reported when it scanned that set of movers for weddings."""
+        reported pair is the first mover's of the divorcing step, whatever
+        order the weddings came in."""
         g = Graph.from_edges([412, 689, 871, 932], [(412, 871), (689, 932)])
         c0 = config_of(g, {871: (412, False), 932: (689, False)})
-        forged = forge_trace(g, c0, [
-            (Move(412, Rule.MARRIAGE), Move(689, Rule.MARRIAGE)),
-            (Move(689, Rule.ABANDONMENT), Move(871, Rule.ABANDONMENT)),
-        ])
-        check = audit_trace(forged).checks["marriage_persistence"]
+        for movers, reported in (((689, 871), (689, 932)), ((871, 689), (412, 871))):
+            forged = forge_trace(g, c0, [
+                (Move(412, Rule.MARRIAGE), Move(689, Rule.MARRIAGE)),
+                tuple(Move(i, Rule.ABANDONMENT) for i in movers),
+            ])
+            check = audit_trace(forged).checks["marriage_persistence"]
+            assert (check.counterexample_step, check.detail) == (
+                1, f"married pair {reported} separated")
+            assert _move_outcome(forged, STANDARD) == move_tallies(forged)
+
+    @pytest.mark.parametrize("movers, reported", [((3, 10), (3, 4)), ((10, 3), (10, 11))],
+                             ids=["3-first", "10-first"])
+    def test_several_fourth_steps_in_one_step_report_the_first_movers_edge(
+            self, movers, reported):
+        """Two edges churn together and reach a fourth step in the same
+        step; the reported edge is the first mover's."""
+        g = Graph.from_edges([3, 4, 10, 11], [(3, 4), (10, 11)])
+        churn = [
+            tuple(Move(i, Rule.SEDUCTION) for i in movers),
+            tuple(Move(i, Rule.ABANDONMENT) for i in movers),
+        ] * 2
+        forged = forge_trace(g, Configuration.all_null(g), churn)
+        check = audit_trace(forged).checks["edge_move_limit"]
         assert (check.counterexample_step, check.detail) == (
-            1, "married pair (689, 932) separated")
+            3, f"edge {reported} saw a fourth step with a move on it")
+        assert check.snapshot == pre_step_text(forged, 3)
         assert _move_outcome(forged, STANDARD) == move_tallies(forged)
 
     def test_seduce_abandon_churn_fails_edge_move_limit(self, p2):
@@ -472,6 +489,25 @@ class TestWrongGuards:
         assert (check.verdict, check.counterexample_step, check.detail) == ("fail", step, detail)
         assert check.snapshot == pre_step_text(t, step)
         assert [c.name for c in report.failures()] == ["guard_exclusivity"]
+
+    def test_several_offenders_report_the_smallest_node(self, monkeypatch):
+        """Synchronous: 1 and 8 first correct their m flags, and then each
+        may court its partner, where the patched guards give both a second
+        rule. They are re-evaluated in one step, in the order a set of them
+        lists them (8 before 1); the report names the smallest, 1."""
+        g = Graph.from_edges([1, 2, 8, 9], [(1, 2), (8, 9)])
+        t = run(g, config_of(g, {1: (None, True), 8: (None, True)}), DaemonPolicy("synchronous"))
+        assert [mv.node for mv in t.records[0].moves] == [1, 8]
+
+        def guards(c, g, i, semantics=STANDARD):
+            rules = enabled_rules(c, g, i, semantics)
+            return rules + (Rule.ABANDONMENT,) if rules == (Rule.SEDUCTION,) else rules
+
+        monkeypatch.setattr("stabmatch.verifier.enabled_rules", guards)
+        check = audit_trace(t).checks["guard_exclusivity"]
+        assert (check.verdict, check.counterexample_step, check.detail) == (
+            "fail", 1, "node 1 has guards ['seduction', 'abandonment'] after step 0")
+        assert check.snapshot == pre_step_text(t, 1)
 
 
 def _components_by_smallest_left(nodes, g):
