@@ -128,15 +128,19 @@ def _print_report(report) -> int:
     return EXIT_FAIL
 
 
-def cmd_run(args) -> int:
-    g = _load_graph(args.graph)
-    c0 = _load_init(args.init, g)
+def _audited_run(g: Graph, init: str, policy_spec: str, seed: int, max_steps: int | None):
+    """Parse the policy, then load the init, run and audit: (policy, trace, report)."""
     try:
-        policy = DaemonPolicy.parse(args.policy, args.seed)
+        policy = DaemonPolicy.parse(policy_spec, seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    trace = run(g, c0, policy, max_steps=args.max_steps)
-    report = audit_trace(trace)
+    trace = run(g, _load_init(init, g), policy, max_steps=max_steps)
+    return policy, trace, audit_trace(trace)
+
+
+def cmd_run(args) -> int:
+    g = _load_graph(args.graph)
+    _, trace, report = _audited_run(g, args.init, args.policy, args.seed, args.max_steps)
     if args.trace_out:
         _write(args.trace_out, write_trace(trace))
     if args.report_out:
@@ -211,14 +215,8 @@ def cmd_experiment(args) -> int:
         for policy_spec in policies:
             for init_spec in inits:
                 for seed in seeds:
-                    try:
-                        policy = DaemonPolicy.parse(policy_spec, seed)
-                    except ValueError as exc:
-                        raise UsageError(str(exc)) from exc
                     init = init_spec if init_spec != "random" else f"random:{seed}"
-                    c0 = _load_init(init, g)
-                    trace = run(g, c0, policy, max_steps=max_steps)
-                    report = audit_trace(trace)
+                    policy, trace, report = _audited_run(g, init, policy_spec, seed, max_steps)
                     ok = report.all_pass
                     runs += 1
                     failures += 0 if ok else 1
@@ -339,7 +337,7 @@ def cmd_step(args) -> int:
             if len(tokens) != 2:
                 print("usage: save FILE")
                 continue
-            trace = execution.trace("interactive", 0, max(len(execution.records), 1))
+            trace = execution.trace("interactive")
             try:
                 _write(tokens[1], write_trace(trace))
                 print(f"saved {len(execution.records)} steps to {tokens[1]}")

@@ -11,9 +11,11 @@ always use globally unique identifiers equal to the node keys.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 GENERATOR_KINDS = ("path", "cycle", "complete", "star", "random_gnm")
 MAX_EDGE_FREE_NODES = 1_000_000  # the most nodes a graph file of a count alone names
@@ -128,19 +130,25 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, ())
 
+    def components(self, mask: bytes) -> list[list[int]]:
+        """Maximal connected components of the subgraph induced on the positions
+        set in ``mask``, as lists of positions, in the order of their smallest keys."""
+        around, left = self.around, bytearray(mask)  # left: not yet in a component
+        comps = []
+        for start in sorted(itertools.compress(range(len(mask)), mask), key=self.nodes.__getitem__):
+            if left[start]:
+                left[start] = 0
+                comp = [start]
+                for u in comp:
+                    for v in around[u]:
+                        if left[v]:
+                            left[v] = 0
+                            comp.append(v)
+                comps.append(comp)
+        return comps
+
     def is_connected(self) -> bool:
-        around = self.around
-        seen = bytearray(len(around))
-        seen[0] = 1
-        stack = [0]
-        reached = 1
-        while stack:
-            for v in around[stack.pop()]:
-                if not seen[v]:
-                    seen[v] = 1
-                    reached += 1
-                    stack.append(v)
-        return reached == len(around)
+        return len(self.components(b"\1" * self.n)) == 1
 
     def digest(self) -> str:
         return text_digest(write_graph(self))
@@ -221,6 +229,15 @@ def _random_connected_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
+def text_fields(text: str):
+    """``(lineno, fields)`` for each line, numbered from 1, that has a field
+    once its '#' comment is cut; iterated in C, with no Python frame per line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return filter(itemgetter(1), enumerate(map(str.split, lines), start=1))
+
+
 def read_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
@@ -233,12 +250,7 @@ def read_graph(text: str) -> Graph:
     n = None
     adj: defaultdict[int, list[int]] = defaultdict(list)
     seen: set[tuple[int, int]] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        parts = line.split()
-        if not parts:
-            continue
+    for lineno, parts in text_fields(text):
         if n is None:
             # isdecimal, not isdigit: int() rejects digits such as '²'
             if len(parts) != 1 or not parts[0].isdecimal():

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
-from .graph import Graph
+from .graph import Graph, text_fields
 
 
 class Rule(enum.Enum):
@@ -201,12 +201,7 @@ def parse_configuration(text: str, g: Graph) -> Configuration:
     index = {u: k for k, u in enumerate(nodes)}
     p: list[Optional[int]] = [None] * len(nodes)
     m: list[Optional[bool]] = [None] * len(nodes)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        parts = line.split()
-        if not parts:
-            continue
+    for lineno, parts in text_fields(text):
         if len(parts) != 3:
             raise ConfigFormatError(f"line {lineno}: expected 'id p m'")
         try:

@@ -84,10 +84,10 @@ class DaemonPolicy:
       max_id       always schedule the largest enabled identifier
       max_degree   prefer enabled nodes of maximum degree
       starve_one   withhold the largest-identifier node whenever possible
-    Sequential kinds fire singletons, synchronous fires the full enabled
-    set, distributed kinds fire arbitrary nonempty subsets. The fair kind
-    force-includes the longest-pending process, the smaller identifier on a
-    tie, so no process is ever passed over indefinitely.
+    Sequential kinds fire singletons, synchronous the full enabled set,
+    distributed kinds nonempty subsets (under min_id and max_id, the
+    sequential singleton). The fair kind force-includes the longest-pending
+    process, the smaller identifier on a tie, so none is passed over forever.
     """
 
     kind: str
@@ -329,11 +329,12 @@ class Execution:
         self.records.append(StepRecord(len(self.records), moves, self.round))
         return self.advance([mv.node for mv in moves])
 
-    def trace(self, policy: str, seed: int, max_steps: int) -> "Trace":
+    def trace(self, policy: str, seed: int = 0, max_steps: Optional[int] = None) -> "Trace":
         """The fired steps as a Trace from ``config.base`` to the current
-        configuration."""
+        configuration; ``max_steps`` defaults to the steps fired, at least 1."""
         return Trace(self.graph, policy, seed, self.config.base, tuple(self.records),
-                     self.config.freeze(), not self.enabled, max_steps)
+                     self.config.freeze(), not self.enabled,
+                     max(len(self.records), 1) if max_steps is None else max_steps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -545,7 +546,7 @@ def trace_from_schedule(
     execution = Execution(g, c0, semantics, enabled_rule)
     for chosen, choices in schedule:
         execution.fire(chosen, choices)
-    return execution.trace(policy_desc, 0, max(len(execution.records), 1))
+    return execution.trace(policy_desc)
 
 
 def write_trace(trace: Trace) -> str:

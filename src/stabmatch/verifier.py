@@ -111,24 +111,6 @@ def _mark_active(c: Configuration, g: Graph, pair_of: Container[int], nodes: Ite
             p[index[i]] is not None or not all(j in pair_of for j in adjacency[i]))
 
 
-def _components(mask: bytes, g: Graph) -> list[list[int]]:
-    """Maximal connected components of the subgraph induced on the positions
-    set in ``mask``, as lists of positions, in the order of their smallest keys."""
-    left = bytearray(mask)  # those not yet placed in a component
-    comps = []
-    for start in sorted(itertools.compress(range(len(mask)), mask), key=g.nodes.__getitem__):
-        if left[start]:
-            left[start] = 0
-            comp = [start]
-            for u in comp:
-                for v in g.around[u]:
-                    if left[v]:
-                        left[v] = 0
-                        comp.append(v)
-            comps.append(comp)
-    return comps
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -422,7 +404,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     if round_applicable:
         last = len(boundary_actives) - 1
         for b, mask in enumerate(boundary_actives):
-            for comp in _components(mask, g):
+            for comp in g.components(mask):
                 if len(comp) < 2:
                     continue
                 target = b + 4
@@ -703,16 +685,17 @@ def exhaustive_search(
     def replay(c0, length, pick):
         """``length`` steps from c0, the k-th to the successor at the index
         ``pick(k, succs)`` names, each fired by apply_step on a frozen
-        configuration, which re-checks it."""
+        configuration and checked to reach that successor."""
         steps = []
         c, state = c0, codec.encode(c0)
         for k in range(length):
             labels = []
             succs = _successors(decoded, g, semantics, branch_marriage, codec, caches, state, labels)
-            ws = labels[pick(k, succs)]
+            ws = labels[index := pick(k, succs)]
             steps.append(ws)
             c, _ = apply_step(c, g, ws.chosen, semantics, marriage_choices=dict(ws.marriage_choices))
-            state = codec.encode(c)
+            if (state := codec.encode(c)) != succs[index]:
+                raise RuntimeError(f"witness step {k}: apply_step misses the searched successor")
         return tuple(steps)
 
     def expand(s0: int) -> None:

@@ -185,6 +185,20 @@ class TestRun:
         assert calls == Counter(per_rule)
 
 
+@pytest.mark.parametrize("command", ["run", "experiment"])
+def test_unknown_policy_is_reported_before_a_missing_init(workdir, capsys, command):
+    """Both commands parse the policy before they read an init file."""
+    main(["gen", "--kind", "path", "--n", "3", "--out", "p3.g"])
+    if command == "run":
+        argv = ["run", "--graph", "p3.g", "--policy", "nosuch", "--init", "missing.cfg"]
+    else:
+        spec = {"graphs": [{"file": "p3.g"}], "policies": ["nosuch"], "inits": ["missing.cfg"]}
+        argv = ["experiment", "--spec", _write(workdir / "spec.json", json.dumps(spec))]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown policy kind: nosuch\n"
+
+
 class TestExperiment:
     def _spec(self, workdir, **overrides):
         spec = {

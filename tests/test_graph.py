@@ -13,6 +13,7 @@ from stabmatch.graph import (
 )
 
 from .oracles import distance2_violations
+from .test_verifier import _components_by_smallest_left
 
 
 class TestNeighbors:
@@ -142,6 +143,30 @@ class TestPositionTables:
             assert list(h.around) == [
                 tuple(h.nodes.index(v) for v in h.adjacency[u]) for u in h.nodes]
             assert list(h.rank) == [h.ident[u] for u in h.nodes]
+
+
+class TestComponents:
+    """``components`` and ``is_connected`` against a key-based walk over
+    ``adjacency``: on graphs whose keys are not 0..n-1 and whose ``nodes``
+    are listed in a drawn order, and on an edge-free file."""
+
+    @given(sparse_edge_lists(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_match_a_key_based_walk(self, drawn, data):
+        keys, edges, _ = drawn
+        g = Graph.from_edges(keys, edges)
+        g = Graph(tuple(keys), {u: g.adjacency[u] for u in keys})
+        assert g.is_connected() == (len(_components_by_smallest_left(keys, g)) == 1)
+        members = data.draw(st.sets(st.sampled_from(keys)))
+        mask = bytes(u in members for u in g.nodes)
+        got = [frozenset(g.nodes[k] for k in comp) for comp in g.components(mask)]
+        assert got == _components_by_smallest_left(members, g)
+
+    def test_isolated_nodes_of_an_edge_free_file(self):
+        g = read_graph("3\n")
+        assert g.components(b"\1" * 3) == [[0], [1], [2]]
+        assert not g.is_connected()
+        assert read_graph("1\n").is_connected()
 
 
 class TestDistance2Unique:

@@ -289,6 +289,19 @@ class TestRun:
             assert t.stable
             assert t.steps <= 3 * g.n + 2 * g.m
 
+    @pytest.mark.parametrize("n, m", [(30, 60), (100, 300), (7, 21)])
+    @pytest.mark.parametrize("strategy", ["min_id", "max_id"])
+    def test_distributed_min_and_max_id_fire_the_sequential_singleton(self, strategy, n, m):
+        """Under min_id and max_id the distributed adversary fires the one
+        node the sequential adversary fires: the records are the same step
+        for step. Under max_degree and starve_one the two kinds differ."""
+        g = generate("random_gnm", n, m, 1)
+        for seed in (1, 2):
+            c0 = random_configuration(g, seed)
+            traces = [run(g, c0, DaemonPolicy(f"{kind}_adversarial_heuristic", strategy, seed))
+                      for kind in ("sequential", "distributed")]
+            assert traces[0].records == traces[1].records
+
     def test_max_steps_cap_reported_not_raised(self, p2):
         t = run(p2, Configuration.all_null(p2), DaemonPolicy("sequential_random"), max_steps=2)
         assert not t.stable and t.steps == 2

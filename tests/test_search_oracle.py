@@ -415,3 +415,19 @@ def test_cached_successors_equal_fresh_ones(instance, rng):
         want = verifier._successors(
             c, g, semantics, branch_marriage, codec, codec.caches(), state, fresh)
         assert (got, cached) == (want, fresh)
+
+
+@pytest.mark.parametrize("g", (generate("path", 3), C5), ids=("P3", "C5"))
+def test_witness_replay_rejects_a_step_that_misses_its_successor(monkeypatch, g):
+    """An apply_step that flips the first mover's m reaches a state the
+    search never generated: the replay names the witness step instead of
+    returning a witness built from states the engine never reaches."""
+    def flipped(c, graph, chosen, semantics, **kwargs):
+        c, moves = apply_step(c, graph, chosen, semantics, **kwargs)
+        k = c.nodes.index(moves[0].node)
+        m = c.m[:k] + (not c.m[k],) + c.m[k + 1:]
+        return Configuration(c.nodes, c.p, m), moves
+
+    monkeypatch.setattr(verifier, "apply_step", flipped)
+    with pytest.raises(RuntimeError, match=r"^witness step 0: "):
+        exhaustive_search(g, "all", branch_marriage=True)

@@ -32,7 +32,6 @@ from stabmatch.scheduler import (
 )
 from stabmatch.verifier import (
     CorruptTraceError,
-    _components,
     audit_trace,
     check_maximal,
     exhaustive_search,
@@ -552,7 +551,7 @@ def test_components_keep_the_order_of_their_smallest_members(n, extra, gseed, da
     g = _relabeled(g, keys, data.draw(st.permutations(range(n))))
     nodes = frozenset(data.draw(st.sets(st.sampled_from(g.nodes))))
     mask = bytes(u in nodes for u in g.nodes)
-    comps = [[g.nodes[k] for k in comp] for comp in _components(mask, g)]
+    comps = [[g.nodes[k] for k in comp] for comp in g.components(mask)]
     assert list(map(frozenset, comps)) == _components_by_smallest_left(nodes, g)
     assert all(len(set(comp)) == len(comp) for comp in comps)
 
