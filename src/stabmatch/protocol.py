@@ -194,7 +194,8 @@ def parse_configuration(text: str, g: Graph) -> Configuration:
     """Parse "id p m" lines (p decimal or '-', m 't'/'f'), one per node.
 
     Out-of-neighborhood pointers are normalized to null so hand-written
-    corrupt initial states remain loadable. One pass writes each line's
+    corrupt initial states remain loadable; ``parse_trace`` reads a trace's
+    configurations strictly, refusing any text this would change. One pass writes each line's
     state into lists through a node index; an m still None is a missing node.
     """
     nodes, adjacency = g.nodes, g.adjacency

@@ -692,6 +692,12 @@ def parse_trace(text: str) -> Trace:
                     f"trace field {key!r} is {record[key]!r}, which does not "
                     f"match the trace's {value!r}"
                 )
+        # every writer writes a configuration as its to_text(), so a trace is
+        # read strictly: a pointer at a non-neighbor is not made null here
+        for record, key, c in ((header, "init", trace.initial), (footer, "final", trace.final)):
+            if record[key] != c.to_text():
+                raise TraceFormatError(
+                    f"trace field {key!r} differs from the configuration it parses to")
         for k, record in enumerate(records):
             if record.index != k:
                 raise TraceFormatError(f"step indices out of order at {record.index}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .graph import Graph
 from .protocol import (
@@ -101,16 +101,6 @@ def check_maximal(
                  for v in vs if v > u and v not in matched), None)
 
 
-def _mark_active(c: Configuration, g: Graph, pair_of: Container[int], nodes: Iterable[int],
-                 mask: bytearray) -> None:
-    """Set ``mask``, over positions in ``g.nodes``, at each of ``nodes`` to
-    whether it is neither married nor dead, given c's married nodes as keys."""
-    index, p, adjacency = c._index, c.p, g.adjacency
-    for i in nodes:
-        mask[index[i]] = i not in pair_of and (
-            p[index[i]] is not None or not all(j in pair_of for j in adjacency[i]))
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -191,19 +181,19 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     ``replay_step`` writes each recorded step into the Execution's
     configuration, as ``export-dot --at-step`` does into its own. One pass
     over the recorded moves then checks each against its node's held rules,
-    counts updates per node, drops each married pair a mover broke, and lists
-    the step's edges (to a mover's new pointer, or an abandonment's old one,
-    which the Execution keeps until ``advance``) and the movers now pointing
-    at a process that points back; weddings are then settled from that list.
-    A pre-step configuration is rebuilt only for a first failure's snapshot.
-    The matching is kept only as each married node's pair; once the replay
-    has reproduced the final configuration it is that configuration's, and
-    each process is classified there once. When active_component_shrink
-    applies, the active set is kept across steps as one byte per position
-    in ``g.nodes``: at each round boundary only the processes whose activity
-    the round can have changed are decided again (its movers, the endpoints
-    of pairs that married or separated, and their neighbors), and the n
-    bytes are snapshot.
+    counts updates per node, and lists the step's edges (to a mover's new
+    pointer, or an abandonment's old one). The audit keeps no matching of its
+    own: a mover's marriage before and after the step is read off the
+    pointers, the pre-step ones from the Execution's lists, which keep every
+    process's state until ``advance``. A pre-step configuration is rebuilt
+    only for a first failure's snapshot. Once the replay has reproduced the
+    final configuration, its matching is extracted once and each process is
+    classified there once. When active_component_shrink applies, the active
+    set is kept across steps as one byte per position in ``g.nodes``, each
+    byte whether ``classify`` finds the process neither married nor dead: at
+    each round boundary only the processes whose activity the round can have
+    changed are decided again (its movers, the endpoints of pairs that
+    married or separated, and their neighbors), and the n bytes are snapshot.
     """
     g = trace.graph
     steps_allowed, rounds_allowed = step_bound(g), round_bound(g)
@@ -234,13 +224,11 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     c = execution.config
     enabled, index, p = execution.enabled, c._index, c.p
     old_p, old_m = execution._p, execution._m  # as of the last advance: a mover's pre-step state
-    pair_of = {u: pair for pair in extract_matching(trace.initial, g) for u in pair}
     update_counts: dict[int, int] = {}
     edge_step_counts: dict[tuple[int, int], int] = {}
     edge_third_step: dict[tuple[int, int], int] = {}
     if round_applicable:
-        active = bytearray(g.n)  # over positions in g.nodes
-        _mark_active(c, g, pair_of, g.nodes, active)
+        active = bytearray(classify(c, g, i) not in (MARRIED, DEAD) for i in g.nodes)
         boundary_actives, boundary_steps = [bytes(active)], [0]
         undecided: set[int] = set()  # processes to decide at the next boundary
 
@@ -263,10 +251,10 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         except TraceFormatError as exc:
             raise CorruptTraceError(f"corrupt trace: step {record.index}: {exc}") from exc
 
-        # one pass over the moves, after the write: the movers, their edges, the
-        # pairs they broke (dropped at once), those now pointing at a process
-        # pointing back, and the partners of pairs that separate or wed
-        moved, step_edges, flipped, weds = [], [], [], []
+        # one pass over the moves, after the write: the movers, their edges, and
+        # the endpoints of pairs that separate or wed, read off the pointers
+        # before (old_p) and after (p) the step
+        moved, step_edges, flipped = [], [], []
         for mv in record.moves:
             i, rule = mv.node, mv.rule
             moved.append(i)
@@ -276,7 +264,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     f"node {i} executed {rule.value} while not enabled",
                     snapshot=pre_step_text,
                 )
-            j = p[k := index[i]]
+            j0, j = old_p[k := index[i]], p[k]
             if rule is UPDATE:
                 count = update_counts[i] = update_counts.get(i, 0) + 1
                 if count == 3:
@@ -286,20 +274,19 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                         snapshot=pre_step_text,
                     )
             else:
-                other = old_p[k] if rule is ABANDONMENT else j
+                other = j0 if rule is ABANDONMENT else j
                 step_edges.append((i, other) if i < other else (other, i))
-            mutual = j is not None and p[index[j]] == i
-            pair = pair_of.get(i)
-            if pair is not None and not (mutual and j in pair):
+            was = j0 is not None and old_p[index[j0]] == i
+            now = j is not None and p[index[j]] == i
+            if was and not (now and j == j0):
                 hit(
                     "marriage_persistence", record.index,
-                    f"married pair {pair} separated",
+                    f"married pair {(i, j0) if i < j0 else (j0, i)} separated",
                     snapshot=pre_step_text,
                 )
-                del pair_of[pair[0]], pair_of[pair[1]]
-                flipped += pair
-            if mutual and (pair is None or j not in pair):
-                weds.append(i)
+                flipped += i, j0
+            if now and not (was and j == j0):
+                flipped += i, j
         for e in dict.fromkeys(step_edges):  # an edge counts once a step
             count = edge_step_counts[e] = edge_step_counts.get(e, 0) + 1
             if count == 3:
@@ -310,13 +297,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     f"edge {e} saw a fourth step with a move on it",
                     snapshot=pre_step_text,
                 )
-
-        for i in weds:
-            if i not in pair_of:  # its partner may have wed it already
-                j = p[index[i]]
-                pair = (i, j) if i < j else (j, i)
-                pair_of[i] = pair_of[j] = pair
-                flipped += pair
         if round_applicable:
             undecided.update(moved, flipped, *(g.adjacency[u] for u in flipped))
 
@@ -328,7 +308,8 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         fresh, _, closed = execution.advance(moved)
         at = record.index + 1
         if closed and round_applicable:
-            _mark_active(c, g, pair_of, undecided, active)
+            for i in undecided:
+                active[index[i]] = classify(c, g, i) not in (MARRIED, DEAD)
             undecided.clear()
             boundary_actives.append(bytes(active))
             boundary_steps.append(at)
@@ -368,6 +349,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             f"trace used {trace.rounds} rounds, bound is {rounds_allowed}",
         )
 
+    matching = extract_matching(final, g)
     if not stabilized:
         hit(
             "stable_is_maximal", trace.steps,
@@ -378,7 +360,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             "m_flag_consistency", "skip",
             detail="only evaluated on stable final configurations")
     else:
-        witness = check_maximal(pair_of.values(), g)
+        witness = check_maximal(matching, g)
         if witness is not None:
             hit(
                 "stable_is_maximal", trace.steps,
@@ -433,7 +415,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                              "edges_at_three": len(edge_third_step)}),
         ("step_bound", {"steps": trace.steps, "bound": steps_allowed}),
         ("round_bound", {"rounds": trace.rounds, "bound": rounds_allowed}),
-        ("stable_is_maximal", {"matching_size": len(pair_of) // 2}),
+        ("stable_is_maximal", {"matching_size": len(matching)}),
         ("active_component_shrink", shrink),
     ):
         checks[name].measured.update(measured)

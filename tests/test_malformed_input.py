@@ -10,6 +10,7 @@ trace or renders it with ``export-dot --at-step``.
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import pytest
@@ -281,3 +282,27 @@ def test_an_integer_past_the_digit_limit_is_too_long(input_path, graph_path, cap
                                capsys, fragment)
     input_path.write_text(_with_header_graph(text))
     _fails_with_one_error_line(["verify", "--trace", str(input_path)], capsys, fragment)
+
+
+def _with_far_pointer(record_type: str, key: str) -> str:
+    """TRACE with the configuration in ``key`` of its ``record_type`` record
+    pointing its first node that has a non-neighbor at that non-neighbor."""
+    records = [json.loads(line) for line in TRACE.splitlines()]
+    i, far = next((i, u) for i in _G.nodes for u in _G.nodes
+                  if u != i and u not in _G.adjacency[i])
+    record = next(r for r in records if r["type"] == record_type)
+    record[key] = re.sub(rf"^{i} \S+ ", f"{i} {far} ", record[key], flags=re.MULTILINE)
+    return "\n".join(json.dumps(r) for r in records) + "\n"
+
+
+@pytest.mark.parametrize("record_type, key", [("header", "init"), ("footer", "final")])
+@pytest.mark.parametrize("command", ["verify", "export-dot"])
+def test_a_pointer_at_a_non_neighbor_in_a_trace_is_a_format_error(input_path, capsys,
+                                                                  record_type, key, command):
+    """A configuration file's pointer at a non-neighbor is made null, but a
+    trace is read strictly: auditing or drawing the null pointer instead
+    would pass off a start or an end the trace does not record."""
+    input_path.write_text(_with_far_pointer(record_type, key))
+    _fails_with_one_error_line([command, "--trace", str(input_path)], capsys,
+                               f"trace field {key!r} differs from the configuration "
+                               "it parses to")
