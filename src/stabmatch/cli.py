@@ -45,6 +45,7 @@ from .verifier import (
     CorruptTraceError,
     audit_trace,
     configuration_count,
+    count_text,
     exhaustive_search,
     extract_matching,
     witness_trace,
@@ -268,7 +269,7 @@ def cmd_search(args) -> int:
         # every well-formed configuration is a start, each explored once
         if (states := configuration_count(g)) > args.budget:
             print(
-                f"warning: all-configurations search over {states} configurations "
+                f"warning: all-configurations search over {count_text(states)} configurations "
                 f"exceeds --budget {args.budget}; raise it for a complete search",
                 file=sys.stderr,
             )

@@ -179,9 +179,6 @@ class MutableConfiguration:
             if p != p0 or m != m0
         })
 
-    def to_text(self) -> str:
-        return self.freeze().to_text()
-
 
 def random_configuration(g: Graph, seed: int) -> Configuration:
     """Seeded well-formed configuration: p uniform over N(i) plus null, m uniform."""

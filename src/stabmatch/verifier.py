@@ -107,7 +107,6 @@ class CheckResult:
     verdict: str  # "pass" | "fail" | "skip"
     counterexample_step: Optional[int] = None
     detail: str = ""
-    snapshot: Optional[str] = None
     measured: dict = field(default_factory=dict)
 
     def line(self) -> str:
@@ -169,11 +168,11 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
 
     Each check's result lives in ``checks`` from before the replay to the
     report: it starts as a pass, or a skip where the check does not apply,
-    its first counterexample replaces it (with the step and a configuration
-    snapshot), and its measured values are written onto it at the end.
-    Within one step that is the first in the recorded move order, each edge
-    and pair once, and of a configuration's processes with several guards,
-    the smallest node.
+    its first counterexample replaces it (with the step and a detail line),
+    and its measured values are written onto it at the end. Within one step
+    that is the first in the recorded move order, each edge and pair once,
+    and of a configuration's processes with several guards, the smallest
+    node. ``export-dot --at-step K`` draws the configuration at step K.
 
     The replay runs on an Execution evaluating ``enabled_rules``, so each
     process's guards are known and, after each step, only the movers and the
@@ -185,8 +184,7 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
     pointer, or an abandonment's old one). The audit keeps no matching of its
     own: a mover's marriage before and after the step is read off the
     pointers, the pre-step ones from the Execution's lists, which keep every
-    process's state until ``advance``. A pre-step configuration is rebuilt
-    only for a first failure's snapshot. Once the replay has reproduced the
+    process's state until ``advance``. Once the replay has reproduced the
     final configuration, its matching is extracted once and each process is
     classified there once. When active_component_shrink applies, the active
     set is kept across steps as one byte per position in ``g.nodes``, each
@@ -206,24 +204,16 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         checks["active_component_shrink"] = CheckResult(
             "active_component_shrink", "skip", detail=f"checked under {policies} only")
 
-    def hit(name, step, detail, snapshot=None):
-        """Fail ``name`` at its first counterexample; ``snapshot`` is a
-        callable giving the configuration text, called only for that one."""
+    def hit(name, step, detail):
+        """Fail ``name`` at its first counterexample."""
         if checks[name].verdict != "fail":
             checks[name] = CheckResult(
-                name, "fail", counterexample_step=step, detail=detail,
-                snapshot=snapshot and snapshot(),
-            )
-
-    def pre_step_text():
-        """The configuration before the step being checked, as text: until
-        ``advance``, the Execution's kept lists hold every pre-step state."""
-        return Configuration(c.nodes, tuple(old_p), tuple(old_m)).to_text()
+                name, "fail", counterexample_step=step, detail=detail)
 
     execution = Execution(g, trace.initial, semantics, enabled_rules)
     c = execution.config
     enabled, index, p = execution.enabled, c._index, c.p
-    old_p, old_m = execution._p, execution._m  # as of the last advance: a mover's pre-step state
+    old_p = execution._p  # as of the last advance: a mover's pre-step pointer
     update_counts: dict[int, int] = {}
     edge_step_counts: dict[tuple[int, int], int] = {}
     edge_third_step: dict[tuple[int, int], int] = {}
@@ -241,7 +231,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     "guard_exclusivity", at,
                     f"node {i} has guards {[r.value for r in enabled[i]]} "
                     + (f"after step {at - 1}" if at else "in the initial configuration"),
-                    snapshot=c.to_text,
                 )
                 break
         if record is None:
@@ -262,7 +251,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 hit(
                     "moves_enabled", record.index,
                     f"node {i} executed {rule.value} while not enabled",
-                    snapshot=pre_step_text,
                 )
             j0, j = old_p[k := index[i]], p[k]
             if rule is UPDATE:
@@ -271,7 +259,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                     hit(
                         "update_limit", record.index,
                         f"node {i} executed its third update",
-                        snapshot=pre_step_text,
                     )
             else:
                 other = j0 if rule is ABANDONMENT else j
@@ -282,7 +269,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 hit(
                     "marriage_persistence", record.index,
                     f"married pair {(i, j0) if i < j0 else (j0, i)} separated",
-                    snapshot=pre_step_text,
                 )
                 flipped += i, j0
             if now and not (was and j == j0):
@@ -295,7 +281,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 hit(
                     "edge_move_limit", record.index,
                     f"edge {e} saw a fourth step with a move on it",
-                    snapshot=pre_step_text,
                 )
         if round_applicable:
             undecided.update(moved, flipped, *(g.adjacency[u] for u in flipped))
@@ -335,7 +320,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 "edge_move_limit", edge_third_step[(u, v)],
                 f"edge ({u}, {v}) reached three steps without an initial "
                 "one-sided pointer",
-                snapshot=trace.initial.to_text,
             )
 
     if trace.steps > steps_allowed:
@@ -354,7 +338,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
         hit(
             "stable_is_maximal", trace.steps,
             "execution did not reach a stable configuration before the step cap",
-            snapshot=final.to_text,
         )
         checks["m_flag_consistency"] = CheckResult(
             "m_flag_consistency", "skip",
@@ -365,7 +348,6 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
             hit(
                 "stable_is_maximal", trace.steps,
                 f"stable configuration is not maximal, edge {witness} is addable",
-                snapshot=final.to_text,
             )
         for i, mi in zip(g.nodes, final.m):
             cls = classify(final, g, i)
@@ -373,13 +355,11 @@ def audit_trace(trace: Trace, semantics: RuleSemantics = STANDARD) -> AuditRepor
                 hit(
                     "stable_is_maximal", trace.steps,
                     f"node {i} classifies {cls.value} in a stable configuration",
-                    snapshot=final.to_text,
                 )
             if mi != (cls is MARRIED):  # MARRIED is exactly pr_married
                 hit(
                     "m_flag_consistency", trace.steps,
                     f"node {i} has m={mi} but marriage status {cls is MARRIED}",
-                    snapshot=final.to_text,
                 )
 
     shrink = {"windows_ge2": 0, "windows_gt2": 0, "violations_ge2": 0, "violations_gt2": 0}
@@ -471,7 +451,7 @@ class SearchResult:
             f"worst_steps: {self.worst_steps}",
             f"bound: {self.bound}",
             f"explored_states: {self.explored}",
-            f"initial_configurations: {self.initial_count}",
+            f"initial_configurations: {count_text(self.initial_count)}",
             f"branch_marriage: {'true' if self.branch_marriage else 'false'}",
             f"complete: {'true' if self.complete else 'false'}",
             f"livelock: {'true' if self.livelock else 'false'}",
@@ -483,6 +463,12 @@ class SearchResult:
 def configuration_count(g: Graph) -> int:
     """How many well-formed configurations g has: 2(deg + 1) per process."""
     return math.prod(2 * (len(g.adjacency[i]) + 1) for i in g.nodes)
+
+
+def count_text(count: int) -> str:
+    """A count exactly up to 600 digits, under any integer-string digit
+    limit an interpreter may set; beyond that ``about 10^N``."""
+    return str(count) if count < 10 ** 600 else f"about 10^{round(math.log10(count))}"
 
 
 class _StateCodec:

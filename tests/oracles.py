@@ -810,7 +810,7 @@ def move_tallies(trace: Trace, semantics=STANDARD):
     """The audit's per-move checks recomputed from the configurations
     ``replay_configurations`` gives: the measured max_updates_per_node,
     max_steps_per_edge, edges_at_three and matching_size, and each check's
-    first counterexample (step, detail, snapshot), or None. The checks are
+    first counterexample (step, detail), or None. The checks are
     moves_enabled (a recorded rule ``literal_guards`` does not hold before
     the step), update_limit (a node's third update), edge_move_limit (an
     edge's fourth step with a move on it, else an edge at three steps with
@@ -830,9 +830,9 @@ def move_tallies(trace: Trace, semantics=STANDARD):
     first = dict.fromkeys(
         ("moves_enabled", "update_limit", "edge_move_limit", "marriage_persistence"))
 
-    def hit(name, step, detail, snapshot):
+    def hit(name, step, detail):
         if first[name] is None:
-            first[name] = (step, detail, snapshot)
+            first[name] = (step, detail)
 
     def wed(c, u):
         return literal_predicates(c, g, u)["married"]
@@ -841,17 +841,15 @@ def move_tallies(trace: Trace, semantics=STANDARD):
     updates, edge_steps, third = {}, {}, {}
     for k, record in enumerate(trace.records):
         before, after = configs[k], configs[k + 1]
-        text = before.to_text()
         edges = []
         for mv in record.moves:
             i = mv.node
             if mv.rule not in literal_guards(before, g, i, semantics):
-                hit("moves_enabled", k, f"node {i} executed {mv.rule.value} while not enabled",
-                    text)
+                hit("moves_enabled", k, f"node {i} executed {mv.rule.value} while not enabled")
             if mv.rule is Rule.UPDATE:
                 updates[i] = updates.get(i, 0) + 1
                 if updates[i] == 3:
-                    hit("update_limit", k, f"node {i} executed its third update", text)
+                    hit("update_limit", k, f"node {i} executed its third update")
             else:
                 j = (before if mv.rule is Rule.ABANDONMENT else after).p_of(i)
                 edges.append((min(i, j), max(i, j)))
@@ -860,12 +858,12 @@ def move_tallies(trace: Trace, semantics=STANDARD):
             if edge_steps[e] == 3:
                 third[e] = k
             elif edge_steps[e] == 4:
-                hit("edge_move_limit", k, f"edge {e} saw a fourth step with a move on it", text)
+                hit("edge_move_limit", k, f"edge {e} saw a fourth step with a move on it")
         movers = [mv.node for mv in record.moves]
         for i in movers:
             if i in pair_of and not (wed(after, i) and after.p_of(i) in pair_of[i]):
                 u, v = pair_of[i]
-                hit("marriage_persistence", k, f"married pair ({u}, {v}) separated", text)
+                hit("marriage_persistence", k, f"married pair ({u}, {v}) separated")
                 del pair_of[u], pair_of[v]
         for i in movers:
             if i not in pair_of and wed(after, i):
@@ -875,8 +873,7 @@ def move_tallies(trace: Trace, semantics=STANDARD):
     for u, v in sorted(third):
         if (c0.p_of(u) == v) == (c0.p_of(v) == u):
             hit("edge_move_limit", third[(u, v)],
-                f"edge ({u}, {v}) reached three steps without an initial one-sided pointer",
-                c0.to_text())
+                f"edge ({u}, {v}) reached three steps without an initial one-sided pointer")
     measured = {
         "max_updates_per_node": max(updates.values(), default=0),
         "max_steps_per_edge": max(edge_steps.values(), default=0),

@@ -12,18 +12,20 @@ from stabmatch.cli import EXIT_FAIL, EXIT_INCOMPLETE, EXIT_OK, EXIT_USAGE, main
 from stabmatch.graph import generate, read_graph, write_graph
 from stabmatch.protocol import (
     Configuration,
+    Rule,
     enabled_nodes,
     parse_configuration,
     random_configuration,
 )
 from stabmatch.scheduler import (
+    Move,
     apply_step,
     parse_trace,
     trace_counters,
     trace_from_schedule,
     write_trace,
 )
-from stabmatch.verifier import exhaustive_search
+from stabmatch.verifier import count_text, exhaustive_search
 
 TWO_SUITORS_GRAPH = "3\n1 3\n2 3\n"
 TWO_SUITORS_INIT = "1 3 f\n2 3 f\n3 - f\n"
@@ -340,6 +342,24 @@ class TestSearch:
         main(["search", "--graph", "c6.g", "--init", "all", "--budget", "10"])
         err = capsys.readouterr().err
         assert "warning" in err and "46656 configurations" in err and "--budget 10" in err
+
+    def test_count_past_the_digit_limit_prints_as_a_power_of_ten(self, workdir, capsys):
+        """15 000 isolated nodes have 2**15000 configurations, 4 516 digits,
+        past the 4 300-digit int-string limit: the warning and the report
+        print about 10^4515, and the budget cuts the search as any other."""
+        _write(workdir / "iso.g", "15000\n")
+        assert main(["search", "--graph", "iso.g", "--init", "all",
+                     "--budget", "5"]) == EXIT_INCOMPLETE
+        out, err = capsys.readouterr()
+        assert "initial_configurations: about 10^4515\n" in out
+        assert "search over about 10^4515 configurations exceeds --budget 5" in err
+
+    @pytest.mark.parametrize("count, text", [
+        (46656, "46656"), (10**600 - 1, "9" * 600), (10**600, "about 10^600"),
+        (5 * 10**600, "about 10^601"),
+    ])
+    def test_counts_print_exactly_up_to_600_digits(self, count, text):
+        assert count_text(count) == text
 
     def test_all_mode_within_budget_does_not_warn(self, workdir, capsys):
         """K5 has 10**5 well-formed configurations, within the default
@@ -672,6 +692,30 @@ class TestVerify:
         verify = capsys.readouterr()
         assert verify.out.startswith("audit: fail\n") and run.out.endswith(verify.out)
         assert run.err == verify.err == "counterexample: check=stable_is_maximal step=1\n"
+
+    def test_counterexample_step_can_be_drawn(self, workdir, capsys):
+        """A counterexample names a step, and export-dot draws the
+        configuration there: a third update forged after the stable end
+        fails moves_enabled and update_limit at step 4."""
+        from .test_verifier import forge_trace
+
+        g = read_graph("2\n0 1\n")
+        c0 = parse_configuration("0 - t\n1 - f\n", g)
+        forged = forge_trace(g, c0, [
+            (Move(0, Rule.UPDATE),),
+            (Move(0, Rule.SEDUCTION),),
+            (Move(1, Rule.MARRIAGE, 0),),
+            (Move(0, Rule.UPDATE), Move(1, Rule.UPDATE)),
+            (Move(0, Rule.UPDATE),),
+        ])
+        _write(workdir / "forged.trace", write_trace(forged))
+        assert main(["verify", "--trace", "forged.trace"]) == EXIT_FAIL
+        verify = capsys.readouterr()
+        assert verify.err == "counterexample: check=moves_enabled step=4\n"
+        assert ("update_limit: fail: max_updates_per_node=3; counterexample_step=4; "
+                "node 0 executed its third update\n" in verify.out)
+        assert main(["export-dot", "--trace", "forged.trace", "--at-step", "4"]) == EXIT_OK
+        assert "penwidth=2" in capsys.readouterr().out
 
     def test_noncanonical_graph_text_is_usage_error(self, workdir, capsys):
         """graph_hash is the digest of the header's graph text as written:

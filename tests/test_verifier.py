@@ -45,7 +45,6 @@ from .oracles import (
     brute_force_maximal,
     edge_list_check_maximal,
     move_tallies,
-    replay_configurations,
     rescan_rounds,
     shrink_tallies,
 )
@@ -80,13 +79,6 @@ def forge_trace(g, c0, step_moves, policy="forged", semantics=None):
             for k, moves in enumerate(step_moves)
         ),
     )
-
-
-def pre_step_text(trace, step, semantics=None):
-    """The configuration before ``step``, replayed by the oracle, as text."""
-    configs = replay_configurations(
-        trace.graph, trace.initial, [r.moves for r in trace.records], semantics)
-    return configs[step].to_text()
 
 
 class TestIsStable:
@@ -311,9 +303,7 @@ class TestForgedTraces:
         check = report.checks["update_limit"]
         assert check.verdict == "fail"
         assert check.counterexample_step == 4
-        assert check.snapshot == pre_step_text(forged, 4)
         assert report.checks["moves_enabled"].counterexample_step == 4
-        assert report.checks["moves_enabled"].snapshot == pre_step_text(forged, 4)
 
     def test_forged_divorce_fails_marriage_persistence(self, two_suitors):
         g, c0 = two_suitors
@@ -327,7 +317,6 @@ class TestForgedTraces:
         check = report.checks["marriage_persistence"]
         assert check.verdict == "fail"
         assert check.counterexample_step == 3
-        assert check.snapshot == pre_step_text(forged, 3)
 
     @pytest.mark.parametrize("movers, reported", [
         ((4, 11, 22, 37), (4, 5)),
@@ -346,7 +335,6 @@ class TestForgedTraces:
         check = audit_trace(forged).checks["marriage_persistence"]
         assert check.counterexample_step == 0
         assert check.detail == f"married pair {reported} separated"
-        assert check.snapshot == c0.to_text()
 
     def test_divorces_after_several_weddings_follow_the_move_order(self):
         """Two pairs wed in one step and both separate in the next. The
@@ -379,7 +367,6 @@ class TestForgedTraces:
         check = audit_trace(forged).checks["edge_move_limit"]
         assert (check.counterexample_step, check.detail) == (
             3, f"edge {reported} saw a fourth step with a move on it")
-        assert check.snapshot == pre_step_text(forged, 3)
         assert _move_outcome(forged, STANDARD) == move_tallies(forged)
 
     def test_seduce_abandon_churn_fails_edge_move_limit(self, p2):
@@ -392,12 +379,9 @@ class TestForgedTraces:
         check = report.checks["edge_move_limit"]
         assert check.verdict == "fail"
         assert check.counterexample_step == 3
-        assert check.snapshot == pre_step_text(forged, 3)
         # the abandonments were never enabled, and that is localized too,
-        # with the configuration the first one read, not the one it wrote
+        # at the step of the first one
         assert report.checks["moves_enabled"].counterexample_step == 1
-        assert report.checks["moves_enabled"].snapshot == pre_step_text(forged, 1)
-        assert pre_step_text(forged, 1) != pre_step_text(forged, 2)
 
     def test_tampered_final_is_corrupt(self, p2):
         t = run(p2, Configuration.all_null(p2), DaemonPolicy("sequential_random", seed=2))
@@ -449,11 +433,9 @@ class TestWrongGuards:
         monkeypatch.setattr("stabmatch.verifier.enabled_rules", lambda *_: ())
         report = audit_trace(trace)
         maximal, flags = report.checks["stable_is_maximal"], report.checks["m_flag_consistency"]
-        assert (maximal.verdict, maximal.counterexample_step, maximal.snapshot) == (
-            "fail", 0, c0.to_text())
+        assert (maximal.verdict, maximal.counterexample_step) == ("fail", 0)
         assert maximal.detail == "stable configuration is not maximal, edge (0, 1) is addable"
-        assert (flags.verdict, flags.counterexample_step, flags.snapshot) == (
-            "fail", 0, c0.to_text())
+        assert (flags.verdict, flags.counterexample_step) == ("fail", 0)
         assert flags.detail == "node 0 has m=True but marriage status False"
         assert {c.name for c in report.failures()} == {"stable_is_maximal", "m_flag_consistency"}
 
@@ -464,8 +446,7 @@ class TestWrongGuards:
         monkeypatch.setattr("stabmatch.verifier.enabled_rules", lambda *_: ())
         report = audit_trace(self._stable_record_free(p3, c0))
         maximal = report.checks["stable_is_maximal"]
-        assert (maximal.verdict, maximal.counterexample_step, maximal.snapshot) == (
-            "fail", 0, c0.to_text())
+        assert (maximal.verdict, maximal.counterexample_step) == ("fail", 0)
         assert maximal.detail == "node 2 classifies condemned in a stable configuration"
         assert report.checks["m_flag_consistency"].verdict == "pass"
 
@@ -486,7 +467,6 @@ class TestWrongGuards:
         report = audit_trace(t)
         check = report.checks["guard_exclusivity"]
         assert (check.verdict, check.counterexample_step, check.detail) == ("fail", step, detail)
-        assert check.snapshot == pre_step_text(t, step)
         assert [c.name for c in report.failures()] == ["guard_exclusivity"]
 
     def test_several_offenders_report_the_smallest_node(self, monkeypatch):
@@ -506,7 +486,6 @@ class TestWrongGuards:
         check = audit_trace(t).checks["guard_exclusivity"]
         assert (check.verdict, check.counterexample_step, check.detail) == (
             "fail", 1, "node 1 has guards ['seduction', 'abandonment'] after step 0")
-        assert check.snapshot == pre_step_text(t, 1)
 
 
 def _components_by_smallest_left(nodes, g):
@@ -630,7 +609,7 @@ def _move_outcome(trace, semantics):
     measured = {**checks["update_limit"].measured, **checks["edge_move_limit"].measured,
                 **checks["stable_is_maximal"].measured}
     first = {name: None if checks[name].verdict == "pass" else (
-        checks[name].counterexample_step, checks[name].detail, checks[name].snapshot)
+        checks[name].counterexample_step, checks[name].detail)
         for name in ("moves_enabled", "update_limit", "edge_move_limit", "marriage_persistence")}
     return measured, first
 
@@ -807,7 +786,7 @@ class TestBrokenVariant:
                               marriage_choices=dict(ws.marriage_choices))
         assert c == start
 
-    def test_capped_run_edge_move_limit_snapshot_is_pre_step(self, triangle):
+    def test_capped_run_fails_edge_move_limit_at_step_3(self, triangle):
         t = run(
             triangle, Configuration.all_null(triangle),
             DaemonPolicy("sequential_adversarial_heuristic", "max_id"),
@@ -816,7 +795,6 @@ class TestBrokenVariant:
         check = audit_trace(t, semantics=BROKEN).checks["edge_move_limit"]
         assert check.verdict == "fail"
         assert check.counterexample_step == 3
-        assert check.snapshot == pre_step_text(t, 3, BROKEN)
 
     def test_capped_run_fails_audit(self, triangle):
         t = run(
@@ -841,7 +819,7 @@ class TestLabelingRobustness:
     """The identifier order steers seduction and abandonment, so the bound
     must hold for every labeling of a shape, not just the canonical one."""
 
-    @pytest.mark.parametrize("name", ["P3", "C3", "P4", "star4", "C4"])
+    @pytest.mark.parametrize("name", list(SMALL_CONNECTED))
     def test_every_labeling_within_bound(self, name):
         import itertools as it
 
@@ -909,6 +887,17 @@ def stabilized_forged_traces(draw):
     tail = run(t.graph, t.final, DaemonPolicy("sequential_random", seed=draw(st.integers(0, 99))))
     return forge_trace(t.graph, t.initial,
                        [r.moves for r in t.records] + [r.moves for r in tail.records], t.policy)
+
+
+@given(t=st.one_of(run_traces(), forged_round_traces(), forged_round_traces(sparse=True),
+                  stabilized_forged_traces()))
+@settings(max_examples=200, deadline=None)
+def test_every_counterexample_step_can_be_drawn(t):
+    """A counterexample names no step (round_bound) or a step K in
+    0..steps, whose configuration ``export-dot --at-step K`` draws."""
+    for check in audit_trace(t).failures():
+        step = check.counterexample_step
+        assert step is None or 0 <= step <= t.steps, check.line()
 
 
 @given(t=st.one_of(run_traces(), stabilized_forged_traces()))
