@@ -498,10 +498,10 @@ class _StateCodec:
             self.reads.append(tuple(field[i] | field.get(p, 0 if m else nbrs) for p, m in table))
 
     def caches(self) -> list[tuple]:
-        """Per node: its key, its field's shift and mask, its ``reads``, and
-        an empty dict of its results by what it reads."""
-        return [(i, shift, mask, reads, {})
-                for i, (shift, mask, _), reads in zip(self.nodes, self.decoders, self.reads)]
+        """Per node in key order: its key, its field's shift and mask, its
+        ``reads``, and an empty dict of its results by what it reads."""
+        return sorted((i, shift, mask, reads, {})
+                      for i, (shift, mask, _), reads in zip(self.nodes, self.decoders, self.reads))
 
     def encode(self, c: Configuration) -> int:
         try:
@@ -527,53 +527,45 @@ class _StateCodec:
 
 
 def _node_entry(c, g, semantics, branch_marriage, codec, i, state):
-    """Node i's entry in ``state``, decoded into ``c``: ``()`` when it is
-    disabled, otherwise its command's writes as XOR deltas on its field,
-    one per suitor when marriages branch, and the marriage pairs they label."""
+    """Node i's entry in ``state``, decoded into ``c``: its command's writes
+    as XOR deltas on its field, one per suitor when marriages branch, and
+    none when it is disabled."""
     rule = enabled_nodes(c, g, semantics, (i,)).get(i)
     if rule is None:
-        return ()
+        return []
     choices = marriage_suitors(c, g, i) if branch_marriage and rule is MARRIAGE else (None,)
     bits, old = codec.bits[i], state & codec.field[i]
-    return ([old ^ bits[command_target(c, g, i, rule, semantics, marriage_choice=j)]
-             for j in choices],
-            [() if j is None else ((i, j),) for j in choices])
+    return [old ^ bits[command_target(c, g, i, rule, semantics, marriage_choice=j)]
+            for j in choices]
 
 
-def _successors(c, g, semantics, branch_marriage, codec, caches, state, labels=None):
+def _successors(c, g, semantics, branch_marriage, codec, caches, state):
     """Every state a distributed daemon can reach from ``state`` in one
-    step: subsets in mask order over the sorted enabled processes, each
-    subset's suitor choices in product order. A successor is ``state`` XOR
-    each of its members' deltas. Their fields are disjoint, and each delta
-    is nonzero and its suitor's own, so one state's successors are
-    pairwise distinct.
+    step: subsets in mask order over the enabled processes in key order,
+    each subset's suitor choices in product order. A successor is
+    ``state`` XOR each of its members' deltas. Their fields are disjoint,
+    and each delta is nonzero and its suitor's own, so one state's
+    successors are pairwise distinct, and the fields in which a successor
+    differs from ``state`` are exactly its subset's.
 
     One pass over the nodes looks each up in its cache (``codec.caches()``),
     keyed by the fields it reads, which fix its entry (``_node_entry``). The
     first miss decodes ``state`` into the MutableConfiguration ``c``, and
     only missed nodes' guards (``enabled_nodes``) and commands
     (``command_target``, for a branched marriage once per suitor of
-    ``marriage_suitors``) are evaluated. ``labels``, if given, receives
-    each branch's WitnessStep."""
+    ``marriage_suitors``) are evaluated."""
     succs = [state]  # per subset so far, in mask order: each choice's successor
-    steps = [((), ())]  # the same subsets and choices, for labels
     decoded = False
     for i, shift, mask, reads, cache in caches:
         key = state & reads[state >> shift & mask]
-        entry = cache.get(key)
-        if entry is None:
+        deltas = cache.get(key)
+        if deltas is None:
             if not decoded:
                 codec.decode_into(state, c)
                 decoded = True
-            entry = cache[key] = _node_entry(c, g, semantics, branch_marriage, codec, i, state)
-        if entry:
-            deltas, pairs = entry
+            deltas = cache[key] = _node_entry(c, g, semantics, branch_marriage, codec, i, state)
+        if deltas:
             succs += [s ^ delta for s in succs for delta in deltas]
-            if labels is not None:
-                steps += [(subset + (i,), chosen + pair)
-                          for subset, chosen in steps for pair in pairs]
-    if labels is not None:
-        labels.extend(WitnessStep(subset, chosen) for subset, chosen in steps[1:])
     return succs[1:]
 
 
@@ -582,8 +574,7 @@ class _Budget(Exception):
 
 
 class _Livelock(Exception):
-    """args: the initial state and the states on the stack, then the
-    repeated one."""
+    """args: the states on the stack, the start first, then the repeated one."""
 
 
 def exhaustive_search(
@@ -633,6 +624,7 @@ def exhaustive_search(
     leaves_maximal = True
     decoded = MutableConfiguration(Configuration.all_null(g))
     caches = codec.caches()
+    fields = sorted(zip(codec.nodes, codec.decoders))  # per node in key order
 
     def reach(state):
         """Count a new state: its successors, or none once memoized as stable."""
@@ -650,20 +642,20 @@ def exhaustive_search(
             memo[state] = 0
         return succs
 
-    def replay(c0, length, pick):
-        """``length`` steps from c0, the k-th to the successor at the index
-        ``pick(k, succs)`` names, each fired by apply_step on a frozen
-        configuration and checked to reach that successor."""
+    def replay(c, path):
+        """The steps along ``path``, searched states from c's. The k-th fires
+        the nodes whose fields differ between path[k] and path[k + 1], in key
+        order and each with its new pointer as its marriage choice, through
+        apply_step on a frozen configuration, checked to reach path[k + 1]."""
         steps = []
-        c, state = c0, codec.encode(c0)
-        for k in range(length):
-            labels = []
-            succs = _successors(decoded, g, semantics, branch_marriage, codec, caches, state, labels)
-            ws = labels[index := pick(k, succs)]
-            steps.append(ws)
-            c, _ = apply_step(c, g, ws.chosen, semantics, marriage_choices=dict(ws.marriage_choices))
-            if (state := codec.encode(c)) != succs[index]:
+        for k, (state, succ) in enumerate(zip(path, path[1:])):
+            moved = {i: table[succ >> shift & mask][0] for i, (shift, mask, table) in fields
+                     if (state ^ succ) >> shift & mask}
+            c, moves = apply_step(c, g, moved, semantics, marriage_choices=moved)
+            if codec.encode(c) != succ:
                 raise RuntimeError(f"witness step {k}: apply_step misses the searched successor")
+            steps.append(WitnessStep(tuple(moved), tuple(
+                (mv.node, mv.target) for mv in moves if mv.rule is MARRIAGE and branch_marriage)))
         return tuple(steps)
 
     def expand(s0: int) -> None:
@@ -678,7 +670,7 @@ def exhaustive_search(
             # is memoized by the time its parent's iteration resumes
             for succ in pending:
                 if succ in onstack:
-                    raise _Livelock(s0, [frame[0] for frame in stack] + [succ])
+                    raise _Livelock([frame[0] for frame in stack] + [succ])
                 if child := reach(succ):
                     onstack.add(succ)
                     stack.append((succ, child, itertools.filterfalse(memoized, child)))
@@ -696,24 +688,25 @@ def exhaustive_search(
     except _Budget:
         complete = False
     except _Livelock as exc:
-        s0, path = exc.args
+        (path,) = exc.args
         cycle_at = path.index(path[-1])
-        livelock_initial = codec.decode(s0)
-        livelock_steps = replay(livelock_initial, len(path) - 1,
-                                lambda k, succs: succs.index(path[k + 1]))
+        livelock_initial = codec.decode(path[0])
+        livelock_steps = replay(livelock_initial, path)
 
     # the explored starts (under "all", every memoized state) and the first
     # worst: states ascend in every_state's order
     done = memo if initial == "all" else {s0: memo[s0] for s0 in initials if s0 in memo}
     worst_steps = max(done.values(), default=0)
     worst = min((s0 for s0, steps in done.items() if steps == worst_steps), default=None)
+    walk = [worst]  # to the first successor whose count is one less
+    for steps in reversed(range(worst_steps)):
+        succs = _successors(decoded, g, semantics, branch_marriage, codec, caches, walk[-1])
+        walk.append(next(s for s in succs if memo[s] == steps))
     witness_initial = None if worst is None else codec.decode(worst)
     return SearchResult(
         worst_steps=worst_steps,
         witness_initial=witness_initial,
-        witness=() if worst is None else replay(
-            witness_initial, worst_steps,
-            lambda k, succs: list(map(memo.__getitem__, succs)).index(worst_steps - 1 - k)),
+        witness=replay(witness_initial, walk),
         explored=explored,
         branch_marriage=branch_marriage,
         complete=complete,
