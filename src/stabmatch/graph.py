@@ -6,6 +6,11 @@ identifiers unique within two hops; the tests pin that equal identifiers on
 an edge livelock, and that proper colorings of six graphs, which repeat
 identifiers within two hops, stabilize. Generators and the file format
 always use globally unique identifiers equal to the node keys.
+
+Each node id is one int object, the one in ``Graph.nodes``: ``read_graph``
+and ``from_edges`` map every adjacency entry to it, and ids 0..n-1 are made
+together, so a scan of a large graph reads one compact block of ints rather
+than an object per occurrence (CPython shares only the ints up to 256).
 """
 
 from __future__ import annotations
@@ -102,16 +107,18 @@ class Graph:
     @staticmethod
     def from_edges(nodes, edges, ident=None) -> "Graph":
         nodes = tuple(sorted(set(nodes)))
+        node = dict(zip(nodes, nodes))  # an edge's id -> the node's own object
         adj: dict[int, set[int]] = {u: set() for u in nodes}
         for u, v in edges:
             if u not in adj or v not in adj:
                 raise ValueError(f"edge ({u}, {v}) uses unknown node")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].add(node[v])
+            adj[v].add(node[u])
         adjacency = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-        return Graph._built(nodes, adjacency, dict(ident) if ident else {})
+        # with no ident given, the node map is the identity assignment
+        return Graph._built(nodes, adjacency, dict(ident) if ident else node)
 
     @property
     def n(self) -> int:
@@ -285,14 +292,20 @@ def read_graph(text: str) -> Graph:
         if n > MAX_EDGE_FREE_NODES:
             raise GraphFormatError(f"line {count_line}: an edge-free graph has at most"
                                    f" {MAX_EDGE_FREE_NODES} nodes, not {n}")
-        return Graph._built(tuple(range(n)), {u: () for u in range(n)}, {})
+        nodes = tuple(range(n))
+        return Graph._built(nodes, dict.fromkeys(nodes, ()), {})
     if len(adj) != n:
         raise GraphFormatError(
             f"node count {n} does not match the {len(adj)} ids in edge lines"
             " (isolated nodes are not representable alongside edges)"
         )
+    seen.clear()  # freed before the rows are built, which keeps the peak down
     nodes = tuple(sorted(adj))
-    return Graph._built(nodes, {u: tuple(sorted(adj[u])) for u in nodes}, {})
+    if nodes[-1] == n - 1:  # n distinct ids from 0: 0..n-1, made side by side
+        nodes = tuple(range(n))
+    node = dict(zip(nodes, nodes))  # an id -> the node's own object: the identity ident
+    return Graph._built(
+        nodes, {u: tuple(map(node.__getitem__, sorted(adj[u]))) for u in nodes}, node)
 
 
 def write_graph(g: Graph) -> str:

@@ -18,6 +18,7 @@ its pointee's.
 from __future__ import annotations
 
 import enum
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
@@ -80,9 +81,10 @@ class Configuration:
     )
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {u: k for k, u in enumerate(self.nodes)}
-        )
+        nodes = self.nodes
+        # with nodes 0..n-1 in order, each node's position is the node's own object
+        positions = nodes if all(map(operator.eq, nodes, range(len(nodes)))) else range(len(nodes))
+        object.__setattr__(self, "_index", dict(zip(nodes, positions)))
 
     def p_of(self, i: int) -> Optional[int]:
         return self.p[self._index[i]]
@@ -118,8 +120,10 @@ class Configuration:
         p, m = [], []
         for i in g.nodes:
             pi, mi = states[i]
-            if pi is not None and pi not in g.adjacency[i]:
-                raise ValueError(f"p of node {i} must be a neighbor or null")
+            if pi is not None:
+                if pi not in (row := g.adjacency[i]):
+                    raise ValueError(f"p of node {i} must be a neighbor or null")
+                pi = row[row.index(pi)]  # the graph's own object for the id
             p.append(pi)
             m.append(bool(mi))
         return Configuration(g.nodes, tuple(p), tuple(m))
@@ -216,7 +220,8 @@ def parse_configuration(text: str, g: Graph) -> Configuration:
             raise ConfigFormatError(f"line {lineno}: node {i} not in graph")
         if m[k] is not None:
             raise ConfigFormatError(f"line {lineno}: duplicate node {i}")
-        p[k] = j if j in adjacency[i] else None
+        row = adjacency[i]
+        p[k] = row[row.index(j)] if j in row else None  # the graph's own object for j
         m[k] = parts[2] == "t"
     if None in m:
         missing = [u for u, mk in zip(nodes, m) if mk is None]
@@ -338,9 +343,9 @@ def command_target(
     if rule is UPDATE:
         return (None, False) if j is None else (j, p[index[j]] == i)
     if rule is MARRIAGE and marriage_choice is not None:
-        if marriage_choice not in g.adjacency[i] or p[index[marriage_choice]] != i:
+        if marriage_choice not in g.adjacency[i] or p[kc := index[marriage_choice]] != i:
             raise ValueError(f"node {marriage_choice} is not a suitor of {i}")
-        return marriage_choice, mi
+        return g.nodes[kc], mi
     if rule is MARRIAGE or rule is SEDUCTION:
         marrying = rule is MARRIAGE
         picks = marriage_suitors(c, g, i) if marrying else seduction_candidates(c, g, i, semantics)

@@ -602,10 +602,15 @@ _RULE_BY_NAME = {rule.value: rule for rule in Rule}
 
 
 def parse_trace(text: str) -> Trace:
-    """Decode a trace file; structural errors raise TraceFormatError."""
+    """Decode a trace file; structural errors raise TraceFormatError.
+
+    The header's graph is read with the header, so that moves name the
+    graph's node objects. A graph that does not read is read again after
+    every line is checked, so that errors are raised in the same order."""
     header = None
     footer = None
     records = []
+    g, node = None, {}.get  # node: an id -> the graph's object for it, once read
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -620,13 +625,19 @@ def parse_trace(text: str) -> Trace:
             if header is not None:
                 raise TraceFormatError(f"line {lineno}: duplicate header")
             header = obj
+            if type(obj.get("graph")) is str:
+                try:
+                    g = read_graph(obj["graph"])
+                    node = g.ident.get  # read_graph's ident maps each node to itself
+                except ValueError:
+                    pass
         elif kind == "step":
             if header is None or footer is not None:
                 raise TraceFormatError(f"line {lineno}: step outside body")
             moves = []
             try:
                 for entry in obj["moves"]:
-                    node, rule_name = entry[0], entry[1]
+                    mover, rule_name = entry[0], entry[1]
                     try:
                         rule = _RULE_BY_NAME[rule_name]
                     except (KeyError, TypeError):  # TypeError: an unhashable name
@@ -634,7 +645,7 @@ def parse_trace(text: str) -> Trace:
                             f"line {lineno}: unknown rule {rule_name!r}"
                         ) from None
                     target = entry[2] if len(entry) > 2 else None
-                    if type(node) is not int or type(target) not in (int, type(None)):
+                    if type(mover) is not int or type(target) not in (int, type(None)):
                         raise TraceFormatError(
                             f"line {lineno}: move node and target must be integers"
                         )
@@ -642,7 +653,7 @@ def parse_trace(text: str) -> Trace:
                         raise TraceFormatError(f"line {lineno}: " + (
                             "a move has at most three entries" if len(entry) > 3
                             else f"{rule.value} move takes no target"))
-                    moves.append(Move(node, rule, target))
+                    moves.append(Move(node(mover, mover), rule, node(target, target)))
                 index, round_index = obj["index"], obj["round_index"]
                 if type(index) is not int or type(round_index) is not int:
                     raise TraceFormatError(
@@ -669,7 +680,8 @@ def parse_trace(text: str) -> Trace:
         if key in record and type(record[key]) is not kind:
             raise TraceFormatError(f"trace field {key!r} must be {kinds[kind]}")
     try:
-        g = read_graph(header["graph"])
+        if g is None:
+            g = read_graph(header["graph"])
         trace = Trace(
             graph=g,
             policy=header["policy"],

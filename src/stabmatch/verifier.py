@@ -492,6 +492,7 @@ class _StateCodec:
             self.field[i] = ((1 << width) - 1) << shift
             self.bits[i] = {pm: v << shift for v, pm in enumerate(table)}
             shift += width
+        self.full = (1 << shift) - 1  # every field: a read set that keys the whole state
         field, self.reads = self.field, []
         for i, (_, _, table) in zip(g.nodes, self.decoders):
             nbrs = sum(field[j] for j in g.adjacency[i])
@@ -556,14 +557,17 @@ def _successors(c, g, semantics, branch_marriage, codec, caches, state):
     ``marriage_suitors``) are evaluated."""
     succs = [state]  # per subset so far, in mask order: each choice's successor
     decoded = False
+    full = codec.full
     for i, shift, mask, reads, cache in caches:
-        key = state & reads[state >> shift & mask]
-        deltas = cache.get(key)
+        read = reads[state >> shift & mask]
+        deltas = cache.get(key := state & read)
         if deltas is None:
             if not decoded:
                 codec.decode_into(state, c)
                 decoded = True
-            deltas = cache[key] = _node_entry(c, g, semantics, branch_marriage, codec, i, state)
+            deltas = _node_entry(c, g, semantics, branch_marriage, codec, i, state)
+            if read != full:  # keyed by the whole state, which is expanded once
+                cache[key] = deltas
         if deltas:
             succs += [s ^ delta for s in succs for delta in deltas]
     return succs[1:]

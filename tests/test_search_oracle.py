@@ -306,13 +306,17 @@ def test_the_memo_holds_one_int_per_state():
 
 
 @pytest.mark.parametrize("g, per_node, total", [
-    (C5, 4 * 6 + 1 + 6**2, 329), (K4, 6 * 8 + 1 + 8**3, 2264)], ids=["C5", "K4"])
+    (C5, 4 * 6 + 1 + 6**2, 329), (K4, 6 * 8 + 1 + 8**3, 2290)], ids=["C5", "K4"])
 def test_each_guard_is_evaluated_once_per_read_set(monkeypatch, g, per_node, total):
     """A node is evaluated once per value of the fields it reads: its own
     field with its pointee's (C5: 4 pointer values * 6 pointee states; K4:
     6 * 8), its own alone with a null pointer and m set (1), its closed
     neighborhood with a null pointer and m clear (C5: 6**2 neighbor states;
-    K4: 8**3). The witness replay evaluates once more per fired move."""
+    K4: 8**3). The witness replay evaluates once more per fired move. A read
+    set of every field keys the whole state, which the search expands once,
+    so it is not cached: the walk to the witness, which expands each of its
+    states again, evaluates such a node once more per state on it (K4: 26
+    evaluations, which a cache of whole states saved)."""
     calls = []
     guard = protocol.enabled_rule
 
@@ -324,10 +328,28 @@ def test_each_guard_is_evaluated_once_per_read_set(monkeypatch, g, per_node, tot
         monkeypatch.setattr(module, "enabled_rule", counted)
     result = exhaustive_search(g, "all", branch_marriage=True)
     assert result.explored == result.memo_size == result.initial_count
+    searched = calls.copy()
+    trace = witness_trace(g, result.witness_initial, result.witness)
+    walked = dict.fromkeys(g.nodes, 0)
+    for c in replay_configurations(g, trace.initial, [r.moves for r in trace.records])[:-1]:
+        for i in g.nodes:
+            walked[i] += c.p_of(i) is None and not c.m_of(i) and len(g.adjacency[i]) == g.n - 1
     for i in g.nodes:
         fired = sum(i in ws.chosen for ws in result.witness)
-        assert calls.count(i) == per_node + fired
-    assert len(calls) == total
+        assert searched.count(i) == per_node + fired + walked[i]
+    assert len(searched) == total
+
+
+@pytest.mark.parametrize("g, cached", [(C5, 5), (K4, 0)], ids=["C5", "K4"])
+def test_a_read_set_of_every_field_is_not_cached(g, cached):
+    """At all null with m clear every node reads its closed neighborhood: on
+    C5 part of the state, whose entry is cached; on K4 the whole state, whose
+    entry no later expansion looks up."""
+    codec, c0 = verifier._StateCodec(g), Configuration.all_null(g)
+    caches = codec.caches()
+    verifier._successors(MutableConfiguration(c0), g, STANDARD, True, codec, caches,
+                         codec.encode(c0))
+    assert sum(len(cache) for *_, cache in caches) == cached
 
 
 def test_each_stable_leaf_is_checked_in_its_own_configuration(monkeypatch):
