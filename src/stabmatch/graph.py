@@ -7,10 +7,10 @@ an edge livelock, and that proper colorings of six graphs, which repeat
 identifiers within two hops, stabilize. Generators and the file format
 always use globally unique identifiers equal to the node keys.
 
-Each node id is one int object, the one in ``Graph.nodes``: ``read_graph``
-and ``from_edges`` map every adjacency entry to it, and ids 0..n-1 are made
-together, so a scan of a large graph reads one compact block of ints rather
-than an object per occurrence (CPython shares only the ints up to 256).
+Each node id is one int object, the one in ``Graph.nodes``, and ids 0..n-1
+are made together: ``read_graph`` fills its rows with them as it reads, and
+``from_edges`` maps every entry to them. A scan of a large graph reads one
+compact block of ints (CPython shares only the ints up to 256).
 """
 
 from __future__ import annotations
@@ -252,60 +252,70 @@ def read_graph(text: str) -> Graph:
     an edge "u v" with u < v. '#' starts a comment. Nodes are the identifiers
     appearing in edge lines; an edge-free file, nodes 0..n-1, n <= MAX_EDGE_FREE_NODES.
 
-    One pass appends each edge to both endpoints' neighbor lists.
+    The parse loop appends each edge to its endpoints' rows, lists indexed by
+    id that hold the node objects 0..n-1, made first; ids past them are kept by
+    id and mapped at the end. A duplicate edge shows as a repeated neighbor.
     """
-    n = None
-    adj: defaultdict[int, list[int]] = defaultdict(list)
-    seen: set[tuple[int, int]] = set()
-    for lineno, parts in text_fields(text):
-        if n is None:
-            # isdecimal, not isdigit: int() rejects digits such as '²'
-            if len(parts) != 1 or not parts[0].isdecimal():
-                raise GraphFormatError(f"line {lineno}: expected node count")
-            try:
-                n, count_line = int(parts[0]), lineno
-            except ValueError:  # more digits than Python's int-string limit
-                raise GraphFormatError(f"line {lineno}: expected node count") from None
-            if n < 1:
-                raise GraphFormatError(f"line {lineno}: node count must be >= 1")
-            continue
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:  # int() refuses decimal digits only past its int-string digit limit
-            digits = parts[0].isdecimal() and parts[1].isdecimal()
-            why = "node id too long" if digits else "non-integer node id"
-            raise GraphFormatError(f"line {lineno}: {why}") from None
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop {u}")
-        if not 0 <= u < v:
-            raise GraphFormatError(f"line {lineno}: edge must satisfy 0 <= u < v")
-        if (edge := (u, v)) in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(edge)
-        adj[u].append(v)
-        adj[v].append(u)
-    if n is None:
+    fields = text_fields(text)
+    count_line, parts = next(fields, (1, None))
+    if parts is None:
         raise GraphFormatError("line 1: missing node count")
-    if not adj:
+    if len(parts) != 1 or not parts[0].isdecimal():  # not isdigit: int() rejects '²'
+        raise GraphFormatError(f"line {count_line}: expected node count")
+    try:
+        n = int(parts[0])
+    except ValueError:  # more digits than Python's int-string limit
+        raise GraphFormatError(f"line {count_line}: expected node count") from None
+    if n < 1:
+        raise GraphFormatError(f"line {count_line}: node count must be >= 1")
+    ids = tuple(range(size := min(n, len(text) // 2)))  # no more ids fit in the text
+    rows: list[list[int]] = [[] for _ in ids]
+    far: defaultdict[int, list[int]] = defaultdict(list)  # the rows of ids past ``rows``
+    try:
+        for lineno, parts in fields:
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected 'u v'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:  # int() refuses decimal digits only past its int-string digit limit
+                digits = parts[0].isdecimal() and parts[1].isdecimal()
+                why = "node id too long" if digits else "non-integer node id"
+                raise GraphFormatError(f"line {lineno}: {why}") from None
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop {u}")
+            if not 0 <= u < v:
+                raise GraphFormatError(f"line {lineno}: edge must satisfy 0 <= u < v")
+            if v < size:
+                rows[u].append(ids[v])
+                rows[v].append(ids[u])
+            else:
+                far[u].append(v)
+                far[v].append(u)
+        if far:  # ids not 0..n-1: every row by id, then by position
+            for u in itertools.compress(ids, rows):
+                far[u] += rows[u]
+            node, ids = dict(zip(far, far)).__getitem__, tuple(sorted(far))
+            rows = [list(map(node, far[u])) for u in ids]
+        lineno = 0  # the scan below reads every line
+        if sum(map(len, map(set, rows))) < sum(map(len, rows)):  # a repeated neighbor
+            raise GraphFormatError  # named by the scan below
+    except GraphFormatError:  # a duplicate edge before the error line is the first error
+        stop, seen = lineno, set()  # the count line's 1-tuple in ``seen`` is no edge
+        for k, parts in itertools.takewhile(lambda f: f[0] != stop, text_fields(text)):
+            if (edge := tuple(map(int, parts))) in seen:
+                raise GraphFormatError(f"line {k}: duplicate edge {edge}") from None
+            seen.add(edge)
+        raise
+    if not (count := len(rows) - rows.count([])):
         if n > MAX_EDGE_FREE_NODES:
             raise GraphFormatError(f"line {count_line}: an edge-free graph has at most"
                                    f" {MAX_EDGE_FREE_NODES} nodes, not {n}")
         nodes = tuple(range(n))
         return Graph._built(nodes, dict.fromkeys(nodes, ()), {})
-    if len(adj) != n:
-        raise GraphFormatError(
-            f"node count {n} does not match the {len(adj)} ids in edge lines"
-            " (isolated nodes are not representable alongside edges)"
-        )
-    seen.clear()  # freed before the rows are built, which keeps the peak down
-    nodes = tuple(sorted(adj))
-    if nodes[-1] == n - 1:  # n distinct ids from 0: 0..n-1, made side by side
-        nodes = tuple(range(n))
-    node = dict(zip(nodes, nodes))  # an id -> the node's own object: the identity ident
-    return Graph._built(
-        nodes, {u: tuple(map(node.__getitem__, sorted(adj[u]))) for u in nodes}, node)
+    if count != n:
+        raise GraphFormatError(f"node count {n} does not match the {count} ids in edge lines"
+                               " (isolated nodes are not representable alongside edges)")
+    return Graph._built(ids, dict(zip(ids, map(tuple, map(sorted, rows)))), {})
 
 
 def write_graph(g: Graph) -> str:

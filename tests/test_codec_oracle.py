@@ -126,6 +126,11 @@ def configuration_texts(draw):
 @example(text="3\n0 1\n0 1\n")
 @example(text="3\n2 1\n")
 @example(text="4\n0 1\n2 3\n")
+@example(text="4\n0 1\n1 2\n0 1\n2 2\n")  # a duplicate before a later self-loop
+@example(text="3\n0 1\n1 2\n+0 001\n")  # a duplicate spelled another way
+@example(text="3\n0 1\n1 2\n0 2\n1 2\n")  # a duplicate whose twin is the last line
+@example(text="3\n0 1\n1 5\n")  # ids beyond the count
+@example(text="9\n0 1\n")  # a count above the ids
 def test_read_graph_matches_the_reference(text):
     assert _outcome(read_graph, text) == _outcome(reference_read_graph, text)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -329,6 +331,19 @@ class TestFileFormat:
     def test_parse_error_carries_line_number(self):
         with pytest.raises(GraphFormatError, match="line 3"):
             read_graph("3\n0 1\n1 1\n")
+
+    def test_a_count_above_the_text_allocates_no_row_per_node(self):
+        """The rows are sized by the text as well as the count: a count of
+        4 000 000 000 beside one edge line reaches the count-mismatch error
+        with a peak far below one object per counted node."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="node count 4000000000 does not match"):
+                read_graph("4000000000\n0 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_write_rejects_isolated_mix(self):
         g = Graph.from_edges([0, 1, 5], [(0, 1)])
