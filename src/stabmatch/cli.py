@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import sys
@@ -183,6 +184,64 @@ def _graph_from_spec(entry: dict) -> tuple[str, Graph]:
         raise UsageError(f"bad graph entry {label}: {exc}") from exc
 
 
+def _experiment_run(label, g, policy_spec, init_spec, seed, max_steps):
+    """One audited experiment run: (summary row, steps, rounds, audit passed)."""
+    init = init_spec if init_spec != "random" else f"random:{seed}"
+    policy, trace, report = _audited_run(g, init, policy_spec, seed, max_steps)
+    ok = report.all_pass
+    return (f"graph={label} policy={policy.describe()} seed={seed} init={init_spec} "
+            f"steps={trace.steps} rounds={trace.rounds} moves={trace.moves} "
+            f"stable={'yes' if trace.stable else 'no'} audit={'pass' if ok else 'fail'}",
+            trace.steps, trace.rounds, ok)
+
+
+def _map_runs(fn, jobs: list) -> list:
+    """[fn(*job) for job in jobs], job k in worker k mod W, W = min(jobs, usable
+    CPUs). Worker 0 is this process, the others forked children that pickle their
+    results down a pipe; once every child is reaped, the first failure in job
+    order is raised. W is 1 while another thread lives: a fork copies only one."""
+    import pickle
+    import threading
+
+    width = (min(len(jobs), len(os.sched_getaffinity(0)))
+             if hasattr(os, "sched_getaffinity") and threading.active_count() == 1 else 1)
+
+    def run_slice(w):  # up to and including its first failure
+        results = []
+        try:
+            for job in jobs[w::width]:
+                results.append(fn(*job))
+        except Exception as exc:  # raised again below, in job order
+            results.append(exc)
+        return results
+
+    slices, children = [None] * width, []
+    try:
+        for w in range(1, width):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:  # os._exit: nothing of this process runs twice
+                try:
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(run_slice(w)))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children.append((w, pid, read_fd))
+        slices[0] = run_slice(0)
+    finally:
+        for w, pid, read_fd in children:
+            with open(read_fd, "rb") as pipe:
+                data = pipe.read()
+            slices[w] = pickle.loads(data) if os.waitpid(pid, 0)[1] == 0 else [
+                RuntimeError(f"experiment worker {w} ended without its results")]
+    outcomes = [slices[k % width][k // width] for k in range(len(jobs))
+                if k // width < len(slices[k % width])]
+    if failed := [x for x in outcomes if isinstance(x, Exception)]:
+        raise failed[0]
+    return outcomes
+
+
 def cmd_experiment(args) -> int:
     try:
         spec = json.loads(_read(args.spec))
@@ -208,36 +267,23 @@ def cmd_experiment(args) -> int:
         raise UsageError("experiment spec 'max_steps' must be a positive integer")
 
     loaded = [_graph_from_spec(entry) for entry in graphs]
+    jobs = [(label, g, policy_spec, init_spec, seed, max_steps) for label, g in loaded
+            for policy_spec in policies for init_spec in inits for seed in seeds]
+    outcomes = _map_runs(_experiment_run, jobs)
+    per_graph = len(jobs) // len(loaded)
     rows = []
-    failures = runs = 0
-    for label, g in loaded:
-        cell_steps = []
-        cell_rounds = []
-        for policy_spec in policies:
-            for init_spec in inits:
-                for seed in seeds:
-                    init = init_spec if init_spec != "random" else f"random:{seed}"
-                    policy, trace, report = _audited_run(g, init, policy_spec, seed, max_steps)
-                    ok = report.all_pass
-                    runs += 1
-                    failures += 0 if ok else 1
-                    cell_steps.append(trace.steps)
-                    cell_rounds.append(trace.rounds)
-                    rows.append(
-                        f"graph={label} policy={policy.describe()} seed={seed} "
-                        f"init={init_spec} steps={trace.steps} "
-                        f"rounds={trace.rounds} moves={trace.moves} "
-                        f"stable={'yes' if trace.stable else 'no'} "
-                        f"audit={'pass' if ok else 'fail'}"
-                    )
+    for (label, g), start in zip(loaded, range(0, len(jobs), per_graph)):
+        cell_rows, cell_steps, cell_rounds, _ = zip(*outcomes[start:start + per_graph])
+        rows += cell_rows
         rows.append(
             f"aggregate graph={label} runs={len(cell_steps)} "
             f"max_steps={max(cell_steps)} mean_steps={statistics.mean(cell_steps):.2f} "
             f"step_bound={step_bound(g)} max_rounds={max(cell_rounds)} "
             f"round_bound={round_bound(g)}"
         )
+    failures = sum(not ok for *_, ok in outcomes)
     verdict = "pass" if failures == 0 else "fail"
-    rows.append(f"experiment: {verdict} runs={runs} failures={failures}")
+    rows.append(f"experiment: {verdict} runs={len(jobs)} failures={failures}")
     _write(args.out or None, "\n".join(rows) + "\n")
     return EXIT_OK if failures == 0 else EXIT_FAIL
 

@@ -14,6 +14,7 @@ import importlib.util
 import inspect
 import io
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -182,20 +183,25 @@ def _experiment(tmp_path):
     return [["experiment", "--spec", str(spec)]]
 
 
-def test_every_layer_metric_is_nonzero_on_a_miniature_of_its_workload(tmp_path):
+def test_every_layer_metric_is_nonzero_on_a_miniature_of_its_workload(tmp_path, monkeypatch):
     """Each benchmark workload in miniature, traced as the benchmark traces
     it: every LAYER_METRICS entry meant for that workload must read nonzero,
-    as the benchmark's self-check requires."""
+    as the benchmark's self-check requires. The experiment runs once more on
+    two usable CPUs, where the tracer sees only the runs of this process's
+    share; they alone must keep matrix_small's entries nonzero."""
     bench = _load_bench_run()
     miniatures = (
-        (bench.RUNS[0], _run_and_verify(tmp_path, "sequential_random")),
-        (bench.RUNS[1], _run_and_verify(tmp_path, "distributed_random")),
-        (bench.SEARCH[0], _search(tmp_path)),
-        (bench.MATRIX[0], _experiment(tmp_path)),
+        (bench.RUNS[0], _run_and_verify(tmp_path, "sequential_random"), None),
+        (bench.RUNS[1], _run_and_verify(tmp_path, "distributed_random"), None),
+        (bench.SEARCH[0], _search(tmp_path), None),
+        (bench.MATRIX[0], _experiment(tmp_path), None),
+        (bench.MATRIX[0], _experiment(tmp_path), 2),
     )
     tracer = bench.Tracer()
     zero = []
-    for workload, commands in miniatures:
+    for workload, commands, cpus in miniatures:
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         tracer.clear_totals()
         tracer.install()
         try:
@@ -206,6 +212,7 @@ def test_every_layer_metric_is_nonzero_on_a_miniature_of_its_workload(tmp_path):
                 tracer.end_command()
         finally:
             tracer.uninstall()
-        zero += [f"{name} on {workload}" for name, _, _, value, meant_for in bench.LAYER_METRICS
+        zero += [f"{name} on {workload} ({cpus or 'all'} CPUs)"
+                 for name, _, _, value, meant_for in bench.LAYER_METRICS
                  if workload in meant_for and not value(tracer)]
     assert zero == []

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import threading
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +204,11 @@ def test_unknown_policy_is_reported_before_a_missing_init(workdir, capsys, comma
     assert capsys.readouterr().err == "error: unknown policy kind: nosuch\n"
 
 
+MISSING_INIT = ("error: cannot read missing.cfg: "
+                "[Errno 2] No such file or directory: 'missing.cfg'\n")
+
+
+@pytest.mark.filterwarnings("error::DeprecationWarning")  # Python 3.12+: fork beside a thread
 class TestExperiment:
     def _spec(self, workdir, **overrides):
         spec = {
@@ -283,6 +291,84 @@ class TestExperiment:
         spec = _write(workdir / "spec.json", json.dumps([{"kind": "path", "n": 4}]))
         assert main(["experiment", "--spec", spec]) == EXIT_USAGE
         assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Every os.fork call from here on, which still forks."""
+        calls = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        return calls
+
+    @staticmethod
+    def _at_width(monkeypatch, capsys, forks, width, spec):
+        """The experiment on ``width`` usable CPUs: (exit code, --out bytes,
+        stderr, children forked). No child may outlive the command."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)))
+        before = len(forks)
+        capsys.readouterr()
+        code = main(["experiment", "--spec", spec, "--out", "s.txt"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        out = Path("s.txt").read_bytes() if Path("s.txt").exists() else None
+        return code, out, capsys.readouterr().err, len(forks) - before
+
+    @pytest.mark.parametrize("case", ["matrix", "max_steps", "file_init"])
+    def test_output_does_not_depend_on_the_width(
+            self, workdir, capsys, monkeypatch, forks, case):
+        """Runs spread over 1, 2 or 3 workers give the same bytes and exit code."""
+        if case == "file_init":
+            main(["gen", "--kind", "path", "--n", "3", "--out", "p3.g"])
+            _write(workdir / "init.cfg", "0 1 f\n1 - f\n2 1 f\n")
+            spec = self._spec(workdir, graphs=[{"file": "p3.g"}, {"kind": "cycle", "n": 3}],
+                              inits=["init.cfg", "random"])
+        else:
+            spec = self._spec(workdir, **({"max_steps": 1} if case == "max_steps" else {}))
+        results = [self._at_width(monkeypatch, capsys, forks, width, spec)
+                   for width in (1, 2, 3)]
+        assert [forked for *_, forked in results] == [0, 1, 2]
+        code, out, err, _ = results[0]
+        assert all(result[:3] == (code, out, err) for result in results)
+        assert code == (EXIT_FAIL if case == "max_steps" else EXIT_OK)
+        assert (b"audit=fail" in out) == (case == "max_steps")
+
+    @pytest.mark.parametrize("overrides, err", [
+        ({"policies": ["synchronous", "nosuch"]}, "error: unknown policy kind: nosuch\n"),
+        ({"policies": ["synchronous"], "inits": ["allnull", "missing.cfg"]}, MISSING_INIT),
+        # job 2 fails too, in this process at width 2 and in a child at width 3
+        ({"policies": ["synchronous", "nosuch"], "inits": ["allnull", "missing.cfg"]},
+         MISSING_INIT),
+    ], ids=["policy", "init", "two-failures"])
+    def test_first_failure_in_job_order_is_the_one_reported(
+            self, workdir, capsys, monkeypatch, forks, overrides, err):
+        """Job 1 is the first to fail, and at width 2 or 3 it runs in a
+        forked child; its error is reported as at width 1, with exit 64."""
+        spec = self._spec(workdir, seeds=[1], **overrides)
+        for width in (1, 2, 3):
+            assert self._at_width(monkeypatch, capsys, forks, width, spec) == (
+                EXIT_USAGE, None, err, width - 1)
+
+    def test_no_fork_for_one_run_without_affinity_or_beside_a_thread(
+            self, workdir, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        one_run = self._spec(workdir, graphs=[{"kind": "path", "n": 4}],
+                             policies=["synchronous"], seeds=[1])
+        assert main(["experiment", "--spec", one_run]) == EXIT_OK
+        spec = self._spec(workdir)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert main(["experiment", "--spec", spec]) == EXIT_OK
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(["experiment", "--spec", spec]) == EXIT_OK
 
     def test_ten_seeds_three_policies_on_medium_gnm(self, workdir):
         spec = self._spec(
